@@ -17,11 +17,17 @@
 //! reads them **exactly once per process** (memoised in a `OnceLock`,
 //! because schedulers construct solvers on hot paths):
 //!
-//! * `STRETCH_MINCOST_BACKEND` — `primal-dual` (the reference, also the
-//!   unset default), `simplex` or `monge`; anything else aborts with the
-//!   offending string rather than silently falling back.  This is how the CI test
-//!   matrix runs the whole suite — schedulers, experiments, property tests —
-//!   on either backend without touching call sites.
+//! * `STRETCH_MINCOST_BACKEND` — `monge` (the fastest backend beyond a
+//!   few jobs, also the unset default), `simplex` or `primal-dual` (the
+//!   reference oracle, always reachable as [`SolverConfig::primal_dual`]);
+//!   anything else aborts with the offending string rather than silently
+//!   falling back.  This is how the CI test matrix runs the whole suite —
+//!   schedulers, experiments, property tests — on every backend without
+//!   touching call sites.  Unlike the two switches below, the backend is
+//!   not a pure speed lever: all backends reach the same System-(2)
+//!   objective, but `primal-dual` may pick a different optimal allocation
+//!   than `monge`/`simplex` (which are bit-identical), so on-line
+//!   schedules differ between them.
 //! * `STRETCH_WARM_START` — `1`/`true` (the default) enables cross-event
 //!   solver memory, `0`/`false` disables it; anything else aborts.  Warm
 //!   start is a speed lever only: results are bit-identical either way
@@ -175,8 +181,8 @@ impl SolverConfig {
     /// Reads `STRETCH_MINCOST_BACKEND`, `STRETCH_WARM_START` and
     /// `STRETCH_INCREMENTAL` (**uncached** — callers wanting the memoised
     /// process default use [`SolverConfig::default`]); unset variables fall
-    /// back to the primal-dual reference with warm start and incremental
-    /// solving on, unrecognised values abort loudly (see
+    /// back to the `monge` backend with warm start and incremental solving
+    /// on, unrecognised values abort loudly (see
     /// [`Self::parse_backend`], [`Self::parse_warm_start`],
     /// [`Self::parse_incremental`]).
     pub fn from_env() -> Self {

@@ -164,18 +164,18 @@ pub fn run_online_with(
         let best = solver.min_feasible_stretch(&problem).ok_or_else(|| {
             ScheduleError::Unschedulable("no finite max-stretch achievable on-line".into())
         })?;
-        // Slack above the bisection answer so that the allocation step (which
-        // uses tighter flow tolerances) is always feasible.
-        let slack = crate::deadline::certified_slack(best);
 
         // Steps 3-4: allocate and serialise according to the variant.
+        let mut allocate = || {
+            solver.certified_allocation(&problem, best).ok_or_else(|| {
+                ScheduleError::Optimisation(
+                    "System (2) infeasible at the optimal max-stretch".into(),
+                )
+            })
+        };
         let execution = match variant {
             OnlineVariant::Online | OnlineVariant::OnlineEdf => {
-                let plan = solver.system2_allocation(&problem, slack).ok_or_else(|| {
-                    ScheduleError::Optimisation(
-                        "System (2) infeasible at the optimal max-stretch".into(),
-                    )
-                })?;
+                let plan = allocate()?;
                 let ordering = if variant == OnlineVariant::Online {
                     PieceOrdering::Online
                 } else {
@@ -185,11 +185,7 @@ pub fn run_online_with(
                 execute_sequences(&problem, &sequences, now, horizon)
             }
             OnlineVariant::OnlineEgdf => {
-                let plan = solver.system2_allocation(&problem, slack).ok_or_else(|| {
-                    ScheduleError::Optimisation(
-                        "System (2) infeasible at the optimal max-stretch".into(),
-                    )
-                })?;
+                let plan = allocate()?;
                 // Global order: interval in which the job's total work
                 // completes, ties broken by SWRPT.  The completion intervals
                 // are indexed once so the comparator is O(1).
@@ -214,6 +210,7 @@ pub fn run_online_with(
                 // early each job finishes.  This is the behaviour the paper
                 // criticises ("all jobs scheduled so that their stretch is
                 // equal to the objective") and the baseline of Figure 3.
+                let slack = crate::deadline::certified_slack(best);
                 let plan = solver
                     .feasibility_allocation(&problem, slack)
                     .ok_or_else(|| {

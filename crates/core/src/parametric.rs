@@ -60,13 +60,18 @@
 //! in CI, pinned by the differential-oracle suite).
 
 use crate::config::SolverConfig;
-use crate::deadline::{AllocationPlan, DeadlineProblem, STRETCH_TOL};
+use crate::deadline::{certified_slack, AllocationPlan, DeadlineProblem, STRETCH_TOL};
 use crate::delta::{DeltaStats, EpochSplicer, System2Arena};
 use stretch_flow::{FastMap, FlowWorkspace, MinCostBackend, ParametricNetwork};
 
 /// Feasibility tolerance of the flow probes, matching
 /// [`stretch_flow::TransportInstance::is_feasible`].
 const FEAS_TOL: f64 = 1e-6;
+
+/// How many looser objectives
+/// [`ParametricDeadlineSolver::certified_allocation`] tries after System (2)
+/// rejects the certified slack.
+const ALLOCATION_RETRIES: usize = 2;
 
 /// A reusable engine solving deadline problems by parametric flow probes.
 ///
@@ -744,6 +749,33 @@ impl ParametricDeadlineSolver {
                 &mut self.workspace,
             )
         }
+    }
+
+    /// Solves System (2) at [`certified_slack`]`(best)`, where `best` is the
+    /// optimal max-stretch [`Self::min_feasible_stretch`] returned: the
+    /// allocation step of the on-line heuristic.
+    ///
+    /// The probes call an objective feasible once the maximum flow covers
+    /// the demand up to a relative `1e-6`; System (2) accepts a shortfall of
+    /// only [`stretch_flow::acceptance_tolerance`], and the slack's relative
+    /// step does not always cover the gap.  When System (2) rejects the
+    /// certified slack, the allocation is retried at most twice, each time
+    /// at an objective `1e-3` (relative) looser.  A solve accepted at the
+    /// first attempt is never retried, so the retry leaves every decision
+    /// that succeeded without it unchanged.
+    pub fn certified_allocation(
+        &mut self,
+        problem: &DeadlineProblem,
+        best: f64,
+    ) -> Option<AllocationPlan> {
+        let mut stretch = certified_slack(best);
+        for _ in 0..ALLOCATION_RETRIES {
+            if let Some(plan) = self.system2_allocation(problem, stretch) {
+                return Some(plan);
+            }
+            stretch *= 1.0 + 1e-3;
+        }
+        self.system2_allocation(problem, stretch)
     }
 
     /// Ships every remaining unit of work at zero cost (the System-(1)

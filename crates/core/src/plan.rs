@@ -148,12 +148,18 @@ pub fn execute_sequences(
         }
     }
 
+    // A job whose pieces all ran completes when its shortfall is within what
+    // the flow solve behind the plan may leave unshipped over the whole
+    // instance, or within a relative rounding error of the job's size (on
+    // multi-hundred-MB jobs that exceeds any fixed absolute epsilon).  The
+    // first term matters when the solve's whole slack lands on one job:
+    // left pending, that residual is not guaranteed to ship at any later
+    // event, and the job would never complete.
+    let demand: f64 = problem.jobs.iter().map(|job| job.remaining).sum();
+    let accepted = stretch_flow::acceptance_tolerance(demand);
     let mut completions = BTreeMap::new();
     for (j, job) in problem.jobs.iter().enumerate() {
-        // Relative completion tolerance: the flow solver ships the demand up
-        // to a relative rounding error, which on multi-hundred-MB jobs can
-        // exceed any fixed absolute epsilon.
-        let tolerance = 1e-6_f64.max(job.remaining * 1e-6);
+        let tolerance = accepted.max(job.work * 1e-6);
         if !truncated[j] && executed[j] >= job.remaining - tolerance {
             completions.insert(j, last_finish[j]);
         }
@@ -321,6 +327,26 @@ mod tests {
         // Both sites together run at 3 MB/s, so at most 3 units are executed
         // by t = 1 and the job is not completed.
         assert!(exec.executed[0] <= 3.0 + 1e-6);
+        assert!(exec.completions.is_empty());
+    }
+
+    #[test]
+    fn a_shortfall_within_the_solve_tolerance_completes_the_job() {
+        // Demand 6002 lets a solve leave max(1e-6, 1e-9 · 6002) ≈ 6.0e-6
+        // unshipped; job 0's relative slack is only 1e-6 · 2 = 2e-6.
+        let p = problem(vec![job(0, 0.0, 2.0, 0), job(1, 0.0, 6000.0, 1)]);
+        let shipped = 2.0 - 5e-6;
+        let seqs = vec![vec![(0, shipped)], vec![]];
+        let exec = execute_sequences(&p, &seqs, 0.0, f64::INFINITY);
+        assert_eq!(exec.executed[0], shipped);
+        assert_eq!(exec.completions.get(&0), Some(&shipped));
+        assert!(!exec.completions.contains_key(&1), "job 1 never ran");
+
+        // Cut off by the horizon, the same job does not complete, however
+        // small the part the horizon cut.
+        let horizon = shipped - 5e-7;
+        let exec = execute_sequences(&p, &seqs, 0.0, horizon);
+        assert_eq!(exec.executed[0], horizon);
         assert!(exec.completions.is_empty());
     }
 

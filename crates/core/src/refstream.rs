@@ -94,7 +94,7 @@ pub fn capture_system2_events_with(
         let slack = certified_slack(best);
         captured.push((problem.clone(), slack));
         let plan = solver
-            .system2_allocation(&problem, slack)
+            .certified_allocation(&problem, best)
             .expect("feasible");
         let sequences = site_sequences(&problem, &plan, PieceOrdering::Online);
         let execution = execute_sequences(&problem, &sequences, now, horizon);

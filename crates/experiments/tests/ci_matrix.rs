@@ -89,6 +89,17 @@ fn incremental_matrix_leg_is_pinned() {
 }
 
 #[test]
+fn test_step_runs_every_target() {
+    // `cargo test` stops at the first failing test target, so one failure
+    // would hide the verdict of every target after it in the matrix cell.
+    let yml = ci_yml();
+    assert!(
+        yml.contains("run: cargo test -q --no-fail-fast\n"),
+        "ci.yml build-and-test `Test` step must run `cargo test -q --no-fail-fast`"
+    );
+}
+
+#[test]
 fn serve_smoke_leg_is_pinned() {
     // The crash-safety leg: reference stream through `stretch-serve`,
     // SIGKILL mid-stream, journal-replay recovery, diff against the

@@ -133,17 +133,21 @@ impl MinCostBackend for PrimalDualBackend {
 }
 
 /// Serialisable tag naming a [`MinCostBackend`] implementation.
+///
+/// The default is [`BackendKind::Monge`], the fastest backend on System-(2)
+/// instances beyond a few jobs; [`BackendKind::PrimalDual`] stays the
+/// reference oracle the others are checked against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The primal-dual reference kernel ([`PrimalDualBackend`]).
-    #[default]
     PrimalDual,
     /// The network simplex ([`crate::simplex::NetworkSimplexBackend`]).
     NetworkSimplex,
     /// The Monge/greedy product-form backend
     /// ([`crate::monge::MongeBackend`]): certified instances are solved by
     /// a pivot-free greedy sweep, everything else falls through to the
-    /// simplex.
+    /// simplex.  The default.
+    #[default]
     Monge,
 }
 
@@ -215,6 +219,12 @@ mod tests {
             Some(BackendKind::NetworkSimplex)
         );
         assert_eq!(BackendKind::parse("no-such-backend"), None);
+    }
+
+    #[test]
+    fn monge_is_the_default_and_primal_dual_the_reference() {
+        assert_eq!(BackendKind::default(), BackendKind::Monge);
+        assert_eq!(BackendKind::ALL[0], BackendKind::PrimalDual);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use monge::MongeBackend;
 pub use parametric::ParametricNetwork;
 pub use remap::BasisRemap;
 pub use simplex::{NetworkSimplexBackend, STATE_LOWER, STATE_TREE, STATE_UPPER};
-pub use transport::{TransportArena, TransportInstance, TransportSolution};
+pub use transport::{acceptance_tolerance, TransportArena, TransportInstance, TransportSolution};
 pub use workspace::FlowWorkspace;
 
 /// Tolerance under which a residual capacity is considered exhausted.

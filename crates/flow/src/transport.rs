@@ -17,6 +17,17 @@ use crate::maxflow::max_flow_with;
 use crate::workspace::FlowWorkspace;
 use crate::FLOW_EPS;
 
+/// How much of a transportation instance's total `demand` a solve may leave
+/// unshipped and still be accepted as feasible: `max(1e-6, 1e-9 · demand)`.
+///
+/// Every min-cost and zero-cost solve of a [`TransportInstance`] judges its
+/// flow against this bound.  A caller deciding whether an accepted
+/// shipment finished a job reads the bound from here, so the two verdicts
+/// cannot drift apart.
+pub fn acceptance_tolerance(demand: f64) -> f64 {
+    1e-6_f64.max(demand * 1e-9)
+}
+
 /// A bipartite transportation instance.
 #[derive(Clone, Debug)]
 pub struct TransportInstance {
@@ -386,8 +397,7 @@ impl TransportInstance {
         // missing sliver is far below every downstream tolerance.
         let target = demand - FLOW_EPS.max(demand * 1e-12);
         let r = backend.solve_up_to(&mut arena.network, s, t, target, workspace);
-        let tol = 1e-6_f64.max(demand * 1e-9);
-        if r.flow < demand - tol {
+        if r.flow < demand - acceptance_tolerance(demand) {
             return None;
         }
         Some(self.extract_solution(&arena.network, &arena.route_edges, r.cost, r.flow))
@@ -401,8 +411,7 @@ impl TransportInstance {
         let demand = self.total_demand();
         let target = demand - FLOW_EPS.max(demand * 1e-12);
         let shipped = max_flow_with(&mut g, s, t, target, workspace).value;
-        let tol = 1e-6_f64.max(demand * 1e-9);
-        if shipped < demand - tol {
+        if shipped < demand - acceptance_tolerance(demand) {
             return None;
         }
         Some(self.extract_solution(&g, &route_edges, 0.0, shipped))

@@ -19,7 +19,7 @@
 //! warm/cold identity contract of PRs 4–5 makes the solver caches irrelevant
 //! to outputs, so a recovered (cold) process matches a long-lived (warm) one.
 
-use stretch_core::deadline::{certified_slack, DeadlineProblem, PendingJob};
+use stretch_core::deadline::{DeadlineProblem, PendingJob};
 use stretch_core::plan::{
     execute_list_order, execute_sequences, site_sequences, PieceOrdering, PlanExecution,
 };
@@ -291,9 +291,8 @@ impl ServeScheduler {
         let best = solver
             .min_feasible_stretch(&problem)
             .ok_or(SolveFailure::Infeasible)?;
-        let slack = certified_slack(best);
         let plan = solver
-            .system2_allocation(&problem, slack)
+            .certified_allocation(&problem, best)
             .ok_or(SolveFailure::Allocation)?;
         let sequences = site_sequences(&problem, &plan, PieceOrdering::Online);
         Ok(PreparedDecision {

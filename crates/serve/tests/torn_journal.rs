@@ -59,7 +59,12 @@ fn sole_segment_bytes(dir: &Path) -> Vec<u8> {
 /// records — the ground truth every truncated/corrupted recovery must land
 /// on.
 fn prefix_digests(bytes: &[u8], platform: &Platform, scratch: &Path) -> Vec<u64> {
-    let parse_path = tmp("parse");
+    // Parse inside the caller's own scratch directory: the tests of this
+    // binary run in parallel, and a shared parse path lets one test delete
+    // or overwrite the file another is reading.
+    let _ = std::fs::remove_dir_all(scratch);
+    std::fs::create_dir_all(scratch).unwrap();
+    let parse_path = scratch.join("parse");
     std::fs::write(&parse_path, bytes).unwrap();
     let (records, tail) = journal::load(&parse_path).unwrap();
     assert_eq!(tail, journal::TailStatus::Clean);
