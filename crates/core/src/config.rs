@@ -244,14 +244,6 @@ impl SolverConfig {
         }
     }
 
-    /// Reads environment variable `name` as a presence-only debug flag:
-    /// set (to anything, unicode or not) means on.  Presence checks have no
-    /// malformed case, but routing them through this helper keeps
-    /// `config.rs` the single file that touches the process environment.
-    pub fn env_flag(name: &str) -> bool {
-        std::env::var_os(name).is_some()
-    }
-
     /// Instantiates the configured min-cost backend (honouring
     /// [`Self::warm_start`]: a cold configuration gets a backend that never
     /// reuses state across solves).

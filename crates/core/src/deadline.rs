@@ -442,10 +442,11 @@ impl DeadlineProblem {
     /// cannot be served by any site (no finite stretch is feasible).
     ///
     /// Delegates to the parametric engine
-    /// ([`crate::parametric::ParametricDeadlineSolver`]): milestone-bracket
-    /// search with frozen-topology, warm-started probes.  Callers solving
-    /// many problems (the on-line schedulers) should hold one solver and
-    /// feed it every problem instead, so scratch memory is reused.
+    /// ([`crate::parametric::ParametricDeadlineSolver`]): a Newton search on
+    /// minimum-cut capacities with frozen-topology, warm-started probes.
+    /// Callers solving many problems (the on-line schedulers) should hold
+    /// one solver and feed it every problem instead, so scratch memory is
+    /// reused.
     pub fn min_feasible_stretch(&self) -> Option<f64> {
         ParametricDeadlineSolver::new().min_feasible_stretch(self)
     }
@@ -492,9 +493,10 @@ impl DeadlineProblem {
 
     /// The paper's milestone-based search (§4.3.1).
     ///
-    /// The parametric engine *is* the milestone algorithm (binary-search the
-    /// sorted milestones for the first feasible one, then refine inside the
-    /// bracket), so this now shares the implementation of
+    /// The parametric engine answers the same question as the milestone
+    /// search, but one of its Newton steps certifies a whole run of
+    /// milestones infeasible with a single minimum cut instead of testing
+    /// them one by one, so this now shares the implementation of
     /// [`Self::min_feasible_stretch`]; the name is kept to mirror the
     /// paper's presentation and for the LP cross-validation tests.
     pub fn min_feasible_stretch_milestones(&self) -> Option<f64> {

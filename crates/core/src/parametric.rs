@@ -17,20 +17,27 @@
 //!   capacity — and warm-starts the early-exit max-flow from the previous
 //!   residual flow ([`ParametricNetwork`]).
 //! * the search is a **Newton iteration on minimum cuts**: an infeasible
-//!   probe's maximum flow yields a minimum cut whose capacity is linear in
-//!   `F` up to the next milestone (the next crossing of two adjacent
-//!   symbolic times); solving `capacity(F) = demand − tol` — clamped at the
-//!   milestone — gives the next candidate, and every `F` below it is
-//!   *certified* infeasible by that same cut.  The iteration terminates on
-//!   the exact boundary of the feasibility predicate, typically within a
-//!   handful of max-flow runs instead of ~25 bisection probes.
+//!   probe's maximum flow yields a minimum cut, whose source side holds a
+//!   job set `X` that cannot ship its remaining work.  For *any* `F` the
+//!   same job set defines a cut of capacity
+//!
+//!   `C_X(F) = Σ_{j∉X} remaining_j + Σ_s speed_s · |⋃_{j∈X on s} [ready_j, deadline_j(F))|`,
+//!
+//!   which never decreases in `F` and does not depend on how the epochal
+//!   times are ordered.  Every `F` below the root of
+//!   `C_X(F) = demand − tol` is therefore *certified* infeasible by that
+//!   one cut, however many milestones (crossings of two epochal times) lie
+//!   on the way; the root, found by bisection on `C_X` alone, is the next
+//!   candidate.  On the on-line workloads the iteration ends in two to
+//!   three max-flow runs per search instead of ~25 bisection probes.
 //! * the blind exponential search for a feasible upper bound is replaced by
 //!   a **certified bound**: serialising all pending work
 //!   ([`DeadlineProblem::serialized_upper_bound`]) is a valid schedule, so
 //!   its max-stretch is always feasible.
 //!
-//! A numerical safety net falls back to plain bisection — still on the
-//! shared parametric structure — if the Newton iteration ever stalls.
+//! A numerical safety net falls back to plain bisection on from-scratch
+//! probes if the Newton iteration ever stalls; [`SearchStats`] counts how
+//! often it does.
 //!
 //! One solver holds its scratch ([`FlowWorkspace`], capacity and cut
 //! buffers) across calls, so the on-line schedulers allocate almost nothing
@@ -73,6 +80,23 @@ const FEAS_TOL: f64 = 1e-6;
 /// rejects the certified slack.
 const ALLOCATION_RETRIES: usize = 2;
 
+/// Relative width to which a cut's root is bisected (about 45 capacity
+/// evaluations over the widest bracket).
+const ROOT_RTOL: f64 = 1e-13;
+
+/// Cumulative counters of a solver's optimal-stretch searches; see
+/// [`ParametricDeadlineSolver::search_stats`].  Pure counts: the same
+/// problem stream gives the same counters on every run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Newton searches run (non-trivial problems with a finite bound).
+    pub searches: u64,
+    /// Max-flow probes of the Newton iterations.
+    pub probes: u64,
+    /// Searches that stalled and finished by from-scratch bisection.
+    pub fallbacks: u64,
+}
+
 /// A reusable engine solving deadline problems by parametric flow probes.
 ///
 /// Create one per scheduler (or per run) and feed it every
@@ -81,9 +105,10 @@ const ALLOCATION_RETRIES: usize = 2;
 /// warm-startable basis — is reused across calls.
 pub struct ParametricDeadlineSolver {
     workspace: FlowWorkspace,
-    /// Min-cut scratch: source-side flags over jobs and bins.
-    cut_sources: Vec<bool>,
-    cut_bins: Vec<bool>,
+    /// Min-cut scratch, refilled after every infeasible probe.
+    cut: JobCut,
+    /// Cumulative counters, read by [`Self::search_stats`].
+    stats: SearchStats,
     /// The configured System-(2) min-cost engine, held across events so a
     /// warm-startable backend keeps (and remaps) its basis.
     backend: Box<dyn MinCostBackend + Send>,
@@ -389,76 +414,116 @@ impl ParametricStructure {
     fn probe_current(&mut self, ws: &mut FlowWorkspace) -> bool {
         self.network.probe_feasible(FEAS_TOL, ws)
     }
+}
 
-    /// The minimum-cut capacity as a linear function `a + b·F`, valid from
-    /// the last probed `F` up to [`ParametricStructure::next_crossing`].
-    ///
-    /// Only meaningful right after an unsuccessful probe (the residual flow
-    /// then is a maximum flow).  Crossing source and route edges contribute
-    /// their (constant) capacities; crossing bin edges contribute their
-    /// linear lengths — except bins already degenerate and shrinking, whose
-    /// true capacity is pinned at zero.
-    fn cut_coefficients(
-        &self,
-        workspace: &mut FlowWorkspace,
-        sources: &mut Vec<bool>,
-        bins: &mut Vec<bool>,
-    ) -> (f64, f64) {
-        self.network.residual_cut(workspace, sources, bins);
-        let mut a = 0.0;
-        let mut b = 0.0;
-        for (j, &reachable) in sources.iter().enumerate() {
-            if !reachable {
-                a += self.demands[j];
+/// The job side of the minimum cut an infeasible probe ends at, and its
+/// capacity `C_X(F)` as a function of the objective.
+///
+/// For a job set `X`, the source, `X` and every bin some job of `X` may use
+/// form a cut of capacity `Σ_{j∉X} remaining_j` plus, per site, the site's
+/// speed times the length of the union of `X`'s windows
+/// `[ready_j, deadline_j(F))` on it.  That is an upper bound on the maximum
+/// flow at every `F`, it never decreases as `F` grows, and it depends on
+/// `X` and the structure's per-job fields only — not on the order of the
+/// epochal times, nor on the flow the probe started from.
+#[derive(Default)]
+struct JobCut {
+    /// Source-side flags over jobs: the set `X`.
+    reachable: Vec<bool>,
+    /// `X`'s jobs grouped by hosting site, each group sorted by ready time
+    /// (then index).
+    members: Vec<usize>,
+    /// `num_sites + 1` prefix offsets of the site groups in `members`.
+    site_start: Vec<usize>,
+    /// Remaining work of the jobs outside `X`.
+    outside: f64,
+}
+
+impl JobCut {
+    /// Reads `X` off the residual graph of the probe that just failed and
+    /// prepares the per-site merge order.
+    fn extract(&mut self, structure: &ParametricStructure, workspace: &mut FlowWorkspace) {
+        structure
+            .network
+            .residual_cut(workspace, &mut self.reachable);
+        self.outside = 0.0;
+        for (j, &inside) in self.reachable.iter().enumerate() {
+            if !inside {
+                self.outside += structure.demands[j];
             }
         }
-        for (idx, &(j, bin)) in self.network.routes().iter().enumerate() {
-            if sources[j] && !bins[bin] {
-                a += self.route_caps[idx];
-            }
+        self.members.clear();
+        self.site_start.clear();
+        for s in 0..structure.site_speeds.len() {
+            let from = self.members.len();
+            self.site_start.push(from);
+            self.members.extend(
+                (0..self.reachable.len())
+                    .filter(|&j| self.reachable[j] && structure.hosting[j].contains(&s)),
+            );
+            self.members[from..].sort_by(|&x, &y| {
+                structure.ready[x]
+                    .total_cmp(&structure.ready[y])
+                    .then(x.cmp(&y))
+            });
         }
-        let k = self.num_intervals;
-        for (bin, &reach) in bins.iter().enumerate() {
-            if !reach {
-                continue;
-            }
-            let speed = self.site_speeds[bin / k];
-            let i = bin % k;
-            let (a0, b0) = self.times[self.order[i]];
-            let (a1, b1) = self.times[self.order[i + 1]];
-            let (la, lb) = (a1 - a0, b1 - b0);
-            let len_now = self.sorted_vals[i + 1] - self.sorted_vals[i];
-            if len_now <= 1e-12 && lb <= 0.0 {
-                // Degenerate and shrinking: capacity stays zero.
-                continue;
-            }
-            a += speed * la;
-            b += speed * lb;
-        }
-        (a, b)
+        self.site_start.push(self.members.len());
     }
 
-    /// The smallest objective strictly above `stretch` where two adjacent
-    /// symbolic times cross (the next milestone), if any.  Cut
-    /// extrapolations are only sound up to this point: beyond it interval
-    /// lengths change sign and route admissibilities flip.
-    fn next_crossing(&self, stretch: f64) -> Option<f64> {
-        let floor = stretch * (1.0 + 1e-12);
-        let mut next: Option<f64> = None;
-        for w in self.order.windows(2) {
-            let (a0, b0) = self.times[w[0]];
-            let (a1, b1) = self.times[w[1]];
-            let (da, db) = (a1 - a0, b1 - b0);
-            // Only converging pairs ever cross.
-            if db >= 0.0 {
-                continue;
+    /// `C_X(stretch)`: one merge pass over each site's windows.
+    fn capacity(&self, structure: &ParametricStructure, stretch: f64) -> f64 {
+        let mut total = self.outside;
+        for (s, &speed) in structure.site_speeds.iter().enumerate() {
+            let mut covered = 0.0;
+            let mut span: Option<(f64, f64)> = None;
+            for &j in &self.members[self.site_start[s]..self.site_start[s + 1]] {
+                let start = structure.ready[j];
+                let (release, work) = structure.deadline[j];
+                let end = release + work * stretch;
+                if end <= start {
+                    continue;
+                }
+                span = match span {
+                    Some((lo, hi)) if start <= hi => Some((lo, hi.max(end))),
+                    Some((lo, hi)) => {
+                        covered += hi - lo;
+                        Some((start, end))
+                    }
+                    None => Some((start, end)),
+                };
             }
-            let root = -da / db;
-            if root > floor && root.is_finite() {
-                next = Some(next.map_or(root, |n: f64| n.min(root)));
+            if let Some((lo, hi)) = span {
+                covered += hi - lo;
+            }
+            total += speed * covered;
+        }
+        total
+    }
+
+    /// The first objective in `(lo, hi]` this cut does not certify
+    /// infeasible, bisected on `C_X` to a relative width of [`ROOT_RTOL`]
+    /// (the upper end of the final bracket, where `C_X ≥ target`).
+    ///
+    /// `Some(∞)` when the cut certifies the whole bracket infeasible
+    /// (`C_X(hi) < target`); `None` when `C_X(lo) ≥ target` already, i.e.
+    /// this continuous cut and the probe's discrete one disagree at `lo`.
+    fn root(&self, structure: &ParametricStructure, lo: f64, hi: f64, target: f64) -> Option<f64> {
+        if self.capacity(structure, hi) < target {
+            return Some(f64::INFINITY);
+        }
+        if self.capacity(structure, lo) >= target {
+            return None;
+        }
+        let (mut lo, mut hi) = (lo, hi);
+        while hi - lo > ROOT_RTOL * hi {
+            let mid = 0.5 * (lo + hi);
+            if self.capacity(structure, mid) < target {
+                lo = mid;
+            } else {
+                hi = mid;
             }
         }
-        next
+        Some(hi)
     }
 }
 
@@ -473,8 +538,8 @@ impl ParametricDeadlineSolver {
     pub fn with_config(config: SolverConfig) -> Self {
         ParametricDeadlineSolver {
             workspace: FlowWorkspace::new(),
-            cut_sources: Vec::new(),
-            cut_bins: Vec::new(),
+            cut: JobCut::default(),
+            stats: SearchStats::default(),
             backend: config.instantiate(),
             carry_jobs: FastMap::default(),
             carry_flows: Vec::new(),
@@ -490,6 +555,13 @@ impl ParametricDeadlineSolver {
             splices: engine.splicer.splices(),
             rebuilds: engine.splicer.rebuilds(),
         })
+    }
+
+    /// Cumulative counters of every [`Self::min_feasible_stretch`] search
+    /// this solver ran: Newton searches, their max-flow probes, and the
+    /// searches that stalled into the bisection fallback.
+    pub fn search_stats(&self) -> SearchStats {
+        self.stats
     }
 
     /// The configuration this solver was built with.
@@ -568,7 +640,7 @@ impl ParametricDeadlineSolver {
         ub: f64,
         target: f64,
     ) -> Option<f64> {
-        let debug = crate::config::SolverConfig::env_flag("STRETCH_NEWTON_DEBUG");
+        self.stats.searches += 1;
         // The iteration starts at the lower bound; its first probe doubles
         // as the `feasible(lo_bound)` fast path.
         let mut f = lo_bound;
@@ -581,19 +653,17 @@ impl ParametricDeadlineSolver {
                 // before the expensive first augmentation run.
                 self.seed_carry(problem, structure);
             }
+            self.stats.probes += 1;
             if structure.probe_current(&mut self.workspace) {
                 if self.config.warm_start {
                     self.record_carry(problem, structure);
                 }
                 return Some(f);
             }
-            // The probe ended at a maximum flow; its minimum cut bounds the
-            // feasible region from below, up to the next milestone.
-            let (a, b) = structure.cut_coefficients(
-                &mut self.workspace,
-                &mut self.cut_sources,
-                &mut self.cut_bins,
-            );
+            // The probe ended at a maximum flow; the job set of its minimum
+            // cut certifies every F below the root of that cut's capacity
+            // infeasible — all of `[f, ub)` when the root lies past `ub`.
+            self.cut.extract(structure, &mut self.workspace);
             // Land a hair *above* the cut root: at the exact root the cut
             // capacity equals the probe target, so the feasibility verdict
             // there would hinge on floating-point noise — and the verdict
@@ -601,21 +671,16 @@ impl ParametricDeadlineSolver {
             // over) the probe happened to start from.  The overshoot gives
             // the comparison a real margin at a cost of ≤1e-9 relative on
             // the answer, far inside STRETCH_TOL.
-            let cut_root = if b > 1e-12 {
-                ((target - a) / b) * (1.0 + 1e-9)
-            } else {
-                f64::INFINITY
-            };
-            let crossing = structure.next_crossing(f).unwrap_or(f64::INFINITY);
-            if debug {
-                eprintln!(
-                    "newton: f={f:.9} cut=({a:.6}, {b:.6}) root={cut_root:.9} crossing={crossing:.9} target={target:.6}"
-                );
-            }
-            let mut next = cut_root.min(crossing);
-            // Strict-progress guard against floating-point stalls (the
-            // negation also catches a NaN `next` — which is exactly why
-            // the "hard to read" negated comparison is the right tool).
+            let mut next = self
+                .cut
+                .root(structure, f, ub, target)
+                .map_or(f64::NAN, |root| root * (1.0 + 1e-9));
+            // Strict-progress guard against floating-point stalls and
+            // against a NaN `next`, which marks a capacity that already
+            // meets the target at `f` (the continuous cut and the probe's
+            // discrete one disagree).  The negation catches the NaN — which
+            // is exactly why the "hard to read" negated comparison is the
+            // right tool.
             let floor = f * (1.0 + 1e-12) + 1e-300;
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(next > floor) {
@@ -635,6 +700,7 @@ impl ParametricDeadlineSolver {
         // beyond it).  Everything at or below `f` failed a probe, and `ub`
         // is certified feasible.  The fallback probes don't maintain the
         // carry, so the next event starts its probes cold.
+        self.stats.fallbacks += 1;
         self.clear_carry();
         let mut hi = self.confirm_upper_bound(problem, ub)?.max(f);
         let mut lo = f;
@@ -924,5 +990,43 @@ mod tests {
         let opt = solver.min_feasible_stretch(&p).unwrap();
         assert!(!solver.feasible(&p, opt * 0.99));
         assert!(solver.feasible(&p, opt * 1.01));
+    }
+
+    #[test]
+    fn cut_capacity_merges_each_sites_windows() {
+        // Site 0 (speed 1) hosts databank 0; site 1 (speed 2) hosts both.
+        let p = DeadlineProblem::new(
+            vec![
+                job(0, 0.0, 1.0, 0),
+                job(1, 5.0, 1.0, 0),
+                job(2, 1.0, 2.0, 1),
+            ],
+            sites(),
+            0.0,
+        );
+        let structure = ParametricStructure::new(&p, 0.1, 10.0);
+        // X = every job: windows [0, F), [5, 5 + F) and [1, 1 + 2F).
+        let all = JobCut {
+            reachable: vec![true; 3],
+            members: vec![0, 1, 0, 2, 1],
+            site_start: vec![0, 2, 5],
+            outside: 0.0,
+        };
+        // F = 2: site 0 covers [0, 2) ∪ [5, 7), site 1 all of [0, 7).
+        assert_eq!(all.capacity(&structure, 2.0), 4.0 + 2.0 * 7.0);
+        // F = 0.5: three disjoint windows on site 1.
+        assert_eq!(all.capacity(&structure, 0.5), 1.0 + 2.0 * 2.0);
+
+        // X = {job 1}: C_X(F) = 3 + 3F, whose root at target 4.5 is 0.5.
+        let one = JobCut {
+            reachable: vec![false, true, false],
+            members: vec![1, 1],
+            site_start: vec![0, 1, 2],
+            outside: 3.0,
+        };
+        let root = one.root(&structure, 0.1, 10.0, 4.5).unwrap();
+        assert!((root - 0.5).abs() <= 1e-12, "root {root}");
+        assert_eq!(one.root(&structure, 0.1, 10.0, 100.0), Some(f64::INFINITY));
+        assert_eq!(one.root(&structure, 1.0, 10.0, 4.5), None);
     }
 }

@@ -9,11 +9,12 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use stretch_core::deadline::STRETCH_TOL;
+use stretch_core::deadline::{DeadlineProblem, STRETCH_TOL};
 use stretch_core::offline::{offline_problem, optimal_max_stretch, OfflineBackend};
+use stretch_core::refstream::capture_system2_events_with;
 use stretch_core::{
     Bender98Scheduler, ListScheduler, MctScheduler, OfflineScheduler, OnlineScheduler,
-    ParametricDeadlineSolver, Scheduler,
+    ParametricDeadlineSolver, Scheduler, SolverConfig,
 };
 use stretch_platform::{Cluster, Databank, Platform, PlatformConfig, PlatformGenerator, Processor};
 use stretch_workload::{Instance, Job, WorkloadConfig, WorkloadGenerator};
@@ -136,11 +137,19 @@ proptest! {
 }
 
 /// Draws a random instance through the `stretch-workload` generator (the
-/// distribution of §5.1), scaled to roughly `target_jobs` jobs.
-fn workload_instance(sites: usize, databanks: usize, target_jobs: usize, seed: u64) -> Instance {
+/// distribution of §5.1) at density 1.2, scaled to roughly `target_jobs`
+/// jobs, each databank replicated on a site with probability
+/// `availability`.
+fn workload_instance(
+    sites: usize,
+    databanks: usize,
+    availability: f64,
+    target_jobs: usize,
+    seed: u64,
+) -> Instance {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let platform =
-        PlatformGenerator::new(PlatformConfig::new(sites, databanks, 0.6)).generate(&mut rng);
+    let platform = PlatformGenerator::new(PlatformConfig::new(sites, databanks, availability))
+        .generate(&mut rng);
     let probe = WorkloadGenerator::new(WorkloadConfig {
         density: 1.2,
         window: 1.0,
@@ -164,7 +173,7 @@ proptest! {
 
     #[test]
     fn parametric_solver_matches_the_from_scratch_path(seed in 0u64..10_000) {
-        let instance = workload_instance(3, 3, 10, seed);
+        let instance = workload_instance(3, 3, 0.6, 10, seed);
         let problem = offline_problem(&instance);
         let mut solver = ParametricDeadlineSolver::new();
 
@@ -207,6 +216,51 @@ proptest! {
                 job.remaining
             );
         }
+    }
+}
+
+/// An on-line problem with 40 to 120 pending jobs, all ready at `now`: an
+/// event of the monge replay of the first overload-shaped instance (3 sites
+/// × 3 databanks, availability 0.3, 120 jobs expected) at or after `seed`
+/// whose pending set grows that large.  `pick` chooses among its events.
+fn large_online_problem(seed: u64, pick: usize) -> DeadlineProblem {
+    (seed..)
+        .find_map(|s| {
+            let instance = workload_instance(3, 3, 0.3, 120, s);
+            let mut large: Vec<DeadlineProblem> =
+                capture_system2_events_with(&instance, SolverConfig::monge())
+                    .into_iter()
+                    .map(|(problem, _)| problem)
+                    .filter(|problem| (40..=120).contains(&problem.jobs.len()))
+                    .collect();
+            let count = large.len();
+            (count > 0).then(|| large.swap_remove(pick % count))
+        })
+        .expect("an overload-shaped instance reaches 40 pending jobs")
+}
+
+proptest! {
+    // The same comparison at on-line scale, where a search crosses many
+    // milestones: the Newton search must land on the optimum without its
+    // bisection fallback.  A debug build takes about a second per case.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn parametric_solver_matches_the_from_scratch_path_on_large_online_problems(
+        seed in 0u64..10_000,
+        pick in 0usize..1_000,
+    ) {
+        let problem = large_online_problem(seed, pick);
+        let mut solver = ParametricDeadlineSolver::new();
+        let fast = solver.min_feasible_stretch(&problem).expect("feasible");
+        let slow = problem.min_feasible_stretch_reference().expect("feasible");
+        prop_assert!(
+            (fast - slow).abs() <= STRETCH_TOL * slow.max(1.0),
+            "parametric {fast} vs reference {slow} ({} jobs, seed {seed})",
+            problem.jobs.len()
+        );
+        prop_assert!(problem.feasible(fast), "{fast} infeasible (seed {seed})");
+        prop_assert_eq!(solver.search_stats().fallbacks, 0, "seed {seed}");
     }
 }
 

@@ -222,6 +222,20 @@ fn adversary_regression_leg_is_pinned() {
 }
 
 #[test]
+fn benchmark_self_test_is_pinned() {
+    // The benchmark of record is a separate Cargo workspace linking the
+    // solver crates by path, so no other step builds it.  Without this
+    // step, a solver API change that breaks the benchmark would only show
+    // when the benchmark is next run, not in the change that broke it.
+    let yml = ci_yml();
+    assert!(
+        yml.contains("run: cargo test --manifest-path perfbench/Cargo.toml\n"),
+        "ci.yml lost the benchmark self-test step \
+         (`cargo test --manifest-path perfbench/Cargo.toml`)"
+    );
+}
+
+#[test]
 fn baseline_completeness_list_covers_every_engine_row() {
     // The bench-smoke job greps one key per engine row; that list must stay
     // in lockstep with the rows the bench records and the drift gate

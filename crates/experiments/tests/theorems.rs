@@ -17,7 +17,7 @@ use stretch_experiments::adversary_budget;
 use stretch_workload::{adversary, Instance};
 
 /// The margins below are deliberately looser than the blessed ratios
-/// (1.0661 on the flow backends, 1.0370 on primal-dual with the current
+/// (1.0718 on the flow backends, 1.0555 on primal-dual with the current
 /// budget) so they survive benign re-blessings, yet far enough above 1.0
 /// that a toothless adversary cannot pass.
 const FLOW_MARGIN: f64 = 1.05;

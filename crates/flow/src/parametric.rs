@@ -352,25 +352,19 @@ impl ParametricNetwork {
         &self.routes
     }
 
-    /// The source side of a minimum cut, as reachability flags over sources
-    /// and bins.
+    /// The sources on the source side of a minimum cut, as reachability
+    /// flags.
     ///
     /// Only meaningful right after an **unsuccessful** probe (the flow then
     /// is a true maximum flow, so the set of nodes reachable from the
-    /// super-source in the residual graph is the minimum cut's source side).
-    /// The buffers are cleared and refilled; together with the workspace
-    /// (whose BFS scratch is free between probes) they make the cut
-    /// extraction allocation-free on the solver hot path.
-    pub fn residual_cut(
-        &self,
-        workspace: &mut FlowWorkspace,
-        sources: &mut Vec<bool>,
-        bins: &mut Vec<bool>,
-    ) {
+    /// super-source in the residual graph is the minimum cut's source side,
+    /// the same for every maximum flow).  The buffer is cleared and
+    /// refilled; together with the workspace (whose BFS scratch is free
+    /// between probes) it makes the cut extraction allocation-free on the
+    /// solver hot path.
+    pub fn residual_cut(&self, workspace: &mut FlowWorkspace, sources: &mut Vec<bool>) {
         sources.clear();
         sources.resize(self.num_sources, false);
-        bins.clear();
-        bins.resize(self.num_bins, false);
         let n = self.network.num_nodes();
         workspace.ensure_nodes(n);
         let seen = &mut workspace.level[..n];
@@ -391,9 +385,6 @@ impl ParametricNetwork {
         }
         for (j, flag) in sources.iter_mut().enumerate() {
             *flag = workspace.level[j] != 0;
-        }
-        for (b, flag) in bins.iter_mut().enumerate() {
-            *flag = workspace.level[self.num_sources + b] != 0;
         }
     }
 
