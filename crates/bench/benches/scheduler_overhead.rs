@@ -8,336 +8,21 @@
 //! The `engine` group compares the parametric deadline solver (frozen
 //! milestone-bracket topology, warm-started allocation-free probes) against
 //! the from-scratch reference path that rebuilds a transportation instance
-//! per probe — both end-to-end on the on-line per-event loop and on a single
-//! off-line min-stretch solve.  Every measurement is merged into
-//! `BENCH_baseline.json`, the repository's perf trajectory.
+//! per probe on a single off-line min-stretch solve, and measures every
+//! min-cost backend on the per-event System-(2) solves and the on-line
+//! loop.  Every measurement is merged into `BENCH_baseline.json`, the
+//! repository's perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 use stretch_bench::bench_instance;
-use stretch_core::deadline::{AllocationPlan, DeadlineProblem, PendingJob, STRETCH_TOL};
 use stretch_core::online::run_online_with;
-use stretch_core::plan::{execute_sequences, PieceOrdering};
 use stretch_core::{
     Bender98Scheduler, ListScheduler, MctScheduler, OfflineScheduler, OnlineScheduler,
-    OnlineVariant, ParametricDeadlineSolver, Scheduler, SiteView, SolverConfig,
+    OnlineVariant, ParametricDeadlineSolver, Scheduler, SolverConfig,
 };
 use stretch_experiments::run_overhead_study;
-use stretch_flow::{FlowNetwork, FlowWorkspace, TransportInstance};
-use stretch_workload::Instance;
-
-// ---------------------------------------------------------------------------
-// Seed replica: the deadline engine exactly as the repository's seed
-// implemented it, kept verbatim (modulo visibility) as the measured baseline
-// of the parametric-engine speedup.  Every probe rebuilds the transportation
-// network; feasibility runs a *full* max-flow; the feasible upper bound is
-// found by blind doubling; the System-(2) solve allocates its Dijkstra
-// scratch per augmentation and never terminates early.
-// ---------------------------------------------------------------------------
-
-#[derive(PartialEq)]
-struct SeedHeapEntry {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for SeedHeapEntry {}
-impl Ord for SeedHeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| self.node.cmp(&other.node))
-    }
-}
-impl PartialOrd for SeedHeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The seed's successive-shortest-paths loop: one full Dijkstra — with
-/// freshly allocated `dist`/`prev_edge`/heap — per augmenting path.
-fn seed_min_cost_max_flow(network: &mut FlowNetwork, source: usize, sink: usize) -> (f64, f64) {
-    const FLOW_EPS: f64 = 1e-9;
-    let n = network.num_nodes();
-    let mut potential = vec![0.0f64; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for u in 0..n {
-            for &eid in network.edges_from(u) {
-                let e = network.edge(eid);
-                if e.cap > FLOW_EPS && potential[u] + e.cost < potential[e.to] - 1e-12 {
-                    potential[e.to] = potential[u] + e.cost;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut total_flow = 0.0;
-    let mut total_cost = 0.0;
-    loop {
-        let mut dist = vec![f64::INFINITY; n];
-        let mut prev_edge = vec![usize::MAX; n];
-        dist[source] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(SeedHeapEntry {
-            dist: 0.0,
-            node: source,
-        });
-        while let Some(SeedHeapEntry { dist: d, node: u }) = heap.pop() {
-            if d > dist[u] + 1e-12 {
-                continue;
-            }
-            for &eid in network.edges_from(u) {
-                let e = network.edge(eid);
-                if e.cap <= FLOW_EPS {
-                    continue;
-                }
-                let reduced = (e.cost + potential[u] - potential[e.to]).max(0.0);
-                let nd = d + reduced;
-                if nd + 1e-12 < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev_edge[e.to] = eid;
-                    heap.push(SeedHeapEntry {
-                        dist: nd,
-                        node: e.to,
-                    });
-                }
-            }
-        }
-        if dist[sink].is_infinite() {
-            break;
-        }
-        for v in 0..n {
-            if dist[v].is_finite() {
-                potential[v] += dist[v];
-            }
-        }
-        let mut bottleneck = f64::INFINITY;
-        let mut v = sink;
-        while v != source {
-            let eid = prev_edge[v];
-            bottleneck = bottleneck.min(network.edge(eid).cap);
-            v = network.edge(eid ^ 1).to;
-        }
-        if bottleneck <= FLOW_EPS || !bottleneck.is_finite() {
-            break;
-        }
-        let mut v = sink;
-        while v != source {
-            let eid = prev_edge[v];
-            total_cost += bottleneck * network.edge(eid).cost;
-            network.push(eid, bottleneck);
-            v = network.edge(eid ^ 1).to;
-        }
-        total_flow += bottleneck;
-    }
-    (total_flow, total_cost)
-}
-
-/// Rebuilds the transport's flow network (the seed did this per probe).
-fn seed_network(t: &TransportInstance) -> (FlowNetwork, Vec<usize>, usize, usize) {
-    let ns = t.num_sources();
-    let nb = t.num_bins();
-    let source = ns + nb;
-    let sink = ns + nb + 1;
-    let mut g = FlowNetwork::new(ns + nb + 2);
-    for j in 0..ns {
-        if t.demand(j) > 0.0 {
-            g.add_edge(source, j, t.demand(j), 0.0);
-        }
-    }
-    for b in 0..nb {
-        if t.capacity(b) > 0.0 {
-            g.add_edge(ns + b, sink, t.capacity(b), 0.0);
-        }
-    }
-    let mut route_edges = Vec::with_capacity(t.routes().len());
-    for &(j, b, cost) in t.routes() {
-        route_edges.push(g.add_edge(j, ns + b, t.demand(j), cost));
-    }
-    (g, route_edges, source, sink)
-}
-
-/// The seed's feasibility probe: a full max flow, no early exit.
-fn seed_feasible(problem: &DeadlineProblem, stretch: f64) -> bool {
-    let (t, _) = problem.transport(stretch, |_, _| 0.0);
-    let demand = t.total_demand();
-    if demand <= 1e-9 {
-        return true;
-    }
-    let (mut g, _, s, k) = seed_network(&t);
-    let shipped = stretch_flow::maxflow::max_flow(&mut g, s, k).value;
-    shipped >= demand - 1e-6_f64.max(demand * 1e-6)
-}
-
-/// The seed's `min_feasible_stretch`: blind exponential search for a
-/// feasible upper bound, then bisection of from-scratch probes.
-fn seed_min_feasible_stretch(problem: &DeadlineProblem) -> Option<f64> {
-    if problem.is_trivial() {
-        return Some(0.0);
-    }
-    let lo_bound = problem.stretch_lower_bound();
-    if !lo_bound.is_finite() {
-        return None;
-    }
-    if seed_feasible(problem, lo_bound) {
-        return Some(lo_bound);
-    }
-    let mut hi = lo_bound.max(1e-6) * 2.0;
-    let mut tries = 0;
-    while !seed_feasible(problem, hi) {
-        hi *= 2.0;
-        tries += 1;
-        if tries > 80 {
-            return None;
-        }
-    }
-    let mut lo = lo_bound;
-    while (hi - lo) > STRETCH_TOL * hi.max(1.0) {
-        let mid = 0.5 * (lo + hi);
-        if seed_feasible(problem, mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(hi)
-}
-
-/// The seed's System-(2) solve: fresh network, seed SSP loop.
-fn seed_system2_allocation(problem: &DeadlineProblem, stretch: f64) -> Option<AllocationPlan> {
-    let (t, intervals) = problem.transport(stretch, |job_idx, (start, end)| {
-        0.5 * (start + end) / problem.jobs[job_idx].work
-    });
-    let (mut g, route_edges, s, k) = seed_network(&t);
-    let (flow, _cost) = seed_min_cost_max_flow(&mut g, s, k);
-    let demand = t.total_demand();
-    if flow < demand - 1e-6_f64.max(demand * 1e-9) {
-        return None;
-    }
-    let num_intervals = intervals.len();
-    let pieces = t
-        .routes()
-        .iter()
-        .enumerate()
-        .filter_map(|(idx, &(j, b, _))| {
-            let amount = g.flow_on(route_edges[idx]);
-            (amount > 1e-9).then(|| stretch_core::deadline::Piece {
-                job_index: j,
-                job_id: problem.jobs[j].job_id,
-                site: b / num_intervals,
-                interval: b % num_intervals,
-                work: amount,
-            })
-        })
-        .collect();
-    Some(AllocationPlan { intervals, pieces })
-}
-
-/// The seed's per-site serialisation: the sort comparators call the
-/// `O(pieces)` linear scans of [`AllocationPlan`] directly (the current code
-/// indexes the plan once instead).
-fn seed_site_sequences(
-    problem: &DeadlineProblem,
-    plan: &AllocationPlan,
-    ordering: PieceOrdering,
-) -> Vec<Vec<(usize, f64)>> {
-    let num_sites = problem.sites.len();
-    let swrpt_key =
-        |job_index: usize| problem.jobs[job_index].remaining * problem.jobs[job_index].work;
-    let mut sequences = vec![Vec::new(); num_sites];
-    for (site, sequence) in sequences.iter_mut().enumerate() {
-        match ordering {
-            PieceOrdering::Online => {
-                let mut pieces: Vec<(usize, usize, f64)> = plan
-                    .pieces
-                    .iter()
-                    .filter(|p| p.site == site && p.work > 1e-12)
-                    .map(|p| (p.interval, p.job_index, p.work))
-                    .collect();
-                pieces.sort_by(|a, b| {
-                    let terminal_a = plan.completion_interval_on_site(a.1, site) == Some(a.0);
-                    let terminal_b = plan.completion_interval_on_site(b.1, site) == Some(b.0);
-                    a.0.cmp(&b.0)
-                        .then_with(|| terminal_b.cmp(&terminal_a))
-                        .then_with(|| swrpt_key(a.1).total_cmp(&swrpt_key(b.1)))
-                        .then_with(|| a.1.cmp(&b.1))
-                });
-                *sequence = pieces.into_iter().map(|(_, j, w)| (j, w)).collect();
-            }
-            PieceOrdering::OnlineEdf => {
-                let mut per_job: std::collections::BTreeMap<usize, f64> =
-                    std::collections::BTreeMap::new();
-                for p in plan.pieces.iter().filter(|p| p.site == site) {
-                    *per_job.entry(p.job_index).or_insert(0.0) += p.work;
-                }
-                let mut jobs: Vec<(usize, f64)> =
-                    per_job.into_iter().filter(|&(_, w)| w > 1e-12).collect();
-                jobs.sort_by(|a, b| {
-                    let ia = plan.completion_interval_on_site(a.0, site).unwrap_or(0);
-                    let ib = plan.completion_interval_on_site(b.0, site).unwrap_or(0);
-                    ia.cmp(&ib)
-                        .then_with(|| swrpt_key(a.0).total_cmp(&swrpt_key(b.0)))
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                *sequence = jobs;
-            }
-        }
-    }
-    sequences
-}
-
-/// The on-line per-event loop exactly as the seed ran it.
-fn run_online_from_scratch(instance: &Instance, ordering: PieceOrdering) -> f64 {
-    let sites = SiteView::of(instance);
-    let mut remaining: Vec<f64> = instance.jobs.iter().map(|j| j.work).collect();
-    let mut last_completion = 0.0f64;
-    let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-    events.sort_by(|a, b| a.total_cmp(b));
-    events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-
-    for (e, &now) in events.iter().enumerate() {
-        let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);
-        let pending: Vec<PendingJob> = instance
-            .jobs
-            .iter()
-            .filter(|j| j.release <= now + 1e-12 && remaining[j.id] > 1e-9)
-            .map(|j| PendingJob {
-                job_id: j.id,
-                release: j.release,
-                ready: now,
-                work: j.work,
-                remaining: remaining[j.id],
-                databank: j.databank,
-            })
-            .collect();
-        if pending.is_empty() {
-            continue;
-        }
-        let problem = DeadlineProblem::new(pending, sites.clone(), now);
-        let best = seed_min_feasible_stretch(&problem).expect("feasible");
-        let slack = best * (1.0 + 1e-4) + 1e-9;
-        let plan = seed_system2_allocation(&problem, slack).expect("feasible");
-        let sequences = seed_site_sequences(&problem, &plan, ordering);
-        let execution = execute_sequences(&problem, &sequences, now, horizon);
-        for (pending_idx, job) in problem.jobs.iter().enumerate() {
-            remaining[job.job_id] =
-                (remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
-            if let Some(&c) = execution.completions.get(&pending_idx) {
-                remaining[job.job_id] = 0.0;
-                last_completion = last_completion.max(c);
-            }
-        }
-    }
-    last_completion
-}
+use stretch_flow::FlowWorkspace;
 
 fn bench_scheduler_overhead(c: &mut Criterion) {
     let report = run_overhead_study(2, 20, 11);
@@ -368,22 +53,11 @@ fn bench_scheduler_overhead(c: &mut Criterion) {
     }
     group.finish();
 
-    // The parametric engine against the seed's from-scratch engine: the
-    // on-line per-event loop (the hot path of the paper's heuristics, the
-    // `overhead/Online*` rows above are its parametric counterpart) and a
+    // The parametric engine against the from-scratch reference search on a
     // single off-line min-stretch solve.
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
-    group.bench_function("online-loop/seed", |b| {
-        b.iter(|| black_box(run_online_from_scratch(&instance, PieceOrdering::Online)))
-    });
-    group.bench_function("online-edf-loop/seed", |b| {
-        b.iter(|| black_box(run_online_from_scratch(&instance, PieceOrdering::OnlineEdf)))
-    });
     let offline = stretch_core::offline::offline_problem(&instance);
-    group.bench_function("min-stretch/seed", |b| {
-        b.iter(|| black_box(seed_min_feasible_stretch(&offline).unwrap()))
-    });
     group.bench_function("min-stretch/from-scratch", |b| {
         b.iter(|| black_box(offline.min_feasible_stretch_reference().unwrap()))
     });
@@ -470,10 +144,9 @@ fn bench_scheduler_overhead(c: &mut Criterion) {
         );
     }
     // The incremental System-(2) sweep: one persistent solver per backend
-    // with the delta engine on (`STRETCH_INCREMENTAL`, the default), so
-    // every event's solve runs through the persistent `System2Arena` —
-    // instance, intervals, keys and flow network reused across events
-    // instead of reallocated.  Identical work and bit-identical plans
+    // (`incremental` on, the default), so every event's solve runs through
+    // the solver's `System2Arena` — instance, intervals, keys and flow
+    // network reused across events instead of reallocated.  Identical work and bit-identical plans
     // (pinned by the differential-oracle suite); measured against the
     // `-warm` rows above, which rebuild those buffers per event.
     for config in SolverConfig::all_backends() {

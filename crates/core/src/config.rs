@@ -11,37 +11,29 @@
 //! [`crate::Bender98Scheduler::with_config`]) and by the reusable
 //! [`crate::ParametricDeadlineSolver`].
 //!
-//! # Environment defaults are read once per process
+//! # The environment default is read once per process
 //!
-//! The **default** configuration reads three environment variables, and it
-//! reads them **exactly once per process** (memoised in a `OnceLock`,
+//! The **default** configuration reads one environment variable, and it
+//! reads it **exactly once per process** (memoised in a `OnceLock`,
 //! because schedulers construct solvers on hot paths):
+//! `STRETCH_MINCOST_BACKEND` — `monge` (the fastest backend beyond a few
+//! jobs, also the unset default), `simplex` or `primal-dual` (the reference
+//! oracle, always reachable as [`SolverConfig::primal_dual`]); anything else
+//! aborts with the offending string rather than silently falling back.
+//! This is how the CI test matrix runs the whole suite — schedulers,
+//! experiments, property tests — on every backend without touching call
+//! sites.  The backend is not a pure speed lever: all backends reach the
+//! same System-(2) objective, but `primal-dual` may pick a different
+//! optimal allocation than `monge`/`simplex` (which are bit-identical), so
+//! on-line schedules differ between them.
 //!
-//! * `STRETCH_MINCOST_BACKEND` — `monge` (the fastest backend beyond a
-//!   few jobs, also the unset default), `simplex` or `primal-dual` (the
-//!   reference oracle, always reachable as [`SolverConfig::primal_dual`]);
-//!   anything else aborts with the offending string rather than silently
-//!   falling back.  This is how the CI test matrix runs the whole suite —
-//!   schedulers, experiments, property tests — on every backend without
-//!   touching call sites.  Unlike the two switches below, the backend is
-//!   not a pure speed lever: all backends reach the same System-(2)
-//!   objective, but `primal-dual` may pick a different optimal allocation
-//!   than `monge`/`simplex` (which are bit-identical), so on-line
-//!   schedules differ between them.
-//! * `STRETCH_WARM_START` — `1`/`true` (the default) enables cross-event
-//!   solver memory, `0`/`false` disables it; anything else aborts.  Warm
-//!   start is a speed lever only: results are bit-identical either way
-//!   (pinned by the differential-oracle suite), so the CI matrix crossing
-//!   this knob is a determinism check, not a behaviour switch.
-//! * `STRETCH_INCREMENTAL` — `1`/`true` (the default) keeps the parametric
-//!   epochal structure alive across events and splices per-event deltas
-//!   into it ([`crate::delta`]); `0`/`false` rebuilds it from scratch at
-//!   every event; anything else aborts.  Like warm start this is purely a
-//!   speed lever: incremental and rebuild solves are bit-identical by
-//!   construction (same fill code, persistent buffers), pinned by the
-//!   incremental-vs-rebuild differential oracle.
+//! The default always runs warm start and persistent per-event memory on.
+//! [`SolverConfig::with_warm_start`] and [`SolverConfig::with_incremental`]
+//! switch them off in process: results are bit-identical either way, and
+//! the differential tests use the switched-off configurations as reference
+//! oracles.
 //!
-//! Once-per-process means **changing the variables after the first
+//! Once-per-process means **changing the variable after the first
 //! [`SolverConfig::default`] call has no effect** — tests that want to run
 //! under several configurations must either pass explicit configs through
 //! the `with_config` constructors (the usual way: no environment involved
@@ -61,52 +53,45 @@ pub struct SolverConfig {
     /// Whether solver state (the simplex spanning-tree basis, the residual
     /// flow of the feasibility probes) may be carried across events.
     ///
-    /// Default `true`.  Purely a performance knob: warm-started and cold
+    /// Default `true`.  Purely a performance switch: warm-started and cold
     /// solves return bit-identical objectives and allocations (the
     /// warm/cold identity contract, pinned by
     /// `crates/core/tests/backend_diff.rs`).
     pub warm_start: bool,
-    /// Whether the solver keeps the parametric epochal structure **alive
-    /// across events** and splices per-event deltas into it
-    /// ([`crate::delta`]), instead of rebuilding `ParametricStructure` and
-    /// the System-(2) transportation network from scratch at every arrival
-    /// and completion.
+    /// Whether the solver keeps its parametric structure and System-(2)
+    /// arena **alive across events** and refills them in place, instead of
+    /// filling fresh memory at every arrival and completion.
     ///
-    /// Default `true` (`STRETCH_INCREMENTAL`).  Like [`Self::warm_start`]
-    /// this is purely a performance knob: the incremental path executes the
-    /// same fill code over persistent buffers, so incremental and rebuild
-    /// solves return bit-identical objectives and allocations (pinned by
-    /// the incremental-vs-rebuild leg of
-    /// `crates/core/tests/backend_diff.rs`).
+    /// Default `true`.  Like [`Self::warm_start`] this is purely a
+    /// performance switch: both run the same fill code, so they return
+    /// bit-identical objectives and allocations (pinned by the
+    /// incremental-vs-rebuild leg of `crates/core/tests/backend_diff.rs`).
     pub incremental: bool,
 }
 
 impl SolverConfig {
-    /// The primal-dual reference backend (warm start enabled).
-    pub fn primal_dual() -> Self {
+    /// `backend` with warm start and persistent per-event memory on.
+    fn of(backend: BackendKind) -> Self {
         SolverConfig {
-            backend: BackendKind::PrimalDual,
+            backend,
             warm_start: true,
             incremental: true,
         }
+    }
+
+    /// The primal-dual reference backend (warm start enabled).
+    pub fn primal_dual() -> Self {
+        Self::of(BackendKind::PrimalDual)
     }
 
     /// The network-simplex backend (warm start enabled).
     pub fn network_simplex() -> Self {
-        SolverConfig {
-            backend: BackendKind::NetworkSimplex,
-            warm_start: true,
-            incremental: true,
-        }
+        Self::of(BackendKind::NetworkSimplex)
     }
 
     /// The Monge/greedy product-form backend (warm start enabled).
     pub fn monge() -> Self {
-        SolverConfig {
-            backend: BackendKind::Monge,
-            warm_start: true,
-            incremental: true,
-        }
+        Self::of(BackendKind::Monge)
     }
 
     /// This configuration with cross-event solver memory switched on or off.
@@ -115,8 +100,8 @@ impl SolverConfig {
         self
     }
 
-    /// This configuration with the incremental (persistent-structure) event
-    /// path switched on or off.
+    /// This configuration with the persistent per-event memory switched on
+    /// or off.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
         self
@@ -125,11 +110,7 @@ impl SolverConfig {
     /// One configuration per available backend, reference first (the shape
     /// the differential tests and benches iterate over).
     pub fn all_backends() -> impl Iterator<Item = SolverConfig> {
-        BackendKind::ALL.into_iter().map(|backend| SolverConfig {
-            backend,
-            warm_start: true,
-            incremental: true,
-        })
+        BackendKind::ALL.into_iter().map(Self::of)
     }
 
     /// Parses a backend name as `STRETCH_MINCOST_BACKEND` would; unknown
@@ -138,11 +119,7 @@ impl SolverConfig {
     /// reference, running the whole CI matrix on the wrong backend).
     pub fn parse_backend(raw: &str) -> Self {
         match BackendKind::parse(raw) {
-            Some(backend) => SolverConfig {
-                backend,
-                warm_start: true,
-                incremental: true,
-            },
+            Some(backend) => Self::of(backend),
             None => {
                 let valid: Vec<&str> = BackendKind::ALL.iter().map(|b| b.name()).collect();
                 panic!("STRETCH_MINCOST_BACKEND must be one of {valid:?}, got `{raw}`")
@@ -150,67 +127,18 @@ impl SolverConfig {
         }
     }
 
-    /// Parses a warm-start switch as `STRETCH_WARM_START` would: exactly
-    /// `1`/`true`/`on` (enabled) or `0`/`false`/`off` (disabled),
-    /// case-insensitive and whitespace-trimmed; anything else aborts with
-    /// the offending string, consistent with the strict-parse policy of
-    /// every other `STRETCH_*` knob.
-    pub fn parse_warm_start(raw: &str) -> bool {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            _ => panic!("STRETCH_WARM_START must be one of 0/1, true/false or on/off, got `{raw}`"),
-        }
-    }
-
-    /// Parses an incremental switch as `STRETCH_INCREMENTAL` would: exactly
-    /// `1`/`true`/`on` (enabled, the default) or `0`/`false`/`off`
-    /// (disabled), case-insensitive and whitespace-trimmed; anything else
-    /// aborts with the offending string, consistent with the strict-parse
-    /// policy of every other `STRETCH_*` knob.
-    pub fn parse_incremental(raw: &str) -> bool {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" => true,
-            "0" | "false" | "off" => false,
-            _ => {
-                panic!("STRETCH_INCREMENTAL must be one of 0/1, true/false or on/off, got `{raw}`")
-            }
-        }
-    }
-
-    /// Reads `STRETCH_MINCOST_BACKEND`, `STRETCH_WARM_START` and
-    /// `STRETCH_INCREMENTAL` (**uncached** — callers wanting the memoised
-    /// process default use [`SolverConfig::default`]); unset variables fall
-    /// back to the `monge` backend with warm start and incremental solving
-    /// on, unrecognised values abort loudly (see
-    /// [`Self::parse_backend`], [`Self::parse_warm_start`],
-    /// [`Self::parse_incremental`]).
+    /// Reads `STRETCH_MINCOST_BACKEND` (**uncached** — callers wanting the
+    /// memoised process default use [`SolverConfig::default`]); unset falls
+    /// back to the `monge` backend, unrecognised values abort loudly (see
+    /// [`Self::parse_backend`]).  Warm start and persistent per-event memory
+    /// are always on.
     pub fn from_env() -> Self {
-        let backend = match std::env::var("STRETCH_MINCOST_BACKEND") {
-            Err(std::env::VarError::NotPresent) => BackendKind::default(),
+        match std::env::var("STRETCH_MINCOST_BACKEND") {
+            Err(std::env::VarError::NotPresent) => Self::of(BackendKind::default()),
             Err(std::env::VarError::NotUnicode(_)) => {
                 panic!("STRETCH_MINCOST_BACKEND must be valid unicode, got undecodable bytes")
             }
-            Ok(raw) => Self::parse_backend(&raw).backend,
-        };
-        let warm_start = match std::env::var("STRETCH_WARM_START") {
-            Err(std::env::VarError::NotPresent) => true,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                panic!("STRETCH_WARM_START must be valid unicode, got undecodable bytes")
-            }
-            Ok(raw) => Self::parse_warm_start(&raw),
-        };
-        let incremental = match std::env::var("STRETCH_INCREMENTAL") {
-            Err(std::env::VarError::NotPresent) => true,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                panic!("STRETCH_INCREMENTAL must be valid unicode, got undecodable bytes")
-            }
-            Ok(raw) => Self::parse_incremental(&raw),
-        };
-        SolverConfig {
-            backend,
-            warm_start,
-            incremental,
+            Ok(raw) => Self::parse_backend(&raw),
         }
     }
 
@@ -293,10 +221,9 @@ mod test_override {
 }
 
 impl Default for SolverConfig {
-    /// The process-wide default: `STRETCH_MINCOST_BACKEND` and
-    /// `STRETCH_WARM_START` read **once** on first use (the schedulers
-    /// construct solvers on hot paths; see the module docs for the
-    /// consequences and the test-only escape hatch).
+    /// The process-wide default: `STRETCH_MINCOST_BACKEND` read **once** on
+    /// first use (the schedulers construct solvers on hot paths; see the
+    /// module docs for the consequences and the test-only escape hatch).
     fn default() -> Self {
         #[cfg(test)]
         if let Some(config) = test_override::current() {
@@ -375,32 +302,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_switch_parses_strictly() {
-        assert!(SolverConfig::parse_warm_start("1"));
-        assert!(SolverConfig::parse_warm_start("true"));
-        assert!(!SolverConfig::parse_warm_start("0"));
-        assert!(!SolverConfig::parse_warm_start(" off "));
-    }
-
-    #[test]
     #[should_panic(expected = "got `definitely-not-a-backend`")]
     fn unrecognised_backend_names_abort_with_the_offending_string() {
         SolverConfig::parse_backend("definitely-not-a-backend");
-    }
-
-    #[test]
-    #[should_panic(expected = "got `2`")]
-    fn unrecognised_warm_start_values_abort_with_the_offending_string() {
-        SolverConfig::parse_warm_start("2");
-    }
-
-    #[test]
-    fn incremental_switch_parses_strictly() {
-        assert!(SolverConfig::parse_incremental("1"));
-        assert!(SolverConfig::parse_incremental("true"));
-        assert!(SolverConfig::parse_incremental(" On "));
-        assert!(!SolverConfig::parse_incremental("0"));
-        assert!(!SolverConfig::parse_incremental(" off "));
     }
 
     #[test]
@@ -412,12 +316,6 @@ mod tests {
         let cold = SolverConfig::monge().with_incremental(false);
         assert!(!cold.incremental);
         assert_eq!(cold.with_incremental(true), SolverConfig::monge());
-    }
-
-    #[test]
-    #[should_panic(expected = "STRETCH_INCREMENTAL must be one of 0/1, true/false or on/off")]
-    fn unrecognised_incremental_values_abort_with_the_offending_string() {
-        SolverConfig::parse_incremental("maybe");
     }
 
     #[test]

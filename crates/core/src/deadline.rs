@@ -13,7 +13,8 @@
 use crate::parametric::ParametricDeadlineSolver;
 use crate::sites::SiteView;
 use stretch_flow::{
-    FlowWorkspace, MinCostBackend, PrimalDualBackend, TransportInstance, TransportSolution,
+    FlowWorkspace, MinCostBackend, PrimalDualBackend, TransportArena, TransportInstance,
+    TransportSolution,
 };
 
 /// Relative tolerance used when bisecting on the objective `F`.
@@ -302,8 +303,8 @@ impl DeadlineProblem {
     }
 
     /// [`Self::epochal_times`] filling a caller-held buffer — the
-    /// allocation-free variant for the incremental per-event path, identical
-    /// fill (same values, same sort, same dedup) by construction.
+    /// allocation-free variant for [`System2Arena`], identical fill (same
+    /// values, same sort, same dedup) by construction.
     pub fn epochal_times_into(&self, stretch: f64, times: &mut Vec<f64>) {
         times.clear();
         times.push(self.now);
@@ -341,13 +342,13 @@ impl DeadlineProblem {
     }
 
     /// [`Self::transport`] filling a caller-held instance and buffers — the
-    /// allocation-free variant for the incremental per-event path.
+    /// allocation-free variant for [`System2Arena`].
     ///
-    /// This is the single fill sequence both paths share (the from-scratch
+    /// This is the single fill sequence (the from-scratch
     /// [`Self::transport`] delegates here with fresh buffers): same epochal
     /// times, same capacity loop, same admissibility slacks, same route
-    /// declaration order — which is what makes the incremental System-(2)
-    /// solve bit-identical to the rebuild one by construction.  `times` is
+    /// declaration order — which is what makes a solve in a reused arena
+    /// bit-identical to one in a fresh arena by construction.  `times` is
     /// pure scratch; `t` keeps any stable keys it carried (see
     /// [`TransportInstance::reset`]).
     pub fn transport_into(
@@ -542,24 +543,7 @@ impl DeadlineProblem {
         backend: &mut dyn MinCostBackend,
         workspace: &mut FlowWorkspace,
     ) -> Option<AllocationPlan> {
-        if self.is_trivial() {
-            return Some(AllocationPlan::default());
-        }
-        let (mut t, intervals) = self.transport(stretch, |job_idx, (start, end)| {
-            0.5 * (start + end) / self.jobs[job_idx].work
-        });
-        let num_intervals = intervals.len();
-        let source_keys = self.jobs.iter().map(|j| j.job_id as u64).collect();
-        // Bins are keyed by (site, position-from-now); tagged into a range
-        // disjoint from any realistic job id.
-        let bin_keys = (0..self.sites.len() * num_intervals)
-            .map(|bin| {
-                (1u64 << 48) | (((bin / num_intervals) as u64) << 24) | (bin % num_intervals) as u64
-            })
-            .collect();
-        t.set_stable_keys(source_keys, bin_keys);
-        let solution = t.solve_min_cost_with_backend(backend, workspace)?;
-        Some(AllocationPlan::from_transport(self, intervals, &solution))
+        System2Arena::new().solve(self, stretch, backend, workspace)
     }
 
     /// The System-(1) feasibility allocation at objective `stretch`: ship
@@ -578,6 +562,75 @@ impl DeadlineProblem {
         let (t, intervals) = self.transport(stretch, |_, _| 0.0);
         let solution = t.solve_min_cost_with(workspace)?;
         Some(AllocationPlan::from_transport(self, intervals, &solution))
+    }
+}
+
+/// The memory of a System-(2) solve: the [`TransportInstance`], the
+/// interval and key buffers, and the [`TransportArena`] holding the flow
+/// network.
+///
+/// [`DeadlineProblem::system2_allocation_with_backend`] solves on a fresh
+/// arena; a [`crate::ParametricDeadlineSolver`] keeps one alive across
+/// events, so a steady stream of events solves System (2) without
+/// allocating.  Both run the same fill and the same backend call, so a
+/// reused arena returns bit for bit what a fresh one does.
+#[derive(Debug, Default)]
+pub struct System2Arena {
+    instance: TransportInstance,
+    intervals: Vec<(f64, f64)>,
+    times: Vec<f64>,
+    source_keys: Vec<u64>,
+    bin_keys: Vec<u64>,
+    arena: TransportArena,
+}
+
+impl System2Arena {
+    /// An empty arena; buffers grow on first use and are reused afterwards.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solves System (2) for `problem` at objective `stretch` in this
+    /// arena's buffers; see
+    /// [`DeadlineProblem::system2_allocation_with_backend`].
+    pub fn solve(
+        &mut self,
+        problem: &DeadlineProblem,
+        stretch: f64,
+        backend: &mut dyn MinCostBackend,
+        workspace: &mut FlowWorkspace,
+    ) -> Option<AllocationPlan> {
+        if problem.is_trivial() {
+            return Some(AllocationPlan::default());
+        }
+        problem.transport_into(
+            stretch,
+            |job_idx, (start, end)| 0.5 * (start + end) / problem.jobs[job_idx].work,
+            &mut self.instance,
+            &mut self.intervals,
+            &mut self.times,
+        );
+        let num_intervals = self.intervals.len();
+        self.source_keys.clear();
+        self.source_keys
+            .extend(problem.jobs.iter().map(|j| j.job_id as u64));
+        // Bins are keyed by (site, position-from-now); tagged into a range
+        // disjoint from any realistic job id.
+        self.bin_keys.clear();
+        self.bin_keys
+            .extend((0..problem.sites.len() * num_intervals).map(|bin| {
+                (1u64 << 48) | (((bin / num_intervals) as u64) << 24) | (bin % num_intervals) as u64
+            }));
+        self.instance
+            .set_stable_keys_from(&self.source_keys, &self.bin_keys);
+        let solution = self
+            .instance
+            .solve_min_cost_in(backend, workspace, &mut self.arena)?;
+        Some(AllocationPlan::from_transport(
+            problem,
+            self.intervals.clone(),
+            &solution,
+        ))
     }
 }
 
@@ -880,5 +933,53 @@ mod tests {
         assert_eq!(p.min_feasible_stretch(), Some(0.0));
         assert!(p.feasible(0.1));
         assert!(p.system2_allocation(1.0).unwrap().pieces.is_empty());
+    }
+
+    #[test]
+    fn arena_system2_solves_match_the_rebuild_path_bitwise() {
+        use stretch_flow::NetworkSimplexBackend;
+        let mut arena = System2Arena::new();
+        let mut backend = NetworkSimplexBackend::new();
+        let mut reference_backend = NetworkSimplexBackend::new();
+        let mut ws = FlowWorkspace::new();
+        let mut reference_ws = FlowWorkspace::new();
+        let events = [
+            DeadlineProblem::new(vec![job(0, 0.0, 2.0, 0)], two_sites(), 0.0),
+            DeadlineProblem::new(
+                vec![job(0, 0.0, 2.0, 0), job(1, 0.4, 1.0, 1)],
+                two_sites(),
+                0.4,
+            ),
+            DeadlineProblem::new(vec![job(1, 0.4, 1.0, 1)], two_sites(), 1.1),
+            DeadlineProblem::new(vec![], two_sites(), 2.0),
+        ];
+        for (i, problem) in events.iter().enumerate() {
+            let stretch = 1.8;
+            let reused = arena.solve(problem, stretch, &mut backend, &mut ws);
+            let fresh = problem.system2_allocation_with_backend(
+                stretch,
+                &mut reference_backend,
+                &mut reference_ws,
+            );
+            match (reused, fresh) {
+                (Some(a), Some(b)) => {
+                    let bits = |plan: &AllocationPlan| {
+                        let intervals: Vec<_> = plan
+                            .intervals
+                            .iter()
+                            .map(|x| (x.0.to_bits(), x.1.to_bits()))
+                            .collect();
+                        let pieces: Vec<_> = plan
+                            .pieces
+                            .iter()
+                            .map(|x| (x.job_index, x.job_id, x.site, x.interval, x.work.to_bits()))
+                            .collect();
+                        (intervals, pieces)
+                    };
+                    assert_eq!(bits(&a), bits(&b), "event {i}");
+                }
+                (a, b) => assert_eq!(a.is_some(), b.is_some(), "event {i} verdicts diverged"),
+            }
+        }
     }
 }

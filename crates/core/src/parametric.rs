@@ -63,12 +63,25 @@
 //!   network — see [`stretch_flow::BasisRemap`].
 //!
 //! Both are speed levers only: warm-started and cold solves return
-//! **bit-identical** objectives and allocations (`STRETCH_WARM_START={0,1}`
-//! in CI, pinned by the differential-oracle suite).
+//! **bit-identical** objectives and allocations (pinned by the
+//! differential-oracle suite, which builds the cold reference through
+//! [`SolverConfig::with_warm_start`]).
+//!
+//! # Persistent per-event memory
+//!
+//! With `incremental` on (the default) the solver also keeps its
+//! parametric structure and its [`System2Arena`] alive from event to
+//! event and refills both in place: the same fill code a fresh structure
+//! runs (sort and deduplicate the symbolic times, rebuild the route table
+//! and the network), over buffers that have already grown to size.  Only
+//! the memory is reused, so the results are bit-identical to solves on
+//! fresh memory; [`SolverConfig::with_incremental`]`(false)` builds that
+//! reference for the differential tests.
 
 use crate::config::SolverConfig;
-use crate::deadline::{certified_slack, AllocationPlan, DeadlineProblem, STRETCH_TOL};
-use crate::delta::{DeltaStats, EpochSplicer, System2Arena};
+use crate::deadline::{
+    certified_slack, AllocationPlan, DeadlineProblem, System2Arena, STRETCH_TOL,
+};
 use stretch_flow::{FastMap, FlowWorkspace, MinCostBackend, ParametricNetwork};
 
 /// Feasibility tolerance of the flow probes, matching
@@ -95,6 +108,16 @@ pub struct SearchStats {
     pub probes: u64,
     /// Searches that stalled and finished by from-scratch bisection.
     pub fallbacks: u64,
+}
+
+/// How a solver's persistent per-event memory was filled; see
+/// [`ParametricDeadlineSolver::incremental_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DeltaStats {
+    /// Searches that refilled the persistent structure in place.
+    pub splices: u64,
+    /// Searches that filled fresh memory: the solver's first one.
+    pub rebuilds: u64,
 }
 
 /// A reusable engine solving deadline problems by parametric flow probes.
@@ -126,22 +149,19 @@ pub struct ParametricDeadlineSolver {
     /// count, which is orders of magnitude larger.
     carry_jobs: FastMap<usize, (u32, u32)>,
     carry_flows: Vec<(u32, u32, f64)>,
-    /// Persistent cross-event engine of the incremental path
-    /// (`STRETCH_INCREMENTAL`, default on): the epochal line splicer, the
-    /// persistent parametric structure it refills, and the System-(2)
-    /// solve arena.  `None` when the config runs rebuilds.
-    incremental: Option<IncrementalEngine>,
+    /// Memory refilled in place at every event (`config.incremental`, the
+    /// default); `None` when every event fills fresh memory.
+    persistent: Option<PersistentMemory>,
     config: SolverConfig,
 }
 
-/// The solver's persistent incremental state (see [`crate::delta`]): the
-/// spliced line multiset, the parametric structure whose buffers survive
-/// from event to event, and the System-(2) arena.
+/// The parametric structure and the System-(2) arena a solver refills
+/// from event to event, with the counters of those refills.
 #[derive(Default)]
-struct IncrementalEngine {
-    splicer: EpochSplicer,
-    structure: Option<ParametricStructure>,
+struct PersistentMemory {
+    structure: ParametricStructure,
     arena: System2Arena,
+    stats: DeltaStats,
 }
 
 impl Default for ParametricDeadlineSolver {
@@ -154,7 +174,8 @@ impl Default for ParametricDeadlineSolver {
 /// valid for *every* objective `F`: symbolic epochal times, one bin per
 /// (site, sorted-gap) position and one route per eligible (job, site,
 /// position) triple.
-struct ParametricStructure {
+#[derive(Default)]
+pub(crate) struct ParametricStructure {
     /// Symbolic times `a + b·F`, deduplicated by exact `(a, b)` identity.
     times: Vec<(f64, f64)>,
     /// Permutation of `times`, sorted by value at the last probed `F`.
@@ -193,96 +214,30 @@ struct ParametricStructure {
 impl ParametricStructure {
     /// Builds the structure once, for probes within `[lo, hi]`; capacities
     /// are bound per probe.
-    fn new(problem: &DeadlineProblem, lo: f64, hi: f64) -> Self {
-        let mut structure = Self::empty();
-        structure.refill(problem, lo, hi, None);
+    pub(crate) fn new(problem: &DeadlineProblem, lo: f64, hi: f64) -> Self {
+        let mut structure = Self::default();
+        structure.refill(problem, lo, hi);
         structure
     }
 
-    /// A structure with every buffer empty; [`Self::refill`] populates it.
-    /// The incremental path keeps one of these alive across events.
-    fn empty() -> Self {
-        ParametricStructure {
-            times: Vec::new(),
-            order: Vec::new(),
-            sorted_vals: Vec::new(),
-            network: ParametricNetwork::empty(),
-            num_intervals: 0,
-            site_speeds: Vec::new(),
-            demands: Vec::new(),
-            ready: Vec::new(),
-            deadline: Vec::new(),
-            bin_caps: Vec::new(),
-            route_caps: Vec::new(),
-            deadline_vals: Vec::new(),
-            route_start: Vec::new(),
-            route_imin: Vec::new(),
-            route_iend: Vec::new(),
-            hosting: Vec::new(),
-            routes_scratch: Vec::new(),
-        }
-    }
-
     /// (Re)populates the structure for `problem`, for probes within
-    /// `[lo, hi]`.  This is the single fill sequence of both solver paths:
-    /// the rebuild path runs it over a fresh [`Self::empty`], the
-    /// incremental path over last event's buffers — with the symbolic times
-    /// handed in pre-spliced (`spliced_times`, from
-    /// [`crate::delta::EpochSplicer`]) instead of re-sorted from scratch.
-    /// A spliced line set is bitwise-equal to the fresh construction by
-    /// the splicer's contract (checked here in debug builds), so both
-    /// paths produce identical structures by construction.
-    fn refill(
-        &mut self,
-        problem: &DeadlineProblem,
-        lo: f64,
-        hi: f64,
-        spliced_times: Option<&[(f64, f64)]>,
-    ) {
-        match spliced_times {
-            Some(lines) => {
-                #[cfg(debug_assertions)]
-                {
-                    let mut fresh: Vec<(f64, f64)> = Vec::with_capacity(2 * problem.jobs.len() + 1);
-                    fresh.push((problem.now, 0.0));
-                    for job in &problem.jobs {
-                        fresh.push((job.ready.max(problem.now), 0.0));
-                        fresh.push((job.release, job.work));
-                    }
-                    fresh.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.total_cmp(&y.1)));
-                    fresh.dedup();
-                    let bits = |ts: &[(f64, f64)]| -> Vec<(u64, u64)> {
-                        ts.iter().map(|t| (t.0.to_bits(), t.1.to_bits())).collect()
-                    };
-                    debug_assert_eq!(
-                        bits(lines),
-                        bits(&fresh),
-                        "spliced symbolic times diverged from the rebuild construction"
-                    );
-                }
-                self.times.clear();
-                self.times.extend_from_slice(lines);
-            }
-            None => {
-                self.times.clear();
-                self.times.reserve(2 * problem.jobs.len() + 1);
-                self.times.push((problem.now, 0.0));
-                for job in &problem.jobs {
-                    self.times.push((job.ready.max(problem.now), 0.0));
-                    // For any probed F (at or above the stretch lower bound)
-                    // every deadline lies after `now`, so the `max(now, ·)`
-                    // clamp of `epochal_times` is inactive and the deadline
-                    // is linear.
-                    self.times.push((job.release, job.work));
-                }
-                // Identical linear functions never separate: deduplicate by
-                // exact identity (e.g. the shared ready time of the on-line
-                // problems).
-                self.times
-                    .sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.total_cmp(&y.1)));
-                self.times.dedup();
-            }
+    /// `[lo, hi]`.  Every field is overwritten, so refilling last event's
+    /// structure in place gives the same structure as [`Self::new`].
+    pub(crate) fn refill(&mut self, problem: &DeadlineProblem, lo: f64, hi: f64) {
+        self.times.clear();
+        self.times.push((problem.now, 0.0));
+        for job in &problem.jobs {
+            self.times.push((job.ready.max(problem.now), 0.0));
+            // For any probed F (at or above the stretch lower bound) every
+            // deadline lies after `now`, so the `max(now, ·)` clamp of
+            // `epochal_times` is inactive and the deadline is linear.
+            self.times.push((job.release, job.work));
         }
+        // Identical linear functions never separate: deduplicate by exact
+        // identity (e.g. the shared ready time of the on-line problems).
+        self.times
+            .sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.total_cmp(&y.1)));
+        self.times.dedup();
         let times = &self.times;
         let k = times.len() - 1;
         let num_sites = problem.sites.len();
@@ -543,18 +498,16 @@ impl ParametricDeadlineSolver {
             backend: config.instantiate(),
             carry_jobs: FastMap::default(),
             carry_flows: Vec::new(),
-            incremental: config.incremental.then(IncrementalEngine::default),
+            persistent: config.incremental.then(PersistentMemory::default),
             config,
         }
     }
 
-    /// Splice/rebuild counters of the incremental engine, `None` when the
-    /// solver runs per-event rebuilds (`incremental` off in its config).
+    /// How often the persistent structure was refilled in place against
+    /// filled fresh; `None` when the solver fills fresh memory at every
+    /// event (`incremental` off in its config).
     pub fn incremental_stats(&self) -> Option<DeltaStats> {
-        self.incremental.as_ref().map(|engine| DeltaStats {
-            splices: engine.splicer.splices(),
-            rebuilds: engine.splicer.rebuilds(),
-        })
+        self.persistent.as_ref().map(|memory| memory.stats)
     }
 
     /// Cumulative counters of every [`Self::min_feasible_stretch`] search
@@ -607,31 +560,24 @@ impl ParametricDeadlineSolver {
         let slack = FEAS_TOL.max(demand * FEAS_TOL);
         let target = demand - slack;
 
-        if let Some(mut engine) = self.incremental.take() {
-            // Incremental path: splice this event's delta into the
-            // persistent line multiset, then refill the persistent
-            // structure's buffers with the pre-spliced times.  The Newton
-            // search below is the same code over the same values either
-            // way — only the memory is reused.
-            engine.splicer.apply(problem);
-            let mut structure = engine
-                .structure
-                .take()
-                .unwrap_or_else(ParametricStructure::empty);
-            structure.refill(problem, lo_bound, ub, Some(engine.splicer.times()));
-            let answer = self.newton_search(problem, &mut structure, lo_bound, ub, target);
-            engine.structure = Some(structure);
-            self.incremental = Some(engine);
-            answer
-        } else {
+        let Some(mut memory) = self.persistent.take() else {
             let mut structure = ParametricStructure::new(problem, lo_bound, ub);
-            self.newton_search(problem, &mut structure, lo_bound, ub, target)
+            return self.newton_search(problem, &mut structure, lo_bound, ub, target);
+        };
+        let stats = &mut memory.stats;
+        if stats.rebuilds == 0 {
+            stats.rebuilds = 1;
+        } else {
+            stats.splices += 1;
         }
+        memory.structure.refill(problem, lo_bound, ub);
+        let answer = self.newton_search(problem, &mut memory.structure, lo_bound, ub, target);
+        self.persistent = Some(memory);
+        answer
     }
 
     /// The Newton-on-minimum-cuts iteration (with its bisection safety
-    /// net) over an already refilled `structure`.  Shared verbatim by the
-    /// rebuild and incremental paths of [`Self::min_feasible_stretch`].
+    /// net) over an already filled `structure`.
     fn newton_search(
         &mut self,
         problem: &DeadlineProblem,
@@ -728,7 +674,7 @@ impl ParametricDeadlineSolver {
     ///
     /// Cost: one map lookup per pending job plus one O(1) route-index
     /// computation per carried flow entry, using the job-contiguous route
-    /// layout recorded by [`ParametricStructure::new`].
+    /// layout recorded by [`ParametricStructure::refill`].
     fn seed_carry(&mut self, problem: &DeadlineProblem, structure: &mut ParametricStructure) {
         if self.carry_jobs.is_empty() {
             return;
@@ -802,18 +748,17 @@ impl ParametricDeadlineSolver {
         problem: &DeadlineProblem,
         stretch: f64,
     ) -> Option<AllocationPlan> {
-        if let Some(engine) = self.incremental.as_mut() {
-            // Same fill, same solve, persistent memory: see
-            // [`crate::delta::System2Arena`].
-            engine
-                .arena
-                .solve(problem, stretch, self.backend.as_mut(), &mut self.workspace)
-        } else {
-            problem.system2_allocation_with_backend(
+        match self.persistent.as_mut() {
+            Some(memory) => {
+                memory
+                    .arena
+                    .solve(problem, stretch, self.backend.as_mut(), &mut self.workspace)
+            }
+            None => problem.system2_allocation_with_backend(
                 stretch,
                 self.backend.as_mut(),
                 &mut self.workspace,
-            )
+            ),
         }
     }
 
@@ -852,6 +797,52 @@ impl ParametricDeadlineSolver {
         stretch: f64,
     ) -> Option<AllocationPlan> {
         problem.feasibility_allocation_with(stretch, &mut self.workspace)
+    }
+}
+
+#[cfg(test)]
+impl ParametricStructure {
+    /// The symbolic epochal times of the last fill.
+    pub(crate) fn times(&self) -> &[(f64, f64)] {
+        &self.times
+    }
+
+    /// Bit patterns of every field a fill writes, the network's inputs
+    /// (demands, bin count, route list) included, each vector prefixed by
+    /// its length: equal snapshots mean two fills built the same structure.
+    pub(crate) fn fill_bits(&self) -> Vec<u64> {
+        fn put(out: &mut Vec<u64>, values: &[u64]) {
+            out.push(values.len() as u64);
+            out.extend_from_slice(values);
+        }
+        let floats = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lines = |v: &[(f64, f64)]| {
+            v.iter()
+                .flat_map(|&(a, b)| [a.to_bits(), b.to_bits()])
+                .collect::<Vec<_>>()
+        };
+        let indices = |v: &[usize]| v.iter().map(|&i| i as u64).collect::<Vec<_>>();
+        let mut out = vec![self.num_intervals as u64, self.sorted_vals.len() as u64];
+        put(&mut out, &lines(&self.times));
+        put(&mut out, &indices(&self.order));
+        put(&mut out, &floats(&self.site_speeds));
+        put(&mut out, &floats(&self.demands));
+        put(&mut out, &floats(&self.ready));
+        put(&mut out, &lines(&self.deadline));
+        put(&mut out, &indices(&self.route_start));
+        put(&mut out, &indices(&self.route_imin));
+        put(&mut out, &indices(&self.route_iend));
+        out.push(self.hosting.len() as u64);
+        for host in &self.hosting {
+            put(&mut out, &indices(host));
+        }
+        let routes: Vec<u64> = self
+            .routes_scratch
+            .iter()
+            .flat_map(|&(j, bin)| [j as u64, bin as u64])
+            .collect();
+        put(&mut out, &routes);
+        out
     }
 }
 

@@ -908,17 +908,16 @@ fn both_backends_match_the_lp_simplex_on_a_fixed_instance() {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental vs rebuild: persistent delta-updated structures must be
+// Incremental vs rebuild: persistent refilled structures must be
 // invisible in the results
 // ---------------------------------------------------------------------------
 //
-// `incremental` (STRETCH_INCREMENTAL, default on) keeps the System-(2)
-// parametric structure alive across events and splices each event's delta
-// into it (stretch_core::delta) instead of rebuilding from scratch.  Like
-// warm_start, it is a pure speed lever: an incremental run must return
-// **bit-identical** objectives, allocations and completions to a rebuild
-// run, on every backend and in every warm/cold cell — the two axes are
-// independent and must compose.
+// `incremental` (default on) keeps the solver's parametric structure and
+// System-(2) arena alive across events and refills them in place instead
+// of filling fresh memory.  Like warm_start, it is a pure speed lever: an
+// incremental run must return **bit-identical** objectives, allocations
+// and completions to a rebuild run, on every backend and in every
+// warm/cold cell — the two axes are independent and must compose.
 
 /// Runs one instance through the on-line loop with the incremental engine on
 /// and off — across all three backends and both warm-start settings — and
@@ -997,12 +996,14 @@ proptest! {
     }
 }
 
-/// The solver-level version of the same contract, with the splicer *proven*
-/// to fire: a persistent incremental solver is fed a synthetic event stream
-/// (arrivals, completions, a shrink to a single job, and an empty final
-/// event — the edge shapes of the on-line loop), and every objective and
-/// System-(2) allocation must match a per-event rebuild solver's bit for bit
-/// while the delta path is actually exercised.
+/// The solver-level version of the same contract, with the in-place refill
+/// *proven* to run: a persistent incremental solver is fed a synthetic event
+/// stream (arrivals, completions, a shrink to a single job, and an empty
+/// final event — the edge shapes of the on-line loop — plus inputs the
+/// scheduler never produces but the raw API admits: a `-0.0` release, a
+/// duplicated `job_id` and a reused id whose release and work changed), and
+/// every objective and System-(2) allocation must match a per-event rebuild
+/// solver's bit for bit while the persistent memory is actually refilled.
 #[test]
 fn incremental_solver_matches_rebuild_solver_bitwise_per_event() {
     use stretch_core::ParametricDeadlineSolver;
@@ -1053,80 +1054,89 @@ fn incremental_solver_matches_rebuild_solver_bitwise_per_event() {
             ],
         ),
         (4.0, vec![job(3, 2.5, 5.0, 3.0, 1)]),
+        // A negative-zero release (it sorts before +0.0 but compares equal).
+        (
+            4.5,
+            vec![job(3, 2.5, 5.0, 2.5, 1), job(4, -0.0, 1.0, 0.5, 0)],
+        ),
+        // Two pending jobs under one id.
+        (
+            5.0,
+            vec![job(5, 4.0, 2.0, 2.0, 0), job(5, 5.0, 1.0, 1.0, 1)],
+        ),
+        // Id 3 again, with a different release and work.
+        (6.0, vec![job(3, 6.0, 1.5, 1.5, 0)]),
         (7.0, vec![]),
     ];
 
-    for base in SolverConfig::all_backends() {
-        let mut incremental = ParametricDeadlineSolver::with_config(base.with_incremental(true));
-        let mut rebuild = ParametricDeadlineSolver::with_config(base.with_incremental(false));
-        assert!(rebuild.incremental_stats().is_none());
-        for (now, jobs) in &events {
-            let problem = DeadlineProblem::new(jobs.clone(), sites.clone(), *now);
-            let inc_best = incremental.min_feasible_stretch(&problem);
-            let reb_best = rebuild.min_feasible_stretch(&problem);
-            match (inc_best, reb_best) {
-                (Some(a), Some(b)) => assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{}: objective diverged at t={now}: {a} vs {b}",
-                    base.backend.name()
-                ),
-                (a, b) => assert_eq!(a, b, "{}: verdict diverged at t={now}", base.backend.name()),
+    for config in SolverConfig::all_backends() {
+        for base in [config, config.with_warm_start(false)] {
+            let cell = format!("{} (warm_start={})", base.backend.name(), base.warm_start);
+            let mut incremental =
+                ParametricDeadlineSolver::with_config(base.with_incremental(true));
+            let mut rebuild = ParametricDeadlineSolver::with_config(base.with_incremental(false));
+            assert!(rebuild.incremental_stats().is_none());
+            for (now, jobs) in &events {
+                let problem = DeadlineProblem::new(jobs.clone(), sites.clone(), *now);
+                let inc_best = incremental.min_feasible_stretch(&problem);
+                let reb_best = rebuild.min_feasible_stretch(&problem);
+                match (inc_best, reb_best) {
+                    (Some(a), Some(b)) => assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{cell}: objective diverged at t={now}: {a} vs {b}"
+                    ),
+                    (a, b) => assert_eq!(a, b, "{cell}: verdict diverged at t={now}"),
+                }
+                let Some(best) = inc_best else { continue };
+                if problem.is_trivial() {
+                    continue;
+                }
+                let stretch = stretch_core::deadline::certified_slack(best);
+                let inc_plan = incremental
+                    .system2_allocation(&problem, stretch)
+                    .expect("feasible incremental");
+                let reb_plan = rebuild
+                    .system2_allocation(&problem, stretch)
+                    .expect("feasible rebuild");
+                assert_eq!(
+                    inc_plan.pieces.len(),
+                    reb_plan.pieces.len(),
+                    "{cell}: piece count diverged at t={now}"
+                );
+                for (i, r) in inc_plan.pieces.iter().zip(&reb_plan.pieces) {
+                    assert_eq!(
+                        (i.job_index, i.site, i.interval),
+                        (r.job_index, r.site, r.interval),
+                        "{cell}: piece placement diverged at t={now}"
+                    );
+                    assert_eq!(
+                        i.work.to_bits(),
+                        r.work.to_bits(),
+                        "{cell}: piece amount diverged at t={now}: {} vs {}",
+                        i.work,
+                        r.work
+                    );
+                }
             }
-            let Some(best) = inc_best else { continue };
-            if problem.is_trivial() {
-                continue;
-            }
-            let stretch = stretch_core::deadline::certified_slack(best);
-            let inc_plan = incremental
-                .system2_allocation(&problem, stretch)
-                .expect("feasible incremental");
-            let reb_plan = rebuild
-                .system2_allocation(&problem, stretch)
-                .expect("feasible rebuild");
-            assert_eq!(
-                inc_plan.pieces.len(),
-                reb_plan.pieces.len(),
-                "{}: piece count diverged at t={now}",
-                base.backend.name()
+            let stats = incremental
+                .incremental_stats()
+                .expect("incremental engine present");
+            assert!(
+                stats.splices >= 3,
+                "{cell}: the in-place refill never ran ({stats:?}): the \
+                 incremental/rebuild test would be vacuous"
             );
-            for (i, r) in inc_plan.pieces.iter().zip(&reb_plan.pieces) {
-                assert_eq!(
-                    (i.job_index, i.site, i.interval),
-                    (r.job_index, r.site, r.interval),
-                    "{}: piece placement diverged at t={now}",
-                    base.backend.name()
-                );
-                assert_eq!(
-                    i.work.to_bits(),
-                    r.work.to_bits(),
-                    "{}: piece amount diverged at t={now}: {} vs {}",
-                    base.backend.name(),
-                    i.work,
-                    r.work
-                );
-            }
+            assert_eq!(
+                stats.rebuilds, 1,
+                "{cell}: only the first event should fill fresh memory ({stats:?})"
+            );
         }
-        let stats = incremental
-            .incremental_stats()
-            .expect("incremental engine present");
-        assert!(
-            stats.splices >= 3,
-            "{}: the delta path never fired ({stats:?}): the incremental/rebuild \
-             test would be vacuous",
-            base.backend.name()
-        );
-        assert_eq!(
-            stats.rebuilds,
-            1,
-            "{}: only the first event should rebuild ({stats:?})",
-            base.backend.name()
-        );
     }
 }
 
 /// Single-job and empty-instance edges of the incremental engine: the very
-/// shapes where a splice-from-previous has the least structure to reuse.
+/// shapes where a refill in place has the least structure to reuse.
 #[test]
 fn incremental_engine_handles_single_job_and_empty_edges() {
     use stretch_core::ParametricDeadlineSolver;
@@ -1172,7 +1182,7 @@ fn incremental_engine_handles_single_job_and_empty_edges() {
 /// Regression on the reference event stream: the captured System-(2)
 /// certified verdicts (per-event problems and slack objectives) must be
 /// bit-identical with the incremental engine on and off.  This pins the
-/// whole solve pipeline — splice, refill, Newton, certification — on the
+/// whole solve pipeline — refill, Newton, certification — on the
 /// same 3-cluster workload the benches measure.
 #[test]
 fn incremental_capture_of_the_reference_stream_is_bit_identical() {

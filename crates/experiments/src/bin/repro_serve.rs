@@ -28,8 +28,8 @@
 //!   snapshot is garbage-collected, and the compacted directory still
 //!   recovers to the drained state.
 //!
-//! The solver cell (backend × warm start) comes from the usual
-//! `STRETCH_MINCOST_BACKEND` / `STRETCH_WARM_START` variables; the segment
+//! The solver backend comes from the usual `STRETCH_MINCOST_BACKEND`
+//! variable (warm start is always on); the segment
 //! and snapshot knobs (`STRETCH_SERVE_SEGMENT_RECORDS`,
 //! `STRETCH_SERVE_SEGMENT_BYTES`, `STRETCH_SERVE_SNAPSHOT_EVERY`,
 //! `STRETCH_SERVE_SNAPSHOT_RETAIN`) via [`ServeConfig::from_env`].  In

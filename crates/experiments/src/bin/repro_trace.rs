@@ -20,8 +20,8 @@
 //!   any change to the scheduler pipeline, trace codec or adversary, then
 //!   commit the fixture together with the change.
 //!
-//! The solver cell comes from the usual `STRETCH_MINCOST_BACKEND` /
-//! `STRETCH_WARM_START` variables.  The adversary budget is pinned (seed
+//! The solver backend comes from the usual `STRETCH_MINCOST_BACKEND`
+//! variable.  The adversary budget is pinned (seed
 //! and rounds are part of the fixture contract), so every mode is
 //! reproducible bit for bit.
 

@@ -102,7 +102,7 @@ impl DriftReport {
 /// The engine rows the gate re-measures — the exact key set the
 /// `scheduler_overhead` bench records and the CI baseline-completeness step
 /// requires: per backend a cold System-(2) sweep, an incremental System-(2)
-/// sweep (persistent delta-updated solver, `STRETCH_INCREMENTAL`) and a
+/// sweep (one solver refilling its System-(2) arena in place) and a
 /// cold + warm on-line loop, plus warm System-(2) sweeps for the
 /// basis-carrying backends (the primal-dual kernel is stateless, so its
 /// warm sweep would re-measure the cold one).

@@ -70,25 +70,6 @@ fn every_ci_matrix_cell_names_a_parseable_backend() {
 }
 
 #[test]
-fn incremental_matrix_leg_is_pinned() {
-    // The incremental dimension: every cell of the build-and-test matrix
-    // must also run with the persistent delta-update engine both off and
-    // on (`STRETCH_INCREMENTAL`), because incremental/rebuild solves are
-    // contractually bit-identical and only the matrix proves it on every
-    // backend.  Dropping the leg (or the env wiring that feeds the knob)
-    // would silently stop exercising the rebuild path in CI.
-    let yml = ci_yml();
-    assert!(
-        yml.contains("incremental: [\"0\", \"1\"]"),
-        "ci.yml lost the `incremental` matrix dimension"
-    );
-    assert!(
-        yml.contains("STRETCH_INCREMENTAL: ${{ matrix.incremental }}"),
-        "ci.yml no longer wires the incremental matrix cell into STRETCH_INCREMENTAL"
-    );
-}
-
-#[test]
 fn test_step_runs_every_target() {
     // `cargo test` stops at the first failing test target, so one failure
     // would hide the verdict of every target after it in the matrix cell.

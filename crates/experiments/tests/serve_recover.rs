@@ -2,6 +2,9 @@
 //! instant mid-stream (possibly mid-journal-write), recover by replaying the
 //! journal, continue the stream, and require the final scheduler state to be
 //! bit-identical to an uninterrupted run — on every backend, warm and cold.
+//! The child always runs warm; the cell's warm/cold setting applies to the
+//! recovery and to the uninterrupted reference, so a cold recovery of a
+//! warm journal is checked too.
 //!
 //! The child process is the `crash` mode of `repro_serve`: it touches a
 //! marker file and then submits the reference stream with a small delay per
@@ -104,7 +107,6 @@ fn sigkill_mid_stream_recovers_bit_identically_on_every_backend() {
                 .env("STRETCH_SERVE_MARKER", &marker)
                 .env("STRETCH_SERVE_SUBMIT_DELAY_US", "2000")
                 .env("STRETCH_MINCOST_BACKEND", backend.name())
-                .env("STRETCH_WARM_START", if warm_start { "1" } else { "0" })
                 .spawn()
                 .expect("spawn repro_serve crash mode");
             let mut child = ChildGuard(child);

@@ -51,14 +51,20 @@ fn canonicalise(table: &MetricsTable) -> String {
     out
 }
 
-fn check_backend(config: SolverConfig) {
+fn render(config: SolverConfig) -> String {
     let settings = CampaignSettings::smoke().with_solver(config);
     let result = run_campaign(&reduced_grid(), settings);
-    let rendered = canonicalise(&table1(&result.observations));
+    canonicalise(&table1(&result.observations))
+}
+
+/// Compares `config` — and the same backend cold and without persistent
+/// per-event memory, which must give the same bytes — with the backend's
+/// fixture.  Blessing writes the default configuration's rendering only.
+fn check_backend(config: SolverConfig) {
     let path = fixture_path(config.backend.name());
     if std::env::var_os("STRETCH_BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
+        std::fs::write(&path, render(config)).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -67,14 +73,20 @@ fn check_backend(config: SolverConfig) {
             path.display()
         )
     });
-    assert_eq!(
-        rendered,
-        expected,
-        "Table-1 smoke aggregates changed for backend `{}`.\n\
-         If intentional, re-bless with STRETCH_BLESS=1; otherwise a solver\n\
-         change silently altered scheduling results.",
-        config.backend.name()
-    );
+    let cold_rebuild = config.with_warm_start(false).with_incremental(false);
+    for cell in [config, cold_rebuild] {
+        assert_eq!(
+            render(cell),
+            expected,
+            "Table-1 smoke aggregates changed for backend `{}` (warm_start={}, \
+             incremental={}).\n\
+             If intentional, re-bless with STRETCH_BLESS=1; otherwise a solver\n\
+             change silently altered scheduling results.",
+            config.backend.name(),
+            cell.warm_start,
+            cell.incremental
+        );
+    }
 }
 
 #[test]

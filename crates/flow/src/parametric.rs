@@ -63,6 +63,12 @@ pub struct ParametricNetwork {
     degree_scratch: Vec<usize>,
 }
 
+impl Default for ParametricNetwork {
+    fn default() -> Self {
+        Self::empty()
+    }
+}
+
 impl ParametricNetwork {
     /// Builds the network once from fixed demands and admissible routes.
     ///
@@ -100,7 +106,7 @@ impl ParametricNetwork {
     /// The result is element-identical to `ParametricNetwork::new(demands,
     /// num_bins, routes.to_vec())` (same edge sequence, same handles, all
     /// flow cleared, bin capacities back to zero), but steady-state
-    /// allocation-free: a persistent network spliced from event to event
+    /// allocation-free: a persistent network rebuilt from event to event
     /// produces bit-identical probes to a freshly built one.
     ///
     /// ```

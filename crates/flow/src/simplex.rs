@@ -172,7 +172,7 @@ pub struct NetworkSimplexBackend {
     /// `true` when the stored basis belongs to a completed solve.
     basis_valid: bool,
     /// `false` disables every cross-solve reuse tier (the "cold" reference
-    /// configuration of the `STRETCH_WARM_START` matrix).
+    /// configuration of the warm/cold differential tests).
     warm_start: bool,
     /// Stable node keys supplied for the *next* solve via
     /// [`MinCostBackend::warm_hint`].

@@ -29,7 +29,7 @@ pub fn acceptance_tolerance(demand: f64) -> f64 {
 }
 
 /// A bipartite transportation instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TransportInstance {
     demands: Vec<f64>,
     capacities: Vec<f64>,

@@ -510,9 +510,9 @@ impl ServeScheduler {
 
     /// Rebuilds a scheduler from an exported state.  The caller supplies
     /// `sites` (reconstructed from the platform — it is not serialized),
-    /// `warm_start` and `incremental`; solvers restart cold and unprimed,
-    /// which is output-identical by the warm/cold and incremental/rebuild
-    /// contracts.
+    /// `warm_start` and `incremental`; solvers restart cold on empty
+    /// memory, which is output-identical by the warm/cold and
+    /// incremental/rebuild contracts.
     ///
     /// The active decision's `DeadlineProblem` is rebuilt by *struct
     /// literal*, not `DeadlineProblem::new` — the constructor filters

@@ -142,9 +142,8 @@ impl ServeConfig {
         }
     }
 
-    /// A config read from the environment: the solver from
-    /// `STRETCH_MINCOST_BACKEND` / `STRETCH_WARM_START`, the rotation and
-    /// snapshot knobs from
+    /// A config read from the environment: the solver backend from
+    /// `STRETCH_MINCOST_BACKEND`, the rotation and snapshot knobs from
     ///
     /// * `STRETCH_SERVE_SEGMENT_RECORDS` — records per segment before
     ///   rotation (default 1024),
