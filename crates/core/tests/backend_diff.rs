@@ -771,36 +771,30 @@ proptest! {
     }
 }
 
-/// Pins the detector's verdict on the per-event System-(2) instances of the
-/// 3-cluster reference workload (the platform/workload the benches measure:
-/// `bench_instance(3, 3, 20, 3)`): every event's instance is product-form
-/// with contiguous ladders — the structure the backend was built to exploit
-/// — so every solve must take the greedy path, match the shared-state
-/// simplex bitwise, and never hit the pivot-budget fallback.  If a detector
-/// or transport-builder change ever stops certification on this stream, the
-/// `monge` backend silently degrades into a slower `simplex`; this test
-/// makes that loud.
-#[test]
-fn monge_certifies_the_reference_event_stream() {
+/// Replays the per-event System-(2) instances of the 3-cluster reference
+/// workload (the platform/workload the benches measure:
+/// `bench_instance(3, 3, 20, 3)`) through `monge` and a warm simplex side by
+/// side, asserting bit-identical plans at every event.  Returns the number
+/// of events and the simplex.
+fn replay_reference_stream_against_warm_simplex(
+    monge: &mut stretch_flow::MongeBackend,
+) -> (usize, stretch_flow::NetworkSimplexBackend) {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
-    use stretch_flow::{MongeBackend, NetworkSimplexBackend};
 
-    // The 3-cluster reference workload of the scheduler benches, with the
-    // replay driven by an explicit monge configuration so the captured
-    // stream is environment-independent (degenerate optima differ between
-    // backends, and the process default follows the CI matrix cell).
+    // The replay is driven by an explicit monge configuration so the
+    // captured stream is environment-independent (degenerate optima differ
+    // between backends, and the process default follows the CI matrix
+    // cell).
     let instance = reference_instance(3, 3, 20, 3);
     let captured = capture_system2_events_with(&instance, stretch_core::SolverConfig::monge());
 
-    let mut monge = MongeBackend::new();
     let mut monge_ws = FlowWorkspace::new();
-    let mut simplex = NetworkSimplexBackend::new();
+    let mut simplex = stretch_flow::NetworkSimplexBackend::new();
     let mut simplex_ws = FlowWorkspace::new();
-    let solves = captured.len();
     for (problem, slack) in &captured {
         let now = problem.now;
         let monge_plan = problem
-            .system2_allocation_with_backend(*slack, &mut monge, &mut monge_ws)
+            .system2_allocation_with_backend(*slack, monge, &mut monge_ws)
             .expect("feasible");
         let simplex_plan = problem
             .system2_allocation_with_backend(*slack, &mut simplex, &mut simplex_ws)
@@ -826,9 +820,26 @@ fn monge_certifies_the_reference_event_stream() {
         }
     }
     assert!(
-        solves >= 10,
-        "the reference stream must exercise a real event sequence, got {solves}"
+        captured.len() >= 10,
+        "the reference stream must exercise a real event sequence, got {}",
+        captured.len()
     );
+    (captured.len(), simplex)
+}
+
+/// Pins the detector's verdict on the reference stream: every event's
+/// instance is product-form with contiguous ladders — the structure the
+/// backend was built to exploit — so every solve of a cold `monge` backend
+/// (which certifies every event; a warm one certifies only its first) must
+/// take the greedy path, match the shared-state simplex bitwise, and never
+/// hit the pivot-budget fallback.  If a detector or transport-builder
+/// change ever stops certification on this stream, every cold start of the
+/// `monge` backend silently degrades into a slower `simplex` one; this test
+/// makes that loud.
+#[test]
+fn monge_certifies_the_reference_event_stream() {
+    let mut monge = stretch_flow::MongeBackend::with_warm_start(false);
+    let (solves, _) = replay_reference_stream_against_warm_simplex(&mut monge);
     // The System-(2) instances of this stream are exactly the structure the
     // detector certifies: every solve takes the greedy path.
     assert_eq!(
@@ -838,6 +849,25 @@ fn monge_certifies_the_reference_event_stream() {
          (greedy declined {} of them)",
         monge.greedy_declined_count()
     );
+    assert_eq!(monge.pivot_fallback_count(), 0);
+}
+
+/// The warm start path of the `monge` backend on the same reference stream:
+/// a warm backend seeds only its first event from the greedy and starts
+/// every later one from the remapped basis of the event before, which
+/// makes each warm solve exactly a warm `simplex` solve — so its plans
+/// must match a warm simplex fed the same stream, bit for bit.
+#[test]
+fn warm_monge_starts_every_later_event_from_the_remapped_basis() {
+    let mut monge = stretch_flow::MongeBackend::new();
+    let (events, simplex) = replay_reference_stream_against_warm_simplex(&mut monge);
+    assert_eq!(
+        (monge.certified_count(), monge.uncertified_count()),
+        (1, 0),
+        "only the first event may take the greedy seed"
+    );
+    assert_eq!(monge.remap_count(), events - 1);
+    assert_eq!(monge.remap_count(), simplex.remap_count());
     assert_eq!(monge.pivot_fallback_count(), 0);
 }
 

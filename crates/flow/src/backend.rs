@@ -17,10 +17,11 @@
 //!   caller supplied stable node keys via [`MinCostBackend::warm_hint`].
 //! * [`crate::monge::MongeBackend`] — a structural detector plus greedy
 //!   north-west-corner kernel for product-form (Monge) transportation
-//!   costs, the exact shape of the System-(2) instances: certified
-//!   instances are solved with zero pivoting and verified through the
-//!   simplex's canonicalising tail (bit-identical to a `simplex` solve by
-//!   construction); uncertified ones fall through to the simplex.
+//!   costs, the exact shape of the System-(2) instances: on a cold start,
+//!   certified instances are solved with zero pivoting and verified
+//!   through the simplex's canonicalising tail (bit-identical to a
+//!   `simplex` solve by construction); uncertified ones, and warm solves
+//!   with a remembered basis, run the simplex itself.
 //!
 //! # Contract
 //!
@@ -144,9 +145,9 @@ pub enum BackendKind {
     /// The network simplex ([`crate::simplex::NetworkSimplexBackend`]).
     NetworkSimplex,
     /// The Monge/greedy product-form backend
-    /// ([`crate::monge::MongeBackend`]): certified instances are solved by
-    /// a pivot-free greedy sweep, everything else falls through to the
-    /// simplex.  The default.
+    /// ([`crate::monge::MongeBackend`]): cold starts of certified
+    /// instances are seeded by a pivot-free greedy sweep, everything else
+    /// runs the simplex.  The default.
     #[default]
     Monge,
 }

@@ -31,8 +31,8 @@
 //! [`MinCostBackend`] trait, with the primal-dual kernel as the reference
 //! implementation, a warm-startable network simplex ([`simplex`]) as the
 //! alternative engine, and a Monge/greedy product-form backend ([`monge`])
-//! that solves certified System-(2)-shaped instances by a north-west-corner
-//! sweep with zero pivoting (falling back to the simplex otherwise); all are
+//! that seeds cold starts of certified System-(2)-shaped instances with a
+//! north-west-corner sweep (running the simplex otherwise); all are
 //! cross-checked by the differential-oracle
 //! tests in `stretch-core`.  The simplex carries its spanning-tree basis
 //! **across events**: [`remap`] maps the previous solve's basis onto a

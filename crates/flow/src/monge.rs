@@ -48,10 +48,33 @@
 //! Uncertified instances (and certified ones whose demand is unshippable —
 //! the greedy then declines rather than emit a partial seed) fall through
 //! **transparently** to the plain network simplex, warm-start tiers and
-//! all, so the backend is always safe to select.  The
-//! [`MongeBackend::certified_count`] / [`MongeBackend::uncertified_count`] /
-//! [`MongeBackend::greedy_declined_count`] diagnostics let tests prove
-//! which path a solve took.
+//! all, so the backend is always safe to select.
+//!
+//! **The seed serves cold starts only.**  Every solve leaves the embedded
+//! simplex its canonical basis, remembered under the caller's stable node
+//! keys ([`crate::remap::BasisRemap`]).  When such a basis is pending for
+//! the next instance — warm start on, a basis remembered, and a
+//! [`MinCostBackend::warm_hint`] for this network's node count — the solve
+//! goes straight to the simplex's own warm path, skipping the detector,
+//! the greedy and the seeded tail: consecutive on-line events differ by a
+//! handful of jobs, so the remapped basis starts a few pivots from the new
+//! optimum, while the greedy vertex pays for the detector and the sweep
+//! and still leaves the tail its phase-1 and face-walk pivots.  A warm
+//! `monge` solve then runs exactly the code of a warm `simplex` solve; a
+//! cold one starts from the greedy vertex instead, and on a few pool-scale
+//! on-line runs the two reach different completions (see
+//! [`MongeBackend::with_warm_start`]).
+//! The greedy seeds a solver's first event, every solve of a
+//! [`MongeBackend::with_warm_start`]`(false)` backend or without stable
+//! keys, and the solve after a pivot-budget fallback dropped the memory.
+//!
+//! The [`MongeBackend::certified_count`] /
+//! [`MongeBackend::uncertified_count`] /
+//! [`MongeBackend::greedy_declined_count`] /
+//! [`MongeBackend::remap_count`] diagnostics let tests prove which path a
+//! solve took.  A warm solve whose remembered basis the simplex rejects
+//! (it then crashes fresh), or whose arc list repeats the previous solve's
+//! exactly (the simplex's in-place tier), counts in none of them.
 
 use crate::backend::MinCostBackend;
 use crate::graph::FlowNetwork;
@@ -95,12 +118,12 @@ struct Route {
 ///
 /// Hold one per solver and feed it every instance, exactly like the
 /// simplex: the embedded [`NetworkSimplexBackend`] keeps its scratch and
-/// cross-event basis memory alive across solves (the memory serves the
-/// fallback path, and every certified solve refreshes it with the canonical
-/// basis for the next event).
+/// cross-event basis memory alive across solves (every solve refreshes the
+/// memory with its canonical basis, and the next warm solve starts from
+/// it).
 pub struct MongeBackend {
     /// The embedded simplex: runs the verification tail of certified solves
-    /// and the whole of uncertified ones.
+    /// and the whole of uncertified and warm ones.
     simplex: NetworkSimplexBackend,
     // --- diagnostics ---
     certified_solves: usize,
@@ -148,10 +171,16 @@ impl MongeBackend {
 
     /// Creates a backend selecting whether the embedded simplex may keep
     /// solver state across solves (see
-    /// [`NetworkSimplexBackend::with_warm_start`]).  The greedy kernel
-    /// itself is stateless, so the knob only affects the fallback path —
-    /// and, per the repository-wide contract, results are bit-identical
-    /// either way.
+    /// [`NetworkSimplexBackend::with_warm_start`]).  With `true`, a solve
+    /// that finds a remembered basis for its instance starts from it and
+    /// skips the detector and the greedy; with `false`, every solve is
+    /// certified afresh and seeded by the greedy (the "cold" reference of
+    /// the warm/cold tests).  The two start from different bases, so they
+    /// agree bit for bit only where the start-basis independence of the
+    /// canonical tail holds: the differential suites pin it at tens of
+    /// jobs, but on a few pool-scale on-line runs warm and cold `monge`
+    /// reach different completions (ARCHITECTURE.md, *The determinism
+    /// contract*).
     pub fn with_warm_start(warm_start: bool) -> Self {
         MongeBackend {
             simplex: NetworkSimplexBackend::with_warm_start(warm_start),
@@ -184,16 +213,25 @@ impl MongeBackend {
         }
     }
 
-    /// Solves that were certified product-form/Monge and took the greedy
-    /// seeded path (diagnostic; the differential tests assert on it).
+    /// Cold-start solves that were certified product-form/Monge and took
+    /// the greedy seeded path (diagnostic; the differential tests assert
+    /// on it).
     pub fn certified_count(&self) -> usize {
         self.certified_solves
     }
 
-    /// Solves the detector declined (or the greedy declined — see
-    /// [`Self::greedy_declined_count`]), routed through the plain simplex.
+    /// Cold-start solves the detector declined (or the greedy declined —
+    /// see [`Self::greedy_declined_count`]), routed through the plain
+    /// simplex.
     pub fn uncertified_count(&self) -> usize {
         self.uncertified_solves
+    }
+
+    /// Solves that started from the embedded simplex's remapped
+    /// cross-event basis, skipping the detector and the greedy (delegates
+    /// to [`NetworkSimplexBackend::remap_count`]).
+    pub fn remap_count(&self) -> usize {
+        self.simplex.remap_count()
     }
 
     /// Certified-structure solves where the greedy sweep stranded demand
@@ -697,18 +735,21 @@ impl MinCostBackend for MongeBackend {
         target: f64,
         workspace: &mut FlowWorkspace,
     ) -> MinCostResult {
-        if target > 0.0 && self.certify(network, source, sink) {
-            if self.greedy(network.num_edges()) {
-                #[cfg(feature = "invariant-audit")]
-                self.audit_seed();
-                self.certified_solves += 1;
-                return self
-                    .simplex
-                    .solve_up_to_seeded(network, source, sink, target, workspace, &self.seed);
+        // A remembered cross-event basis starts closer to the optimum than
+        // the greedy vertex: the warm solve is then exactly a warm simplex
+        // solve, and the seed serves only cold starts.
+        if target > 0.0 && !self.simplex.holds_remap_basis(network.num_nodes()) {
+            if self.certify(network, source, sink) {
+                if self.greedy(network.num_edges()) {
+                    #[cfg(feature = "invariant-audit")]
+                    self.audit_seed();
+                    self.certified_solves += 1;
+                    return self
+                        .simplex
+                        .solve_up_to_seeded(network, source, sink, target, workspace, &self.seed);
+                }
+                self.greedy_declined += 1;
             }
-            self.greedy_declined += 1;
-        }
-        if target > 0.0 {
             self.uncertified_solves += 1;
         }
         self.simplex
@@ -879,8 +920,10 @@ mod tests {
     #[test]
     fn shared_backend_stays_bit_identical_across_events() {
         // Two product-form events of different shapes through one shared
-        // backend (certified path + remembered basis) versus fresh cold
-        // backends: bitwise identical, and both events take the greedy.
+        // backend versus fresh cold backends: bitwise identical.  The
+        // shared backend seeds the first event from the greedy and starts
+        // the second from the remapped basis; every cold backend certifies
+        // its event.
         type Event<'a> = (&'a [f64], &'a [f64], &'a [(usize, usize, f64)]);
         let events: [Event; 2] = [
             (
@@ -908,6 +951,7 @@ mod tests {
             cold.warm_hint(keys[e]);
             let (mut g_c, s, t) = transport_network(demands, caps, routes);
             cold.solve_up_to(&mut g_c, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+            assert_eq!(cold.certified_count(), 1, "event {e}: detector verdict");
             for a in 0..g_w.num_edges() {
                 assert_eq!(
                     g_w.flow_on(2 * a).to_bits(),
@@ -916,7 +960,9 @@ mod tests {
                 );
             }
         }
-        assert_eq!(shared.certified_count(), 2);
+        assert_eq!(shared.certified_count(), 1);
+        assert_eq!(shared.remap_count(), 1);
+        assert_eq!(shared.uncertified_count(), 0);
         assert_eq!(shared.pivot_fallback_count(), 0);
     }
 }

@@ -270,6 +270,16 @@ impl NetworkSimplexBackend {
         self.remapped_solves
     }
 
+    /// `true` when the next solve of a `num_nodes`-node network will start
+    /// from the remembered cross-event basis: warm start on, a
+    /// [`BasisRemap`] remembered, and a [`MinCostBackend::warm_hint`] for
+    /// exactly this node count pending.  [`Self::load`] picks
+    /// [`WarmPath::Remap`] by this predicate, and
+    /// [`crate::monge::MongeBackend`] skips its greedy seed by it.
+    pub(crate) fn holds_remap_basis(&self, num_nodes: usize) -> bool {
+        self.warm_start && self.remap.is_valid() && self.hint_valid && self.hint.len() == num_nodes
+    }
+
     /// Loads the instance out of `network` (fresh, no flow) into the arc
     /// arrays and picks the warm-start tier (see the module docs).
     fn load(&mut self, network: &FlowNetwork, source: usize, sink: usize) -> WarmPath {
@@ -373,11 +383,7 @@ impl NetworkSimplexBackend {
         self.num_nodes = n;
         if same_topology && self.state.len() == num_arcs {
             WarmPath::Exact
-        } else if self.warm_start
-            && self.remap.is_valid()
-            && self.hint_valid
-            && self.hint.len() == n
-        {
+        } else if self.holds_remap_basis(n) {
             WarmPath::Remap
         } else {
             WarmPath::Cold
@@ -1122,10 +1128,11 @@ impl NetworkSimplexBackend {
     /// pass.  Returns `false` when the seed does not yield a usable basis
     /// (caller crashes fresh — correctness never depends on the seed).
     ///
-    /// This is the entry point of [`crate::monge::MongeBackend`]: a greedy
-    /// kernel hands its allocation here, replacing the phase-1 pivot
-    /// sequence, and the shared [`Self::run_to_optimum`] tail guarantees the
-    /// result is the same canonical optimum any other start basis reaches.
+    /// This is the entry point of [`crate::monge::MongeBackend`]'s cold
+    /// starts: a greedy kernel hands its allocation here, replacing the
+    /// phase-1 pivot sequence, and the shared [`Self::run_to_optimum`] tail
+    /// guarantees the result is the same canonical optimum any other start
+    /// basis reaches.
     fn install_seed(&mut self, seed: &[f64], eps_flow: f64) -> bool {
         let n = self.num_nodes;
         let num_arcs = self.from.len();
