@@ -2,7 +2,7 @@
 //!
 //! The static half of the workspace's determinism contract.  Every
 //! load-bearing guarantee of this reproduction is a *bit-identity*
-//! guarantee — warm vs. cold solves, monge vs. simplex, journal replay,
+//! guarantee — warm vs. cold solves, incremental vs. rebuild, journal replay,
 //! thread counts — and a single stray `partial_cmp().unwrap()`, hash-map
 //! iteration, raw environment read or wall-clock read can break it
 //! silently.  This crate walks the workspace's Rust sources with a

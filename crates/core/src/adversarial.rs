@@ -275,8 +275,12 @@ mod tests {
     fn online_offline_ratio_of_an_empty_instance_is_one() {
         let platform = stretch_platform::fixtures::small_platform();
         let instance = stretch_workload::Instance::new(platform, Vec::new());
-        let r =
-            online_offline_ratio(&instance, OnlineVariant::Online, SolverConfig::monge()).unwrap();
+        let r = online_offline_ratio(
+            &instance,
+            OnlineVariant::Online,
+            SolverConfig::network_simplex(),
+        )
+        .unwrap();
         assert_eq!(r, 1.0);
     }
 }

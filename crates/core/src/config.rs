@@ -16,16 +16,17 @@
 //! The **default** configuration reads one environment variable, and it
 //! reads it **exactly once per process** (memoised in a `OnceLock`,
 //! because schedulers construct solvers on hot paths):
-//! `STRETCH_MINCOST_BACKEND` — `monge` (the fastest backend beyond a few
-//! jobs, also the unset default), `simplex` or `primal-dual` (the reference
-//! oracle, always reachable as [`SolverConfig::primal_dual`]); anything else
-//! aborts with the offending string rather than silently falling back.
+//! `STRETCH_MINCOST_BACKEND` — `simplex` (the faster backend beyond a few
+//! jobs, also the unset default) or `primal-dual` (the reference oracle,
+//! always reachable as [`SolverConfig::primal_dual`]); anything else —
+//! including the names of deleted backends such as `monge` — aborts with
+//! the offending string rather than silently falling back.
 //! This is how the CI test matrix runs the whole suite — schedulers,
 //! experiments, property tests — on every backend without touching call
 //! sites.  The backend is not a pure speed lever: all backends reach the
 //! same System-(2) objective, but `primal-dual` may pick a different
-//! optimal allocation than `monge`/`simplex` (which are bit-identical), so
-//! on-line schedules differ between them.
+//! optimal allocation than `simplex`, so on-line schedules differ between
+//! them.
 //!
 //! The default always runs warm start and persistent per-event memory on.
 //! [`SolverConfig::with_warm_start`] and [`SolverConfig::with_incremental`]
@@ -89,11 +90,6 @@ impl SolverConfig {
         Self::of(BackendKind::NetworkSimplex)
     }
 
-    /// The Monge/greedy product-form backend (warm start enabled).
-    pub fn monge() -> Self {
-        Self::of(BackendKind::Monge)
-    }
-
     /// This configuration with cross-event solver memory switched on or off.
     pub fn with_warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
@@ -129,7 +125,7 @@ impl SolverConfig {
 
     /// Reads `STRETCH_MINCOST_BACKEND` (**uncached** — callers wanting the
     /// memoised process default use [`SolverConfig::default`]); unset falls
-    /// back to the `monge` backend, unrecognised values abort loudly (see
+    /// back to the `simplex` backend, unrecognised values abort loudly (see
     /// [`Self::parse_backend`]).  Warm start and persistent per-event memory
     /// are always on.
     pub fn from_env() -> Self {
@@ -242,9 +238,8 @@ mod tests {
     fn explicit_constructors_name_their_backends() {
         assert_eq!(SolverConfig::primal_dual().backend.name(), "primal-dual");
         assert_eq!(SolverConfig::network_simplex().backend.name(), "simplex");
-        assert_eq!(SolverConfig::monge().backend.name(), "monge");
         let all: Vec<_> = SolverConfig::all_backends().collect();
-        assert_eq!(all.len(), 3);
+        assert_eq!(all.len(), 2);
         assert_eq!(all[0], SolverConfig::primal_dual());
         assert!(
             all.iter().all(|c| c.warm_start),
@@ -274,31 +269,37 @@ mod tests {
             SolverConfig::parse_backend("simplex"),
             SolverConfig::network_simplex()
         );
-        assert_eq!(SolverConfig::parse_backend("monge"), SolverConfig::monge());
     }
 
     #[test]
     fn backend_abort_message_lists_every_valid_name() {
-        // PR 3 convention: malformed STRETCH_MINCOST_BACKEND values abort
-        // loudly — and the message must name every parseable backend, so a
-        // typo'd CI matrix cell tells the operator the full menu.  This
-        // regression-proofs the list against future backend additions:
-        // `BackendKind::ALL` drives both the parser and the message.
-        let panic = std::panic::catch_unwind(|| SolverConfig::parse_backend("bogus"))
-            .expect_err("unknown names must abort");
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("panic payload is a string");
-        for kind in BackendKind::ALL {
+        // Strict-parse policy: malformed STRETCH_MINCOST_BACKEND values
+        // abort loudly — and the message must name every parseable
+        // backend, so a typo'd CI matrix cell tells the operator the full
+        // menu.  This regression-proofs the list against future backend
+        // changes: `BackendKind::ALL` drives both the parser and the
+        // message.  The spellings of the deleted `monge` backend must abort
+        // the same way, never fall back to another backend silently.
+        for raw in ["bogus", "monge", "greedy", "product-form", "productform"] {
+            let panic = std::panic::catch_unwind(|| SolverConfig::parse_backend(raw))
+                .expect_err("unknown names must abort");
+            let message = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic payload is a string");
+            for kind in BackendKind::ALL {
+                assert!(
+                    message.contains(kind.name()),
+                    "abort message must list `{}`, got: {message}",
+                    kind.name()
+                );
+            }
             assert!(
-                message.contains(kind.name()),
-                "abort message must list `{}`, got: {message}",
-                kind.name()
+                message.contains(&format!("`{raw}`")),
+                "offending string echoed, got: {message}"
             );
         }
-        assert!(message.contains("`bogus`"), "offending string echoed");
     }
 
     #[test]
@@ -313,9 +314,9 @@ mod tests {
             SolverConfig::all_backends().all(|c| c.incremental),
             "incremental is the default"
         );
-        let cold = SolverConfig::monge().with_incremental(false);
+        let cold = SolverConfig::network_simplex().with_incremental(false);
         assert!(!cold.incremental);
-        assert_eq!(cold.with_incremental(true), SolverConfig::monge());
+        assert_eq!(cold.with_incremental(true), SolverConfig::network_simplex());
     }
 
     #[test]

@@ -61,10 +61,10 @@
 //!
 //! The remaining per-event cost is the System-(2) min-cost solve, which runs
 //! on a pluggable [`stretch_flow::MinCostBackend`] selected by
-//! [`SolverConfig`]: the monge product-form solver (the default), a
-//! warm-startable network simplex, or the primal-dual reference kernel.
-//! The backends are cross-checked on generated workloads by the
-//! differential-oracle suite in `tests/backend_diff.rs`.
+//! [`SolverConfig`]: a warm-startable network simplex (the default) or the
+//! primal-dual reference kernel.  The backends are cross-checked on
+//! generated workloads by the differential-oracle suite in
+//! `tests/backend_diff.rs`.
 //!
 //! Across *events*, the solver keeps its parametric structure and its
 //! System-(2) arena ([`deadline::System2Arena`]) and refills both in place

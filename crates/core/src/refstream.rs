@@ -1,12 +1,12 @@
 //! The 3-cluster reference stream shared by benches, the perf-drift gate
-//! and the detector regression tests.
+//! and the warm-start regression test.
 //!
 //! Three consumers replay the *same* deterministic workload — the
 //! `scheduler_overhead` bench (which records the `engine/*` rows of
 //! `BENCH_baseline.json`), the CI perf-drift gate
 //! (`stretch_experiments::drift`, which re-measures those rows and must
 //! run identical work for the ratios to compare like with like), and the
-//! `monge` detector-verdict regression in
+//! warm-simplex remap regression in
 //! `crates/core/tests/backend_diff.rs`.  Keeping three hand-synced copies
 //! of the generator constants and the event-replay bookkeeping invited
 //! silent drift; this module is the single implementation.

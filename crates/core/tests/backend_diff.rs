@@ -1,9 +1,8 @@
 //! Differential-oracle harness for the min-cost backends.
 //!
 //! A second solver is only trustworthy if it provably agrees with the first,
-//! so this suite cross-checks the alternative backends (network simplex,
-//! Monge/greedy) against the primal-dual reference on proptest-generated
-//! platforms and workloads, at two levels:
+//! so this suite cross-checks the network simplex against the primal-dual
+//! reference on proptest-generated platforms and workloads, at two levels:
 //!
 //! * **transport level** — random bipartite transportation instances: both
 //!   backends must agree on feasibility and on the minimum cost, and every
@@ -631,244 +630,66 @@ fn online_schedulers_complete_identical_workloads_on_both_backends() {
 }
 
 // ---------------------------------------------------------------------------
-// Monge leg: the product-form greedy backend against the canonical simplex
+// Reference stream: warm remap starts against fresh cold solves
 // ---------------------------------------------------------------------------
-//
-// The `monge` backend promises more than cost agreement: on instances its
-// detector certifies (product-form costs, per-job contiguous bin ladders) the
-// greedy-seeded solve must be **bit-identical** to a `simplex` solve of the
-// same instance, and on everything else it must provably route through the
-// simplex fallback (where bit-identity holds trivially — it *is* the
-// simplex).  The proptest below generates instances on both sides of the
-// certification boundary and asserts the verdict *and* the bits; the
-// regression test underneath pins the detector's verdict on a real 3-cluster
-// event stream, so the greedy path can never silently stop firing on the
-// workload it was built for.
 
-#[derive(Clone, Debug)]
-enum MongeShape {
-    /// Product-form costs, contiguous spans: the detector must certify.
-    Certified,
-    /// One route cost perturbed off the product surface: must fall back.
-    PerturbedCost,
-    /// One middle rung removed from a job's ladder: must fall back.
-    LadderHole,
-}
-
-fn monge_case(
-    shape: &MongeShape,
-    num_jobs: usize,
-    num_bins: usize,
-    a_seed: &[f64],
-    v_seed: &[f64],
-    demand_seed: &[f64],
-) -> TransportCase {
-    // Bin values strictly increasing *by construction* whatever v_seed
-    // holds (v_seed ∈ [0.5, 3.0), stride 4 ⇒ each rung clears the previous
-    // by ≥1.5 — far beyond the detector's 1e-9 grouping tolerance).  The
-    // LadderHole expectation depends on this: bin 1 must be a *middle*
-    // rung, else removing it leaves a legitimately contiguous ladder.
-    let values: Vec<f64> = (0..num_bins)
-        .map(|b| 4.0 * b as f64 + v_seed[b % v_seed.len()])
-        .collect();
-    let demands: Vec<f64> = (0..num_jobs)
-        .map(|j| demand_seed[j % demand_seed.len()])
-        .collect();
-    // Ample capacity: the greedy sweep can never strand demand, so a
-    // certified structure is guaranteed to take the greedy path.
-    let total: f64 = demands.iter().sum();
-    let capacities = vec![total + 1.0; num_bins];
-    let mut routes = Vec::new();
-    for j in 0..num_jobs {
-        let a = a_seed[j % a_seed.len()];
-        for (b, &value) in values.iter().enumerate() {
-            if matches!(shape, MongeShape::LadderHole) && num_bins >= 3 && j == 0 && b == 1 {
-                continue; // job 0 skips the middle rung
-            }
-            let mut cost = a * value;
-            if matches!(shape, MongeShape::PerturbedCost) && num_jobs >= 2 && j == 0 && b == 0 {
-                cost *= 1.37; // off the product surface
-            }
-            routes.push((j, b, cost));
-        }
-    }
-    TransportCase {
-        demands,
-        capacities,
-        routes,
-    }
-}
-
-/// Whether this generated shape must certify (the degenerate sizes where a
-/// perturbation or hole cannot be expressed stay certified).
-fn must_certify(shape: &MongeShape, num_jobs: usize, num_bins: usize) -> bool {
-    match shape {
-        MongeShape::Certified => true,
-        // A perturbation only breaks the product form when the route graph
-        // has a cycle through it (two jobs sharing two bins); on a tree any
-        // cost assignment is trivially product-form.
-        MongeShape::PerturbedCost => num_jobs < 2 || num_bins < 2,
-        // A hole is only observable when another job keeps the skipped bin
-        // on the ladder; with one job the bin drops out of the universe and
-        // the remaining rungs are legitimately contiguous.
-        MongeShape::LadderHole => num_jobs < 2 || num_bins < 3,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Instances on both sides of the certification boundary: the detector's
-    /// verdict is as constructed, certified solves match the simplex bit for
-    /// bit, and uncertified ones provably took the fallback (and, being the
-    /// fallback, match trivially — asserted anyway).
-    #[test]
-    fn monge_verdicts_and_bits_match_the_construction(
-        shape_pick in 0usize..3,
-        num_jobs in 1usize..6,
-        num_bins in 1usize..6,
-        a_seed in proptest::collection::vec(0.2f64..4.0, 1..6),
-        v_seed in proptest::collection::vec(0.5f64..3.0, 1..6),
-        demand_seed in proptest::collection::vec(0.25f64..5.0, 1..6),
-    ) {
-        use stretch_flow::MongeBackend;
-
-        let shape = [MongeShape::Certified, MongeShape::PerturbedCost, MongeShape::LadderHole]
-            [shape_pick].clone();
-        let case = monge_case(&shape, num_jobs, num_bins, &a_seed, &v_seed, &demand_seed);
-        let t = case.build();
-        let mut monge = MongeBackend::new();
-        let monge_sol = t
-            .solve_min_cost_with_backend(&mut monge, &mut FlowWorkspace::new())
-            .expect("ample capacity: always feasible");
-        let mut simplex = stretch_core::SolverConfig::network_simplex().instantiate();
-        let simplex_sol = t
-            .solve_min_cost_with_backend(simplex.as_mut(), &mut FlowWorkspace::new())
-            .expect("ample capacity: always feasible");
-        if must_certify(&shape, num_jobs, num_bins) {
-            prop_assert_eq!(monge.certified_count(), 1, "detector must certify {:?}", shape);
-            prop_assert_eq!(monge.uncertified_count(), 0);
-        } else {
-            prop_assert_eq!(
-                monge.certified_count(), 0,
-                "detector must reject {:?} (case: {:?})", shape, case
-            );
-            prop_assert_eq!(monge.uncertified_count(), 1, "fallback must fire for {:?}", shape);
-        }
-        prop_assert_eq!(monge.pivot_fallback_count(), 0);
-        prop_assert_eq!(
-            monge_sol.allocations.len(), simplex_sol.allocations.len(),
-            "allocation support diverged ({:?})", shape
-        );
-        for (m, s) in monge_sol.allocations.iter().zip(&simplex_sol.allocations) {
-            prop_assert_eq!((m.0, m.1), (s.0, s.1), "allocation placement diverged ({:?})", shape);
-            prop_assert_eq!(
-                m.2.to_bits(), s.2.to_bits(),
-                "allocation amount diverged ({:?}): {} vs {}", shape, m.2, s.2
-            );
-        }
-        prop_assert_eq!(monge_sol.cost.to_bits(), simplex_sol.cost.to_bits());
-    }
-}
-
-/// Replays the per-event System-(2) instances of the 3-cluster reference
+/// Feeds the per-event System-(2) instances of the 3-cluster reference
 /// workload (the platform/workload the benches measure:
-/// `bench_instance(3, 3, 20, 3)`) through `monge` and a warm simplex side by
-/// side, asserting bit-identical plans at every event.  Returns the number
-/// of events and the simplex.
-fn replay_reference_stream_against_warm_simplex(
-    monge: &mut stretch_flow::MongeBackend,
-) -> (usize, stretch_flow::NetworkSimplexBackend) {
+/// `bench_instance(3, 3, 20, 3)`) in order to one warm simplex, and each
+/// one to a fresh cold simplex.  The plans must match bit for bit at every
+/// event, and every event after the first must start from the remapped
+/// basis of the event before: if a keying or re-priming change ever makes
+/// the remap decline on this stream, the warm path silently degrades into
+/// cold solves, and this test makes that loud.
+#[test]
+fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
+    use stretch_flow::NetworkSimplexBackend;
 
-    // The replay is driven by an explicit monge configuration so the
-    // captured stream is environment-independent (degenerate optima differ
-    // between backends, and the process default follows the CI matrix
-    // cell).
+    // The stream is captured under an explicit configuration so it is
+    // environment-independent (degenerate optima differ between backends,
+    // and the process default follows the CI matrix cell).
     let instance = reference_instance(3, 3, 20, 3);
-    let captured = capture_system2_events_with(&instance, stretch_core::SolverConfig::monge());
-
-    let mut monge_ws = FlowWorkspace::new();
-    let mut simplex = stretch_flow::NetworkSimplexBackend::new();
-    let mut simplex_ws = FlowWorkspace::new();
-    for (problem, slack) in &captured {
-        let now = problem.now;
-        let monge_plan = problem
-            .system2_allocation_with_backend(*slack, monge, &mut monge_ws)
-            .expect("feasible");
-        let simplex_plan = problem
-            .system2_allocation_with_backend(*slack, &mut simplex, &mut simplex_ws)
-            .expect("feasible");
-        assert_eq!(
-            monge_plan.pieces.len(),
-            simplex_plan.pieces.len(),
-            "piece count diverged at t={now}"
-        );
-        for (m, s) in monge_plan.pieces.iter().zip(&simplex_plan.pieces) {
-            assert_eq!(
-                (m.job_index, m.site, m.interval),
-                (s.job_index, s.site, s.interval),
-                "piece placement diverged at t={now}"
-            );
-            assert_eq!(
-                m.work.to_bits(),
-                s.work.to_bits(),
-                "piece amount diverged at t={now}: {} vs {}",
-                m.work,
-                s.work
-            );
-        }
-    }
+    let captured = capture_system2_events_with(&instance, SolverConfig::network_simplex());
     assert!(
         captured.len() >= 10,
         "the reference stream must exercise a real event sequence, got {}",
         captured.len()
     );
-    (captured.len(), simplex)
-}
 
-/// Pins the detector's verdict on the reference stream: every event's
-/// instance is product-form with contiguous ladders — the structure the
-/// backend was built to exploit — so every solve of a cold `monge` backend
-/// (which certifies every event; a warm one certifies only its first) must
-/// take the greedy path, match the shared-state simplex bitwise, and never
-/// hit the pivot-budget fallback.  If a detector or transport-builder
-/// change ever stops certification on this stream, every cold start of the
-/// `monge` backend silently degrades into a slower `simplex` one; this test
-/// makes that loud.
-#[test]
-fn monge_certifies_the_reference_event_stream() {
-    let mut monge = stretch_flow::MongeBackend::with_warm_start(false);
-    let (solves, _) = replay_reference_stream_against_warm_simplex(&mut monge);
-    // The System-(2) instances of this stream are exactly the structure the
-    // detector certifies: every solve takes the greedy path.
-    assert_eq!(
-        (monge.certified_count(), monge.uncertified_count()),
-        (solves, 0),
-        "detector verdict changed on the reference stream \
-         (greedy declined {} of them)",
-        monge.greedy_declined_count()
-    );
-    assert_eq!(monge.pivot_fallback_count(), 0);
-}
-
-/// The warm start path of the `monge` backend on the same reference stream:
-/// a warm backend seeds only its first event from the greedy and starts
-/// every later one from the remapped basis of the event before, which
-/// makes each warm solve exactly a warm `simplex` solve — so its plans
-/// must match a warm simplex fed the same stream, bit for bit.
-#[test]
-fn warm_monge_starts_every_later_event_from_the_remapped_basis() {
-    let mut monge = stretch_flow::MongeBackend::new();
-    let (events, simplex) = replay_reference_stream_against_warm_simplex(&mut monge);
-    assert_eq!(
-        (monge.certified_count(), monge.uncertified_count()),
-        (1, 0),
-        "only the first event may take the greedy seed"
-    );
-    assert_eq!(monge.remap_count(), events - 1);
-    assert_eq!(monge.remap_count(), simplex.remap_count());
-    assert_eq!(monge.pivot_fallback_count(), 0);
+    let mut warm = NetworkSimplexBackend::new();
+    let mut warm_ws = FlowWorkspace::new();
+    for (problem, slack) in &captured {
+        let now = problem.now;
+        let warm_plan = problem
+            .system2_allocation_with_backend(*slack, &mut warm, &mut warm_ws)
+            .expect("feasible");
+        let mut cold = NetworkSimplexBackend::with_warm_start(false);
+        let cold_plan = problem
+            .system2_allocation_with_backend(*slack, &mut cold, &mut FlowWorkspace::new())
+            .expect("feasible");
+        assert_eq!(
+            warm_plan.pieces.len(),
+            cold_plan.pieces.len(),
+            "piece count diverged at t={now}"
+        );
+        for (w, c) in warm_plan.pieces.iter().zip(&cold_plan.pieces) {
+            assert_eq!(
+                (w.job_index, w.site, w.interval),
+                (c.job_index, c.site, c.interval),
+                "piece placement diverged at t={now}"
+            );
+            assert_eq!(
+                w.work.to_bits(),
+                c.work.to_bits(),
+                "piece amount diverged at t={now}: {} vs {}",
+                w.work,
+                c.work
+            );
+        }
+    }
+    assert_eq!(warm.remap_count(), captured.len() - 1);
+    assert_eq!(warm.fallback_count(), 0);
 }
 
 /// The reference backend must also agree with the `stretch-lp` simplex on
@@ -950,7 +771,7 @@ fn both_backends_match_the_lp_simplex_on_a_fixed_instance() {
 // warm/cold cell — the two axes are independent and must compose.
 
 /// Runs one instance through the on-line loop with the incremental engine on
-/// and off — across all three backends and both warm-start settings — and
+/// and off — across both backends and both warm-start settings — and
 /// reports the first bitwise divergence, if any.
 fn incremental_rebuild_divergence(instance: &stretch_workload::Instance) -> Option<String> {
     use stretch_core::online::run_online_with;
@@ -998,7 +819,7 @@ proptest! {
     /// Randomised event streams interleaving arrivals and completions (every
     /// distinct release date re-runs the solver; completions drop jobs from
     /// the pending set): completions must be bit-identical with the
-    /// incremental engine on and off, across all three backends × warm/cold.
+    /// incremental engine on and off, across both backends × warm/cold.
     #[test]
     fn incremental_and_rebuild_event_streams_are_bit_identical(
         num_jobs in 3usize..14,
@@ -1219,7 +1040,7 @@ fn incremental_capture_of_the_reference_stream_is_bit_identical() {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
 
     let instance = reference_instance(3, 3, 20, 3);
-    let base = stretch_core::SolverConfig::monge();
+    let base = stretch_core::SolverConfig::network_simplex();
     let incremental = capture_system2_events_with(&instance, base.with_incremental(true));
     let rebuild = capture_system2_events_with(&instance, base.with_incremental(false));
     assert_eq!(incremental.len(), rebuild.len(), "event count diverged");

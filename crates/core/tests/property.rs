@@ -220,7 +220,7 @@ proptest! {
 }
 
 /// An on-line problem with 40 to 120 pending jobs, all ready at `now`: an
-/// event of the monge replay of the first overload-shaped instance (3 sites
+/// event of the simplex replay of the first overload-shaped instance (3 sites
 /// × 3 databanks, availability 0.3, 120 jobs expected) at or after `seed`
 /// whose pending set grows that large.  `pick` chooses among its events.
 fn large_online_problem(seed: u64, pick: usize) -> DeadlineProblem {
@@ -228,7 +228,7 @@ fn large_online_problem(seed: u64, pick: usize) -> DeadlineProblem {
         .find_map(|s| {
             let instance = workload_instance(3, 3, 0.3, 120, s);
             let mut large: Vec<DeadlineProblem> =
-                capture_system2_events_with(&instance, SolverConfig::monge())
+                capture_system2_events_with(&instance, SolverConfig::network_simplex())
                     .into_iter()
                     .map(|(problem, _)| problem)
                     .filter(|problem| (40..=120).contains(&problem.jobs.len()))

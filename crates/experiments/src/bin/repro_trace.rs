@@ -5,7 +5,7 @@
 //! like every other `STRETCH_*` knob):
 //!
 //! * unset or `smoke` — record a serve run of the reference stream into a
-//!   temporary trace, then replay it on all 3 backends × warm/cold and
+//!   temporary trace, then replay it on both backends × warm/cold and
 //!   assert every cell lands on the same state digest and bit-identical
 //!   completions, including the sealed digest of the recording run itself.
 //!   This is the CI trace-replay leg.
@@ -52,7 +52,7 @@ fn reference_stream() -> Instance {
 
 /// The stream the smoke mode records: the six-job reference stream of the
 /// journal tests, on the fixture platform.  Its System-(2) optima are
-/// unique at every decision point, so all 3 backends × warm/cold must
+/// unique at every decision point, so both backends × warm/cold must
 /// reproduce the recorded digest **bit for bit** — the strongest form of
 /// the replay contract, pinned in CI.  (Generic streams admit degenerate
 /// optima where the primal-dual backend legitimately picks a different
@@ -225,9 +225,9 @@ fn adversary_mode() {
 }
 
 fn bless_mode() {
-    // The fixture pins the *monge* cell so blessing is independent of the
+    // The fixture pins the *simplex* cell so blessing is independent of the
     // caller's environment matrix.
-    let solver = SolverConfig::monge();
+    let solver = SolverConfig::network_simplex();
     let (result, start) = attack(solver);
     let fixture = trace_fixture_path(0);
     let journal_dir = tmp_dir("bless-journal");

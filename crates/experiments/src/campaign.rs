@@ -115,7 +115,7 @@ impl CampaignSettings {
     ///   and makes `STRETCH_JOBS` irrelevant);
     /// * `STRETCH_SEED` — base random seed (default 42);
     /// * `STRETCH_MINCOST_BACKEND` — min-cost backend of the LP/flow
-    ///   heuristics (`monge`, the default, `simplex` or `primal-dual`).
+    ///   heuristics (`simplex`, the default, or `primal-dual`).
     ///
     /// Malformed values **abort with the offending string** instead of
     /// silently running the defaults (`STRETCH_JOBS=3O` used to run the

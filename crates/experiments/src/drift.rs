@@ -239,7 +239,6 @@ mod tests {
             assert!(keys.contains(&format!("engine/online-loop/{}-warm", kind.name())));
         }
         assert!(keys.contains(&"engine/system2-events/simplex-warm".to_string()));
-        assert!(keys.contains(&"engine/system2-events/monge-warm".to_string()));
         assert!(
             !keys.contains(&"engine/system2-events/primal-dual-warm".to_string()),
             "the stateless kernel has no warm sweep row"

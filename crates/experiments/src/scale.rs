@@ -177,6 +177,7 @@ pub fn write_bench_scale(path: &std::path::Path, points: &[ScalePoint]) -> std::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stretch_core::BackendKind;
 
     #[test]
     fn smoke_study_covers_both_axes_and_backends() {
@@ -192,7 +193,7 @@ mod tests {
                 p.value
             );
         }
-        for backend in ["primal-dual", "simplex", "monge"] {
+        for backend in BackendKind::ALL.map(|kind| kind.name()) {
             assert!(points
                 .iter()
                 .any(|p| p.key == format!("scale/jobs-per-sec/n20/{backend}")));

@@ -7,10 +7,9 @@
 //! databank, as exact f64 bit patterns — and the blessed ratio are frozen
 //! into checked-in fixtures and compared **exactly**.  Each backend owns
 //! its fixture: degenerate System-(2) optima let the primal-dual backend
-//! pick different allocations than the flow backends, which changes the
+//! pick different allocations than the simplex, which changes the
 //! online schedule the adversary is attacking and therefore the search
-//! trajectory itself.  The monge and simplex fixtures must stay
-//! byte-identical (the certified-solve bit-identity contract).
+//! trajectory itself.
 //!
 //! To re-bless after an intentional change to the scheduler, the ratio
 //! oracle or the adversary:
@@ -126,28 +125,6 @@ fn adversary_search_matches_the_golden_fixture_simplex() {
 }
 
 #[test]
-fn adversary_search_matches_the_golden_fixture_monge() {
-    check_backend(SolverConfig::monge());
-}
-
-#[test]
-fn monge_fixture_is_byte_identical_to_the_simplex_fixture() {
-    // Certified monge solves verify through the simplex tail and
-    // uncertified ones *are* simplex solves, so the two backends schedule
-    // identically and the adversary walks the identical trajectory.
-    let read = |name: &str| {
-        std::fs::read_to_string(fixture_path(name))
-            .unwrap_or_else(|e| panic!("missing fixture for `{name}` ({e}); STRETCH_BLESS=1"))
-    };
-    assert_eq!(
-        read("monge"),
-        read("simplex"),
-        "monge and simplex adversary fixtures diverged: the seeded-solve \
-         bit-identity contract is broken"
-    );
-}
-
-#[test]
 fn the_search_budget_is_pinned() {
     // Every field of the shared budget is fixture contract — this pin
     // makes any drive-by change show up as a test diff, not as silently
@@ -164,7 +141,7 @@ fn the_search_budget_is_pinned() {
 fn the_search_is_reproducible_within_a_process() {
     // The precondition of golden testing: identical inputs → identical
     // trajectory, bit for bit.
-    let solver = SolverConfig::monge();
+    let solver = SolverConfig::network_simplex();
     let (start_a, a) = attack(solver);
     let (start_b, b) = attack(solver);
     assert_eq!(canonicalise(start_a, &a), canonicalise(start_b, &b));

@@ -35,8 +35,8 @@ fn overload_entry_588() -> Instance {
 fn newton_search_lands_in_few_probes_without_fallback() {
     let instance = overload_entry_588();
     assert_eq!(instance.num_jobs(), 119);
-    let events = capture_system2_events_with(&instance, SolverConfig::monge());
-    let mut solver = ParametricDeadlineSolver::with_config(SolverConfig::monge());
+    let events = capture_system2_events_with(&instance, SolverConfig::network_simplex());
+    let mut solver = ParametricDeadlineSolver::with_config(SolverConfig::network_simplex());
     for (problem, _) in &events {
         solver.min_feasible_stretch(problem).expect("feasible");
     }

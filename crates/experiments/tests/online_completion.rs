@@ -6,8 +6,7 @@
 //!   `max(1e-6, 1e-9 · demand)` of the whole instance unshipped.  When that
 //!   whole shortfall landed on one job, the job stayed pending with a
 //!   residual of a few 1e-6 that no later solve shipped.  It happened
-//!   under `simplex` and `monge` (which pick the same lexicographic
-//!   optimum) but not under `primal-dual`, on the instances of
+//!   under `simplex` but not under `primal-dual`, on the instances of
 //!   [`STARVING`].  The completion test of `plan::execute_sequences`
 //!   accepts any shortfall System (2) accepts.
 //! * **System (2) rejecting the certified slack.**  The min-stretch probes
@@ -91,11 +90,6 @@ fn no_job_starves_under_primal_dual() {
 #[test]
 fn no_job_starves_under_simplex() {
     assert_every_job_completes(BackendKind::NetworkSimplex, &STARVING);
-}
-
-#[test]
-fn no_job_starves_under_monge() {
-    assert_every_job_completes(BackendKind::Monge, &STARVING);
 }
 
 #[test]

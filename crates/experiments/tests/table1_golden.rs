@@ -2,8 +2,8 @@
 //!
 //! The Table-1 statistics (max-stretch and sum-stretch degradation per
 //! heuristic) on the deterministic smoke campaign are frozen into
-//! checked-in fixtures, one per min-cost backend (`primal-dual`, `simplex`
-//! and `monge` — blessing writes all three), and compared **exactly**:
+//! checked-in fixtures, one per min-cost backend (`primal-dual` and
+//! `simplex` — blessing writes both), and compared **exactly**:
 //! the instance generator is seed-deterministic, the vendored `rayon` pool
 //! collects results at their input index (byte-identical whatever the
 //! thread count), and every scheduler is deterministic, so any diff means a
@@ -97,30 +97,6 @@ fn table1_smoke_aggregates_match_the_golden_fixture_primal_dual() {
 #[test]
 fn table1_smoke_aggregates_match_the_golden_fixture_simplex() {
     check_backend(SolverConfig::network_simplex());
-}
-
-#[test]
-fn table1_smoke_aggregates_match_the_golden_fixture_monge() {
-    check_backend(SolverConfig::monge());
-}
-
-#[test]
-fn monge_fixture_is_byte_identical_to_the_simplex_fixture() {
-    // The monge backend's determinism contract is stronger than "owns its
-    // fixture": certified solves are verified through the simplex's
-    // canonicalising tail and uncertified ones *are* simplex solves, so the
-    // two backends must pick the same optimum everywhere — fixture included.
-    // A divergence means the seeded path stopped being bit-identical.
-    let read = |name: &str| {
-        std::fs::read_to_string(fixture_path(name))
-            .unwrap_or_else(|e| panic!("missing fixture for `{name}` ({e}); STRETCH_BLESS=1"))
-    };
-    assert_eq!(
-        read("monge"),
-        read("simplex"),
-        "monge and simplex fixtures diverged: the seeded-solve bit-identity \
-         contract is broken"
-    );
 }
 
 #[test]

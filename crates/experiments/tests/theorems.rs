@@ -33,7 +33,7 @@ fn attack(solver: SolverConfig) -> adversary::AdversaryResult {
 
 #[test]
 fn the_adversary_beats_the_trivial_bound_by_a_pinned_margin() {
-    let result = attack(SolverConfig::monge());
+    let result = attack(SolverConfig::network_simplex());
     assert!(
         result.best_score > FLOW_MARGIN,
         "adversary only reached ratio {} (pinned margin {FLOW_MARGIN}): \

@@ -13,9 +13,6 @@
 //!   remap and canonicalisation (hooks in `simplex.rs` — tree arc count,
 //!   parent/pred/depth consistency, nonbasic arcs at their bounds, zero
 //!   reduced cost on tree arcs in both lexicographic channels);
-//! * **monge-certification post-conditions** after every greedy seed
-//!   (hooks in `monge.rs` — route flows within capacity, every demand
-//!   shipped exactly);
 //! * **scheduler state-digest consistency** at every serve transition
 //!   (hooks in `stretch-serve` — an export/rebuild round-trip must
 //!   reproduce the digest).

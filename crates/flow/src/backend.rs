@@ -15,13 +15,7 @@
 //!   the previous solve's basis: in place when the arc topology repeats, or
 //!   through a [`crate::remap::BasisRemap`] when the shape changed but the
 //!   caller supplied stable node keys via [`MinCostBackend::warm_hint`].
-//! * [`crate::monge::MongeBackend`] — a structural detector plus greedy
-//!   north-west-corner kernel for product-form (Monge) transportation
-//!   costs, the exact shape of the System-(2) instances: on a cold start,
-//!   certified instances are solved with zero pivoting and verified
-//!   through the simplex's canonicalising tail (bit-identical to a
-//!   `simplex` solve by construction); uncertified ones, and warm solves
-//!   with a remembered basis, run the simplex itself.
+//!   The default.
 //!
 //! # Contract
 //!
@@ -135,37 +129,28 @@ impl MinCostBackend for PrimalDualBackend {
 
 /// Serialisable tag naming a [`MinCostBackend`] implementation.
 ///
-/// The default is [`BackendKind::Monge`], the fastest backend on System-(2)
-/// instances beyond a few jobs; [`BackendKind::PrimalDual`] stays the
-/// reference oracle the others are checked against.
+/// The default is [`BackendKind::NetworkSimplex`], the faster backend on
+/// System-(2) instances beyond a few jobs; [`BackendKind::PrimalDual`]
+/// stays the reference oracle it is checked against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The primal-dual reference kernel ([`PrimalDualBackend`]).
     PrimalDual,
     /// The network simplex ([`crate::simplex::NetworkSimplexBackend`]).
-    NetworkSimplex,
-    /// The Monge/greedy product-form backend
-    /// ([`crate::monge::MongeBackend`]): cold starts of certified
-    /// instances are seeded by a pivot-free greedy sweep, everything else
-    /// runs the simplex.  The default.
+    /// The default.
     #[default]
-    Monge,
+    NetworkSimplex,
 }
 
 impl BackendKind {
     /// Every available backend, reference first.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::PrimalDual,
-        BackendKind::NetworkSimplex,
-        BackendKind::Monge,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::PrimalDual, BackendKind::NetworkSimplex];
 
     /// The stable name used by configuration, CI and bench rows.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::PrimalDual => "primal-dual",
             BackendKind::NetworkSimplex => "simplex",
-            BackendKind::Monge => "monge",
         }
     }
 
@@ -176,7 +161,6 @@ impl BackendKind {
             "simplex" | "network-simplex" | "networksimplex" | "ns" => {
                 Some(BackendKind::NetworkSimplex)
             }
-            "monge" | "greedy" | "product-form" | "productform" => Some(BackendKind::Monge),
             _ => None,
         }
     }
@@ -200,7 +184,6 @@ impl BackendKind {
             BackendKind::NetworkSimplex => Box::new(
                 crate::simplex::NetworkSimplexBackend::with_warm_start(warm_start),
             ),
-            BackendKind::Monge => Box::new(crate::monge::MongeBackend::with_warm_start(warm_start)),
         }
     }
 }
@@ -223,8 +206,8 @@ mod tests {
     }
 
     #[test]
-    fn monge_is_the_default_and_primal_dual_the_reference() {
-        assert_eq!(BackendKind::default(), BackendKind::Monge);
+    fn simplex_is_the_default_and_primal_dual_the_reference() {
+        assert_eq!(BackendKind::default(), BackendKind::NetworkSimplex);
         assert_eq!(BackendKind::ALL[0], BackendKind::PrimalDual);
     }
 

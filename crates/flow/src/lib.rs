@@ -29,12 +29,9 @@
 //!
 //! The minimum-cost solve itself is pluggable: [`backend`] defines the
 //! [`MinCostBackend`] trait, with the primal-dual kernel as the reference
-//! implementation, a warm-startable network simplex ([`simplex`]) as the
-//! alternative engine, and a Monge/greedy product-form backend ([`monge`])
-//! that seeds cold starts of certified System-(2)-shaped instances with a
-//! north-west-corner sweep (running the simplex otherwise); all are
-//! cross-checked by the differential-oracle
-//! tests in `stretch-core`.  The simplex carries its spanning-tree basis
+//! implementation and a warm-startable network simplex ([`simplex`]) as the
+//! default engine, cross-checked by the differential-oracle tests in
+//! `stretch-core`.  The simplex carries its spanning-tree basis
 //! **across events**: [`remap`] maps the previous solve's basis onto a
 //! structurally different network through the stable node keys supplied via
 //! [`MinCostBackend::warm_hint`], and a lexicographic tie-break plus
@@ -50,7 +47,6 @@ pub mod fasthash;
 pub mod graph;
 pub mod maxflow;
 pub mod mincost;
-pub mod monge;
 pub mod parametric;
 pub mod remap;
 pub mod simplex;
@@ -64,7 +60,6 @@ pub use fasthash::FastMap;
 pub use graph::FlowNetwork;
 pub use maxflow::MaxFlowResult;
 pub use mincost::MinCostResult;
-pub use monge::MongeBackend;
 pub use parametric::ParametricNetwork;
 pub use remap::BasisRemap;
 pub use simplex::{NetworkSimplexBackend, STATE_LOWER, STATE_TREE, STATE_UPPER};

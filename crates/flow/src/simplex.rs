@@ -274,9 +274,8 @@ impl NetworkSimplexBackend {
     /// from the remembered cross-event basis: warm start on, a
     /// [`BasisRemap`] remembered, and a [`MinCostBackend::warm_hint`] for
     /// exactly this node count pending.  [`Self::load`] picks
-    /// [`WarmPath::Remap`] by this predicate, and
-    /// [`crate::monge::MongeBackend`] skips its greedy seed by it.
-    pub(crate) fn holds_remap_basis(&self, num_nodes: usize) -> bool {
+    /// [`WarmPath::Remap`] by this predicate.
+    fn holds_remap_basis(&self, num_nodes: usize) -> bool {
         self.warm_start && self.remap.is_valid() && self.hint_valid && self.hint.len() == num_nodes
     }
 
@@ -1119,151 +1118,6 @@ impl NetworkSimplexBackend {
         }
     }
 
-    /// Installs a caller-supplied **start vertex** over the loaded arc
-    /// arrays: `seed[a]` is the flow on real arc `a` of a maximum flow (the
-    /// seed must ship the full source outflow, so the return arc saturates).
-    /// States are re-classified from the seed flows, the free arcs are
-    /// completed into a spanning tree by the canonical union–find repair,
-    /// and flows/potentials are re-derived by the deterministic conservation
-    /// pass.  Returns `false` when the seed does not yield a usable basis
-    /// (caller crashes fresh — correctness never depends on the seed).
-    ///
-    /// This is the entry point of [`crate::monge::MongeBackend`]'s cold
-    /// starts: a greedy kernel hands its allocation here, replacing the
-    /// phase-1 pivot sequence, and the shared [`Self::run_to_optimum`] tail
-    /// guarantees the result is the same canonical optimum any other start
-    /// basis reaches.
-    fn install_seed(&mut self, seed: &[f64], eps_flow: f64) -> bool {
-        let n = self.num_nodes;
-        let num_arcs = self.from.len();
-        let m_real = num_arcs - 1 - 2 * n;
-        if seed.len() != m_real {
-            return false;
-        }
-        self.flow[..m_real].copy_from_slice(seed);
-        // The seed ships the maximum flow, so the return arc is saturated
-        // and every artificial root arc is empty.
-        self.flow[m_real] = self.cap[m_real];
-        self.flow[m_real + 1..].iter_mut().for_each(|f| *f = 0.0);
-        self.state.clear();
-        self.state.resize(num_arcs, STATE_LOWER);
-        for a in 0..num_arcs {
-            let f = self.flow[a];
-            let c = self.cap[a];
-            if f < -eps_flow || (c.is_finite() && f > c + eps_flow) {
-                return false;
-            }
-            self.state[a] = if f <= eps_flow {
-                STATE_LOWER
-            } else if c.is_finite() && f >= c - eps_flow {
-                STATE_UPPER
-            } else {
-                STATE_TREE
-            };
-        }
-        let up_base = num_arcs - 2 * n;
-        repair_spanning_tree(
-            &mut self.uf,
-            &self.from,
-            &self.to,
-            n,
-            up_base,
-            &mut self.state,
-        );
-        self.rebuild_tree_from_states() && self.warm_basis(eps_flow, true)
-    }
-
-    /// The shared tail of every solve: pivot to the unique lexicographic
-    /// optimum, canonicalise, remember the basis for the next event, and
-    /// write the flow back — identical whatever basis the solve started
-    /// from, which is what makes seeded, warm-started and cold solves
-    /// bit-identical.
-    #[allow(clippy::too_many_arguments)] // the three entry points share it
-    fn run_to_optimum(
-        &mut self,
-        network: &mut FlowNetwork,
-        source: usize,
-        sink: usize,
-        target: f64,
-        workspace: &mut FlowWorkspace,
-        warmed: bool,
-        eps_flow: f64,
-        eps_cost: f64,
-    ) -> MinCostResult {
-        self.basis_valid = false; // invalidated until this solve completes
-        self.block_pos = 0; // stateless pricing: per-solve determinism
-        let had_hint = self.hint_valid;
-        self.hint_valid = false;
-        if !self.optimize(eps_cost) {
-            // Pathological numerics: certified fallback to the reference
-            // kernel on a clean network.  The basis memory is dropped — the
-            // reference solution is not a basis this backend could resume.
-            self.fallbacks += 1;
-            self.remap.invalidate();
-            network.reset();
-            return min_cost_flow_up_to(network, source, sink, target, workspace);
-        }
-        self.canonicalize(eps_flow);
-        #[cfg(feature = "invariant-audit")]
-        self.audit_basis("canonicalize");
-        self.basis_valid = true;
-        if had_hint && self.warm_start {
-            self.remap
-                .remember(&self.hint, &self.from, &self.to, &self.state);
-        } else {
-            // Cross-solve memory disabled, or this solve's nodes carry no
-            // stable identity to key a cross-event remap by.
-            self.remap.invalidate();
-        }
-        let (flow, cost) = self.extract(network);
-        MinCostResult {
-            flow,
-            cost,
-            augmentations: 0,
-            phases: if warmed { 0 } else { 1 },
-        }
-    }
-
-    /// [`MinCostBackend::solve_up_to`] from a caller-supplied start vertex:
-    /// `seed[a]` is the flow a maximum-flow solution routes on real arc `a`
-    /// (forward-edge order).  The seed replaces the warm-start tiers as the
-    /// start basis; the solve then runs the exact same verification /
-    /// lexicographic face walk / canonicalisation tail as every other path,
-    /// so the result is **bit-identical** to an unseeded solve of the same
-    /// instance — an invalid seed merely costs a crash-basis restart.
-    pub(crate) fn solve_up_to_seeded(
-        &mut self,
-        network: &mut FlowNetwork,
-        source: usize,
-        sink: usize,
-        target: f64,
-        workspace: &mut FlowWorkspace,
-        seed: &[f64],
-    ) -> MinCostResult {
-        assert!(source < network.num_nodes() && sink < network.num_nodes());
-        assert_ne!(source, sink);
-        if target <= 0.0 {
-            self.hint_valid = false;
-            return MinCostResult {
-                flow: 0.0,
-                cost: 0.0,
-                augmentations: 0,
-                phases: 0,
-            };
-        }
-        let _ = self.load(network, source, sink);
-        let (eps_flow, eps_cost) = self.tolerances();
-        let seeded = self.install_seed(seed, eps_flow);
-        if !seeded {
-            self.crash_basis();
-        }
-        #[cfg(feature = "invariant-audit")]
-        self.audit_basis(if seeded { "monge-seed" } else { "crash-basis" });
-        self.run_to_optimum(
-            network, source, sink, target, workspace, seeded, eps_flow, eps_cost,
-        )
-    }
-
     /// Writes the computed flow back into the residual network and sums the
     /// objective over the real arcs (fixed order: bit-reproducible).
     fn extract(&self, network: &mut FlowNetwork) -> (f64, f64) {
@@ -1338,9 +1192,42 @@ impl MinCostBackend for NetworkSimplexBackend {
         }
         #[cfg(feature = "invariant-audit")]
         self.audit_basis(if warmed { "warm-start" } else { "crash-basis" });
-        self.run_to_optimum(
-            network, source, sink, target, workspace, warmed, eps_flow, eps_cost,
-        )
+
+        // Pivot to the unique lexicographic optimum and canonicalise: the
+        // same tail whatever basis the solve started from, which is what
+        // makes warm-started and cold solves bit-identical.
+        self.basis_valid = false; // invalidated until this solve completes
+        self.block_pos = 0; // stateless pricing: per-solve determinism
+        let had_hint = self.hint_valid;
+        self.hint_valid = false;
+        if !self.optimize(eps_cost) {
+            // Pathological numerics: certified fallback to the reference
+            // kernel on a clean network.  The basis memory is dropped — the
+            // reference solution is not a basis this backend could resume.
+            self.fallbacks += 1;
+            self.remap.invalidate();
+            network.reset();
+            return min_cost_flow_up_to(network, source, sink, target, workspace);
+        }
+        self.canonicalize(eps_flow);
+        #[cfg(feature = "invariant-audit")]
+        self.audit_basis("canonicalize");
+        self.basis_valid = true;
+        if had_hint && self.warm_start {
+            self.remap
+                .remember(&self.hint, &self.from, &self.to, &self.state);
+        } else {
+            // Cross-solve memory disabled, or this solve's nodes carry no
+            // stable identity to key a cross-event remap by.
+            self.remap.invalidate();
+        }
+        let (flow, cost) = self.extract(network);
+        MinCostResult {
+            flow,
+            cost,
+            augmentations: 0,
+            phases: if warmed { 0 } else { 1 },
+        }
     }
 }
 

@@ -125,9 +125,12 @@ pub fn validate_submission(s: &Submission, platform: &Platform) -> Result<(), Re
 /// recovery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SolveTier {
-    /// Monge/greedy product-form min-cost backend (fastest).
+    /// Legacy tier code 0: decisions recorded by the deleted `monge`
+    /// backend, whose warm solves ran the warm simplex's own code.  It
+    /// still decodes from journals, snapshots and trace headers, and
+    /// replays on the network simplex; the live ladder never picks it.
     Monge,
-    /// Network simplex backend.
+    /// Network simplex backend (the default).
     Simplex,
     /// Primal-dual reference backend (slowest, most robust).
     PrimalDual,
@@ -138,7 +141,8 @@ pub enum SolveTier {
 }
 
 impl SolveTier {
-    /// Every tier, in ladder order (fast → robust → shed).
+    /// Every tier, by code: the legacy tier, then the live ladder
+    /// (fast → robust → shed).
     pub const ALL: [SolveTier; 4] = [
         SolveTier::Monge,
         SolveTier::Simplex,
@@ -175,8 +179,7 @@ impl SolveTier {
     /// tier, which uses no flow solver at all).
     pub fn backend(&self) -> Option<BackendKind> {
         match self {
-            SolveTier::Monge => Some(BackendKind::Monge),
-            SolveTier::Simplex => Some(BackendKind::NetworkSimplex),
+            SolveTier::Monge | SolveTier::Simplex => Some(BackendKind::NetworkSimplex),
             SolveTier::PrimalDual => Some(BackendKind::PrimalDual),
             SolveTier::Edf => None,
         }
@@ -185,7 +188,6 @@ impl SolveTier {
     /// The tier that solves with `backend`.
     pub fn of_backend(backend: BackendKind) -> SolveTier {
         match backend {
-            BackendKind::Monge => SolveTier::Monge,
             BackendKind::NetworkSimplex => SolveTier::Simplex,
             BackendKind::PrimalDual => SolveTier::PrimalDual,
         }
@@ -403,10 +405,16 @@ mod tests {
     fn tier_codes_round_trip_and_map_to_backends() {
         for tier in SolveTier::ALL {
             assert_eq!(SolveTier::from_code(tier.code()), Some(tier));
-            if let Some(backend) = tier.backend() {
-                assert_eq!(SolveTier::of_backend(backend), tier);
-            }
         }
+        for backend in BackendKind::ALL {
+            assert_eq!(SolveTier::of_backend(backend).backend(), Some(backend));
+        }
+        // Legacy code 0 replays on the simplex backend.
+        assert_eq!(SolveTier::from_code(0), Some(SolveTier::Monge));
+        assert_eq!(
+            SolveTier::Monge.backend(),
+            Some(BackendKind::NetworkSimplex)
+        );
         assert_eq!(SolveTier::from_code(200), None);
     }
 

@@ -26,7 +26,7 @@
 //!   submissions (NaN work, unknown databank, out-of-order release) are
 //!   parked with a typed [`RejectReason`], never panicking;
 //! * **degradation ladder** ([`service`]) — each decision tries
-//!   monge → simplex → primal-dual with escalating time budgets, falls back
+//!   simplex → primal-dual with escalating time budgets, falls back
 //!   on failure or timeout, and a circuit breaker sheds to the EDF heuristic
 //!   after consecutive budget busts; the chosen tier is journaled so replay
 //!   reproduces the degradation exactly;

@@ -132,12 +132,12 @@ mod tests {
             let tier = if i % 10 == 0 {
                 SolveTier::Edf
             } else {
-                SolveTier::Monge
+                SolveTier::Simplex
             };
             m.observe_decision(tier, f64::from(i) * 1e-3);
         }
         assert_eq!(m.decisions, 100);
-        assert_eq!(m.decisions_by_tier[SolveTier::Monge.code() as usize], 90);
+        assert_eq!(m.decisions_by_tier[SolveTier::Simplex.code() as usize], 90);
         assert_eq!(m.decisions_by_tier[SolveTier::Edf.code() as usize], 10);
         let p50 = m.solve_p50().unwrap();
         let p99 = m.solve_p99().unwrap();

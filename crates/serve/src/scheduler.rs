@@ -122,8 +122,9 @@ pub struct ServeScheduler {
     /// deadlines of the EDF shed tier.  Part of the replayed state.
     last_stretch: f64,
     decisions: u64,
-    /// One lazily-created parametric engine per solver tier, so warm-start
-    /// bases never leak across backends.
+    /// One lazily-created parametric engine per solver tier (indexed by tier
+    /// code; the legacy tier replays on a simplex engine of its own), so
+    /// warm-start bases never leak across tiers.
     solvers: [Option<ParametricDeadlineSolver>; 3],
 }
 
@@ -625,7 +626,7 @@ mod tests {
         let mut s = scheduler();
         s.stage(0.0, 120.0, 0);
         let before = s.state_digest();
-        let _ = s.try_solve(SolveTier::Monge).unwrap();
+        let _ = s.try_solve(SolveTier::Simplex).unwrap();
         let _ = s.try_solve(SolveTier::Edf).unwrap();
         assert_eq!(s.state_digest(), before);
         assert_eq!(s.decisions(), 0);
@@ -654,11 +655,11 @@ mod tests {
         // restored point must produce bit-identical completions.
         let mut live = scheduler();
         live.stage(0.0, 300.0, 0);
-        let d = live.try_solve(SolveTier::Monge).unwrap();
+        let d = live.try_solve(SolveTier::Simplex).unwrap();
         live.install(d);
         live.advance(1.0);
         live.stage(1.0, 60.0, 1);
-        let d = live.try_solve(SolveTier::Monge).unwrap();
+        let d = live.try_solve(SolveTier::Simplex).unwrap();
         live.install(d);
 
         let state = live.export_state();
@@ -689,11 +690,11 @@ mod tests {
         let run = || {
             let mut s = scheduler();
             s.stage(0.0, 300.0, 0);
-            let d = s.try_solve(SolveTier::Monge).unwrap();
+            let d = s.try_solve(SolveTier::Simplex).unwrap();
             s.install(d);
             s.advance(1.0);
             s.stage(1.0, 60.0, 1);
-            let d = s.try_solve(SolveTier::Monge).unwrap();
+            let d = s.try_solve(SolveTier::Simplex).unwrap();
             s.install(d);
             s.advance(f64::INFINITY);
             (s.state_digest(), s.completions().to_vec())

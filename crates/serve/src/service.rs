@@ -23,7 +23,7 @@
 //! ## The degradation ladder
 //!
 //! A decision tries the solver tiers from the configured backend's rung
-//! downwards (monge → simplex → primal-dual), each rung with an escalating
+//! downwards (simplex → primal-dual), each rung with an escalating
 //! (`retry_backoff`×) time budget.  A rung that fails (infeasible /
 //! certification failure / injected chaos) or overruns its budget falls
 //! through to the next; the last rung keeps its result even when late
@@ -182,10 +182,10 @@ impl ServeConfig {
     }
 
     /// The solver rungs of the degradation ladder: the suffix of
-    /// monge → simplex → primal-dual starting at the configured backend.
+    /// simplex → primal-dual starting at the configured backend.
     /// (The EDF shed tier sits below and is handled separately.)
     pub fn solve_ladder(&self) -> Vec<SolveTier> {
-        const RUNGS: [SolveTier; 3] = [SolveTier::Monge, SolveTier::Simplex, SolveTier::PrimalDual];
+        const RUNGS: [SolveTier; 2] = [SolveTier::Simplex, SolveTier::PrimalDual];
         let top = SolveTier::of_backend(self.solver.backend);
         let start = RUNGS.iter().position(|&t| t == top).unwrap_or(0);
         RUNGS[start..].to_vec()

@@ -8,6 +8,8 @@
 //! * **Degradation**: chaos-injected fallbacks and circuit-breaker shedding
 //!   are journaled as tiers, so a recovered process reproduces the degraded
 //!   schedule bit for bit.
+//! * **Legacy tier code**: decision records of the deleted `monge` tier
+//!   still recover, replayed on the simplex backend.
 //! * **Recorded traces**: a `.strt` recording of a live run replays through
 //!   the full pipeline deterministically — bit-identical warm vs. cold on
 //!   every backend, and bit-identical to the sealed recording under the
@@ -22,7 +24,8 @@ use stretch_core::{BackendKind, OnlineVariant, SolverConfig};
 use stretch_platform::fixtures::small_platform;
 use stretch_serve::trace::TraceTail;
 use stretch_serve::{
-    journal, trace, RejectReason, ServeConfig, SolveTier, StretchServe, Submission, SubmitOutcome,
+    journal, trace, JournalEvent, JournalRecord, JournalWriter, RejectReason, ServeConfig,
+    SolveTier, StretchServe, Submission, SubmitOutcome, TailStatus,
 };
 use stretch_workload::Instance;
 
@@ -121,19 +124,89 @@ fn zeroed_timestamps_replay_to_identical_state() {
 }
 
 #[test]
+fn legacy_tier_code_zero_journals_recover_on_the_simplex_backend() {
+    // Journals written while the deleted `monge` backend was the default
+    // carry tier code 0 on their decision records.  Nothing writes that
+    // code any more, so this pins the codec promise: such a journal still
+    // recovers, replays code 0 on the simplex backend, and lands on the
+    // uninterrupted run bit for bit.
+    let instance = reference_instance(3, 3, 20, 3);
+    let config = lenient(SolverConfig::network_simplex());
+    let full_path = tmp("legacy-full");
+    let full = serve_instance(&full_path, &instance, config.clone());
+
+    let live_path = tmp("legacy-live");
+    {
+        let mut live =
+            StretchServe::create(&live_path, instance.platform.clone(), config.clone()).unwrap();
+        for job in &instance.jobs {
+            live.submit(Submission::new(job.release, job.work, job.databank))
+                .unwrap();
+        }
+        let m = live.metrics();
+        assert_eq!(
+            m.decisions_by_tier[SolveTier::Simplex.code() as usize],
+            m.decisions
+        );
+        // Dropped without finish(): the "crash".
+    }
+
+    // Rewrite every decision record to the legacy tier.
+    let legacy_path = tmp("legacy-rewritten");
+    let scan = journal::scan_dir(&live_path).unwrap();
+    assert!(
+        scan.snapshots.is_empty(),
+        "recovery must replay every record"
+    );
+    std::fs::create_dir_all(&legacy_path).unwrap();
+    for index in scan.chain() {
+        let sealed = scan.sealed.contains(&index);
+        let (records, tail) =
+            journal::load(&journal::segment_path(&live_path, index, sealed)).unwrap();
+        assert_eq!(tail, TailStatus::Clean);
+        let mut writer =
+            JournalWriter::create(&journal::segment_path(&legacy_path, index, sealed)).unwrap();
+        for record in records {
+            let event = match record.event {
+                JournalEvent::Decision { .. } => JournalEvent::Decision {
+                    tier: SolveTier::Monge,
+                },
+                submitted => submitted,
+            };
+            writer.append(&JournalRecord { event, ..record }).unwrap();
+        }
+    }
+
+    let (mut recovered, report) =
+        StretchServe::recover(&legacy_path, instance.platform.clone(), config).unwrap();
+    assert_eq!(report.snapshot, None);
+    assert!(report.decisions > 0, "the stream replayed no decision");
+    assert_eq!(
+        recovered.metrics().decisions_by_tier[SolveTier::Monge.code() as usize],
+        report.decisions
+    );
+    recovered.finish().unwrap();
+    assert_eq!(recovered.state_digest(), full.state_digest());
+    assert_eq!(bits(recovered.completions()), bits(full.completions()));
+    for path in [&full_path, &live_path, &legacy_path] {
+        std::fs::remove_dir_all(path).unwrap();
+    }
+}
+
+#[test]
 fn chaos_fallbacks_are_journaled_and_replayed() {
     let instance = reference_instance(3, 3, 20, 3);
-    // Decision 0: monge fails -> simplex.  Decision 1: monge and simplex
-    // fail -> primal-dual.  Everything else on the primary rung.
+    // Decision 0: simplex fails -> primal-dual.  Decision 1: simplex and
+    // primal-dual fail -> EDF.  Everything else on the primary rung.
     let mut config = lenient(SolverConfig {
-        backend: BackendKind::Monge,
+        backend: BackendKind::NetworkSimplex,
         warm_start: true,
         incremental: true,
     });
     config.chaos_tier_failures = vec![
-        (0, SolveTier::Monge),
-        (1, SolveTier::Monge),
+        (0, SolveTier::Simplex),
         (1, SolveTier::Simplex),
+        (1, SolveTier::PrimalDual),
     ];
     let path = tmp("chaos");
     let mut live = serve_instance(&path, &instance, config.clone());
@@ -143,13 +216,13 @@ fn chaos_fallbacks_are_journaled_and_replayed() {
         "stream too short: {} decisions",
         m.decisions
     );
-    assert_eq!(m.decisions_by_tier[SolveTier::Simplex.code() as usize], 1);
     assert_eq!(
         m.decisions_by_tier[SolveTier::PrimalDual.code() as usize],
         1
     );
+    assert_eq!(m.decisions_by_tier[SolveTier::Edf.code() as usize], 1);
     assert_eq!(
-        m.decisions_by_tier[SolveTier::Monge.code() as usize],
+        m.decisions_by_tier[SolveTier::Simplex.code() as usize],
         m.decisions - 2
     );
     assert_eq!(m.fallbacks, 3);
@@ -290,13 +363,12 @@ fn record_trace(name: &str, instance: &Instance, solver: SolverConfig) -> (trace
 fn recorded_traces_replay_deterministically_across_the_backend_matrix() {
     // A generic stream admits degenerate System-(2) optima where the
     // primal-dual backend legitimately picks a different allocation than
-    // the flow backends, so the cross-backend contract is per backend:
-    // warm and cold replays are bit-identical, the two flow backends
-    // (simplex, monge) agree bit for bit, and the recording backend's
-    // cells reproduce the sealed digest and completions exactly.
+    // the simplex, so the cross-backend contract is per backend: warm and
+    // cold replays are bit-identical, and the recording backend's cells
+    // reproduce the sealed digest and completions exactly.
     let instance = reference_instance(3, 3, 20, 3);
     let recording = SolverConfig {
-        backend: BackendKind::Monge,
+        backend: BackendKind::NetworkSimplex,
         warm_start: true,
         incremental: true,
     };
@@ -322,13 +394,6 @@ fn recorded_traces_replay_deterministically_across_the_backend_matrix() {
         );
         assert_eq!(bits(&warm.completions), bits(&cold.completions));
     }
-    let simplex = cell(BackendKind::NetworkSimplex, true);
-    let monge = cell(BackendKind::Monge, true);
-    assert_eq!(
-        simplex.digest, monge.digest,
-        "the two flow backends replayed to different digests"
-    );
-    assert_eq!(bits(&simplex.completions), bits(&monge.completions));
     for warm_start in [true, false] {
         let outcome = cell(recording.backend, warm_start);
         assert_eq!(outcome.digest, sealed_digest);
@@ -343,7 +408,7 @@ fn recorded_traces_replay_deterministically_across_the_backend_matrix() {
 fn unique_optima_streams_replay_identically_in_every_matrix_cell() {
     // The six-job reference stream of the journal tests has a unique
     // System-(2) optimum at every decision point, so the strongest form
-    // of the contract holds: all 3 backends × warm/cold land on the
+    // of the contract holds: both backends × warm/cold land on the
     // recorded digest and completions bit for bit.
     let stream = [
         (0.0, 300.0, 0),
