@@ -150,8 +150,8 @@ fn max_stretch_of_completions(instance: &Instance, completions: &[f64]) -> f64 {
 /// theorems guarantee streams exist that push it strictly above.
 ///
 /// Determinism contract: the solver cell comes **only** from the passed
-/// [`SolverConfig`] (no fresh environment reads — callers that want the
-/// process-wide default pass `SolverConfig::default()` explicitly), the
+/// [`SolverConfig`] (callers that want the default pass
+/// `SolverConfig::default()` explicitly), the
 /// offline bound uses the deterministic flow backend, and all ratio
 /// comparisons downstream are safe under `total_cmp` (this function never
 /// returns NaN for a feasible instance: the offline optimum of a

@@ -445,6 +445,9 @@ impl DeadlineProblem {
     /// Delegates to the parametric engine
     /// ([`crate::parametric::ParametricDeadlineSolver`]): a Newton search on
     /// minimum-cut capacities with frozen-topology, warm-started probes.
+    /// It answers the question of the paper's milestone search (§4.3.1),
+    /// but one Newton step certifies a whole run of milestones infeasible
+    /// with a single minimum cut instead of testing them one by one.
     /// Callers solving many problems (the on-line schedulers) should hold
     /// one solver and feed it every problem instead, so scratch memory is
     /// reused.
@@ -490,18 +493,6 @@ impl DeadlineProblem {
             }
         }
         Some(hi)
-    }
-
-    /// The paper's milestone-based search (§4.3.1).
-    ///
-    /// The parametric engine answers the same question as the milestone
-    /// search, but one of its Newton steps certifies a whole run of
-    /// milestones infeasible with a single minimum cut instead of testing
-    /// them one by one, so this now shares the implementation of
-    /// [`Self::min_feasible_stretch`]; the name is kept to mirror the
-    /// paper's presentation and for the LP cross-validation tests.
-    pub fn min_feasible_stretch_milestones(&self) -> Option<f64> {
-        ParametricDeadlineSolver::new().min_feasible_stretch(self)
     }
 
     /// Solves System (2) at objective `F`: ship every remaining unit of work,
@@ -708,8 +699,8 @@ mod tests {
             two_sites(),
             0.0,
         );
-        let a = p.min_feasible_stretch().unwrap();
-        let b = p.min_feasible_stretch_milestones().unwrap();
+        let a = p.min_feasible_stretch_reference().unwrap();
+        let b = p.min_feasible_stretch().unwrap();
         assert!((a - b).abs() < 1e-4, "bisection {a} vs milestones {b}");
     }
 

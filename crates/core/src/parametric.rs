@@ -484,7 +484,7 @@ impl JobCut {
 
 impl ParametricDeadlineSolver {
     /// Creates a solver with empty scratch (grows on first use) and the
-    /// default [`SolverConfig`] (`STRETCH_MINCOST_BACKEND`, read once).
+    /// default [`SolverConfig`] (the warm, incremental simplex).
     pub fn new() -> Self {
         Self::default()
     }

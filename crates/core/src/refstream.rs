@@ -58,8 +58,8 @@ pub fn reference_instance(
 /// decide how remaining work evolves between events).  Degenerate optima
 /// are backend-dependent, so different configurations may legitimately
 /// capture different streams; the bench and the drift gate use the
-/// process default ([`capture_system2_events`]), while tests wanting an
-/// environment-independent stream pass an explicit configuration.
+/// default configuration ([`capture_system2_events`]), while tests that
+/// pin a backend pass an explicit configuration.
 pub fn capture_system2_events_with(
     instance: &Instance,
     config: SolverConfig,
@@ -109,7 +109,7 @@ pub fn capture_system2_events_with(
     captured
 }
 
-/// [`capture_system2_events_with`] under the process-default
+/// [`capture_system2_events_with`] under the default
 /// [`SolverConfig`] — what the bench and the drift gate run.
 pub fn capture_system2_events(instance: &Instance) -> Vec<(DeadlineProblem, f64)> {
     capture_system2_events_with(instance, SolverConfig::default())

@@ -646,9 +646,9 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
     use stretch_flow::NetworkSimplexBackend;
 
-    // The stream is captured under an explicit configuration so it is
-    // environment-independent (degenerate optima differ between backends,
-    // and the process default follows the CI matrix cell).
+    // The stream is captured under an explicit configuration so it stays
+    // the simplex's stream whatever the default (degenerate optima differ
+    // between backends).
     let instance = reference_instance(3, 3, 20, 3);
     let captured = capture_system2_events_with(&instance, SolverConfig::network_simplex());
     assert!(

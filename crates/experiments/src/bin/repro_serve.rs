@@ -28,11 +28,10 @@
 //!   snapshot is garbage-collected, and the compacted directory still
 //!   recovers to the drained state.
 //!
-//! The solver backend comes from the usual `STRETCH_MINCOST_BACKEND`
-//! variable (warm start is always on); the segment
-//! and snapshot knobs (`STRETCH_SERVE_SEGMENT_RECORDS`,
+//! Every mode runs the default solver configuration (the warm simplex); the
+//! segment and snapshot knobs (`STRETCH_SERVE_SEGMENT_RECORDS`,
 //! `STRETCH_SERVE_SEGMENT_BYTES`, `STRETCH_SERVE_SNAPSHOT_EVERY`,
-//! `STRETCH_SERVE_SNAPSHOT_RETAIN`) via [`ServeConfig::from_env`].  In
+//! `STRETCH_SERVE_SNAPSHOT_RETAIN`) come via [`ServeConfig::from_env`].  In
 //! crash mode, `STRETCH_SERVE_CRASH_POINT=<seal-index>:<point>` (point one
 //! of `after-seal`, `after-snapshot-temp`, `after-snapshot-rename`) aborts
 //! the process at that window of the given rotation — the deterministic
@@ -128,7 +127,7 @@ fn run_uninterrupted(instance: &Instance, config: ServeConfig) -> StretchServe {
 
 fn verify_mode() {
     let instance = reference_stream();
-    let solver = SolverConfig::from_env();
+    let solver = SolverConfig::default();
     let expected = run_online_with(&instance, OnlineVariant::Online, solver)
         .expect("run_online on the reference instance");
 

@@ -11,8 +11,8 @@
 //!   This is the CI trace-replay leg.
 //! * `adversary` — run the seeded hill-climb adversary over the reference
 //!   stream, scoring candidates by the achieved-online vs.
-//!   offline-clairvoyant max-stretch ratio under the configured solver
-//!   cell; prints the score trajectory and, when `STRETCH_TRACE_OUT` is
+//!   offline-clairvoyant max-stretch ratio under the default solver
+//!   configuration; prints the score trajectory and, when `STRETCH_TRACE_OUT` is
 //!   set, records the worst stream found as a sealed trace there.
 //! * `bless` — re-record the checked-in trace fixture
 //!   (`tests/fixtures/trace_0.strt`): the adversary's worst stream under
@@ -20,10 +20,9 @@
 //!   any change to the scheduler pipeline, trace codec or adversary, then
 //!   commit the fixture together with the change.
 //!
-//! The solver backend comes from the usual `STRETCH_MINCOST_BACKEND`
-//! variable.  The adversary budget is pinned (seed
-//! and rounds are part of the fixture contract), so every mode is
-//! reproducible bit for bit.
+//! Every mode runs the default solver configuration (the warm simplex).
+//! The adversary budget is pinned (seed and rounds are part of the fixture
+//! contract), so every mode is reproducible bit for bit.
 
 use std::path::{Path, PathBuf};
 
@@ -170,7 +169,7 @@ fn smoke_mode() {
         "repro_trace smoke: OK ({} submissions, digest {:016x}, backend {})",
         run.accepted,
         run.digest,
-        SolverConfig::from_env().backend.name()
+        SolverConfig::default().backend.name()
     );
 }
 
@@ -188,7 +187,7 @@ fn attack(solver: SolverConfig) -> (adversary::AdversaryResult, f64) {
 }
 
 fn adversary_mode() {
-    let solver = SolverConfig::from_env();
+    let solver = SolverConfig::default();
     let (result, start) = attack(solver);
     println!(
         "repro_trace adversary: base ratio {start:.6} -> worst {:.6} \
@@ -225,8 +224,8 @@ fn adversary_mode() {
 }
 
 fn bless_mode() {
-    // The fixture pins the *simplex* cell so blessing is independent of the
-    // caller's environment matrix.
+    // The fixture pins the *simplex* cell explicitly, so a later change of
+    // the default configuration cannot re-bless it on another backend.
     let solver = SolverConfig::network_simplex();
     let (result, start) = attack(solver);
     let fixture = trace_fixture_path(0);

@@ -113,9 +113,10 @@ impl CampaignSettings {
     /// * `STRETCH_WINDOW` — fixed arrival window in seconds (unset by
     ///   default; setting it switches to the paper's fixed-window semantics
     ///   and makes `STRETCH_JOBS` irrelevant);
-    /// * `STRETCH_SEED` — base random seed (default 42);
-    /// * `STRETCH_MINCOST_BACKEND` — min-cost backend of the LP/flow
-    ///   heuristics (`simplex`, the default, or `primal-dual`).
+    /// * `STRETCH_SEED` — base random seed (default 42).
+    ///
+    /// The solver is always [`SolverConfig::default`]; pick another one in
+    /// code with [`Self::with_solver`].
     ///
     /// Malformed values **abort with the offending string** instead of
     /// silently running the defaults (`STRETCH_JOBS=3O` used to run the
@@ -128,7 +129,7 @@ impl CampaignSettings {
                 Some(parse_positive_seconds(name, raw))
             }),
             base_seed: read_env("STRETCH_SEED", 42, parse_seed),
-            solver: SolverConfig::from_env(),
+            solver: SolverConfig::default(),
         }
     }
 
@@ -165,7 +166,7 @@ impl CampaignSettings {
                 Some(parse_positive_seconds(name, raw))
             }),
             base_seed: read_env("STRETCH_SEED", paper.base_seed, parse_seed),
-            solver: SolverConfig::from_env(),
+            solver: SolverConfig::default(),
         }
     }
 }

@@ -20,19 +20,23 @@
 //! recording machine reads as drift (loud, actionable), while a faster one
 //! merely widens the effective bound.
 //!
-//! The measured rows mirror `crates/bench/benches/scheduler_overhead.rs`
-//! exactly — same reference workload and captured per-event System-(2)
-//! instances (both come from `stretch_core::refstream`, the single
-//! implementation), same cold/warm tiers — so the ratios compare like with
-//! like.  [`engine_row_keys`] is the single source of truth for which rows
-//! exist; the `ci_matrix` test cross-checks it against the CI
-//! baseline-completeness list so the two can never drift apart.
+//! [`ENGINE_ROWS`] is the one table of engine rows: each row's key, the
+//! solver configuration it runs and the body it times.  The gate and the
+//! `engine` group of `crates/bench/benches/scheduler_overhead.rs` both
+//! iterate it over the same [`EngineWorkload`] (the reference instance and
+//! its captured per-event System-(2) problems, both from
+//! `stretch_core::refstream`), so the ratios compare like with like and a
+//! row is written once.
 
+use std::hint::black_box;
 use std::time::Instant;
+use stretch_core::deadline::DeadlineProblem;
 use stretch_core::online::run_online_with;
 use stretch_core::refstream::{capture_system2_events, reference_instance};
-use stretch_core::{OnlineVariant, SolverConfig};
-use stretch_flow::{BackendKind, FlowWorkspace};
+use stretch_core::{OnlineVariant, ParametricDeadlineSolver, SolverConfig};
+use stretch_flow::FlowWorkspace;
+use stretch_workload::Instance;
+use EngineBody::{OnlineLoop, System2Incremental, System2Sweep};
 
 /// Failure threshold: a row this many times slower than its baseline fails
 /// the gate.
@@ -67,7 +71,7 @@ impl DriftRow {
 /// Result of one drift check.
 #[derive(Clone, Debug)]
 pub struct DriftReport {
-    /// One row per engine key, in [`engine_row_keys`] order.
+    /// One row per engine row, in [`ENGINE_ROWS`] order.
     pub rows: Vec<DriftRow>,
     /// The threshold the check ran with.
     pub factor: f64,
@@ -99,25 +103,133 @@ impl DriftReport {
     }
 }
 
-/// The engine rows the gate re-measures — the exact key set the
-/// `scheduler_overhead` bench records and the CI baseline-completeness step
-/// requires: per backend a cold System-(2) sweep, an incremental System-(2)
-/// sweep (one solver refilling its System-(2) arena in place) and a
-/// cold + warm on-line loop, plus warm System-(2) sweeps for the
-/// basis-carrying backends (the primal-dual kernel is stateless, so its
-/// warm sweep would re-measure the cold one).
-pub fn engine_row_keys() -> Vec<String> {
-    let mut keys = Vec::new();
-    for kind in BackendKind::ALL {
-        keys.push(format!("engine/system2-events/{}", kind.name()));
-        if kind != BackendKind::PrimalDual {
-            keys.push(format!("engine/system2-events/{}-warm", kind.name()));
-        }
-        keys.push(format!("engine/system2-events/{}-incremental", kind.name()));
-        keys.push(format!("engine/online-loop/{}", kind.name()));
-        keys.push(format!("engine/online-loop/{}-warm", kind.name()));
+/// The Criterion group every engine row is recorded under.
+pub const ENGINE_GROUP: &str = "engine";
+
+/// What one engine row times per iteration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EngineBody {
+    /// Every captured System-(2) event, solved in order on one backend
+    /// instance that lives across iterations.
+    System2Sweep,
+    /// Every captured System-(2) event, solved in order through one
+    /// persistent [`ParametricDeadlineSolver`], which refills its
+    /// System-(2) arena in place.
+    System2Incremental,
+    /// The full on-line loop over the reference instance.
+    OnlineLoop,
+}
+
+/// One engine row: where it is recorded, what it runs and what it times.
+#[derive(Clone, Copy, Debug)]
+pub struct EngineRow {
+    /// Benchmark id within [`ENGINE_GROUP`].
+    pub id: &'static str,
+    /// The solver configuration the row runs.
+    config: SolverConfig,
+    /// What the row times.
+    body: EngineBody,
+}
+
+const fn row(id: &'static str, config: SolverConfig, body: EngineBody) -> EngineRow {
+    EngineRow { id, config, body }
+}
+
+const PRIMAL_DUAL: SolverConfig = SolverConfig::primal_dual();
+const COLD_PRIMAL_DUAL: SolverConfig = PRIMAL_DUAL.with_warm_start(false);
+const SIMPLEX: SolverConfig = SolverConfig::network_simplex();
+const COLD_SIMPLEX: SolverConfig = SIMPLEX.with_warm_start(false);
+
+/// The engine rows the `scheduler_overhead` bench records and the gate
+/// re-measures: per backend a cold System-(2) sweep, an incremental sweep
+/// (warm start and persistent memory on) and a cold and a warm on-line
+/// loop, plus a warm System-(2) sweep for the simplex (the primal-dual
+/// kernel is stateless, so its warm sweep would re-measure the cold one).
+#[rustfmt::skip]
+pub const ENGINE_ROWS: [EngineRow; 9] = [
+    row("system2-events/primal-dual",             COLD_PRIMAL_DUAL, System2Sweep),
+    row("system2-events/primal-dual-incremental", PRIMAL_DUAL,      System2Incremental),
+    row("online-loop/primal-dual",                COLD_PRIMAL_DUAL, OnlineLoop),
+    row("online-loop/primal-dual-warm",           PRIMAL_DUAL,      OnlineLoop),
+    row("system2-events/simplex",                 COLD_SIMPLEX,     System2Sweep),
+    row("system2-events/simplex-warm",            SIMPLEX,          System2Sweep),
+    row("system2-events/simplex-incremental",     SIMPLEX,          System2Incremental),
+    row("online-loop/simplex",                    COLD_SIMPLEX,     OnlineLoop),
+    row("online-loop/simplex-warm",               SIMPLEX,          OnlineLoop),
+];
+
+/// The reference workload every engine row runs on.
+pub struct EngineWorkload {
+    /// The 3-cluster reference instance the on-line loop schedules.
+    instance: Instance,
+    /// Its captured per-event System-(2) problems with their slackened
+    /// objectives, the work the System-(2) sweeps solve.
+    events: Vec<(DeadlineProblem, f64)>,
+}
+
+impl EngineWorkload {
+    /// The reference instance (`reference_instance(3, 3, 20, 3)`) and its
+    /// captured event stream.
+    pub fn reference() -> Self {
+        let instance = reference_instance(3, 3, 20, 3);
+        let events = capture_system2_events(&instance);
+        assert!(!events.is_empty());
+        EngineWorkload { instance, events }
     }
-    keys
+}
+
+impl EngineRow {
+    /// The `BENCH_baseline.json` key: `engine/<id>`.
+    pub fn key(&self) -> String {
+        format!("{ENGINE_GROUP}/{}", self.id)
+    }
+
+    /// The row's timed body on `workload`: each call runs the row's work
+    /// once and returns the number of allocation pieces or completions it
+    /// produced.  State a row keeps across iterations (the sweep's backend,
+    /// the incremental solver) is created here, once.
+    pub fn timed_body<'a>(&self, workload: &'a EngineWorkload) -> Box<dyn FnMut() -> usize + 'a> {
+        let config = self.config;
+        let events = &workload.events;
+        match self.body {
+            System2Sweep => {
+                let mut backend = config.instantiate();
+                let mut ws = FlowWorkspace::new();
+                Box::new(move || {
+                    events
+                        .iter()
+                        .map(|(problem, slack)| {
+                            problem
+                                .system2_allocation_with_backend(*slack, backend.as_mut(), &mut ws)
+                                .expect("feasible at the captured objective")
+                                .pieces
+                                .len()
+                        })
+                        .sum()
+                })
+            }
+            System2Incremental => {
+                let mut solver = ParametricDeadlineSolver::with_config(config);
+                Box::new(move || {
+                    events
+                        .iter()
+                        .map(|(problem, slack)| {
+                            solver
+                                .system2_allocation(problem, *slack)
+                                .expect("feasible at the captured objective")
+                                .pieces
+                                .len()
+                        })
+                        .sum()
+                })
+            }
+            OnlineLoop => Box::new(move || {
+                run_online_with(&workload.instance, OnlineVariant::Online, config)
+                    .expect("schedulable")
+                    .len()
+            }),
+        }
+    }
 }
 
 /// Minimum wall-clock over `samples` runs of `f`, after one warm-up run.
@@ -134,8 +246,7 @@ fn min_time(samples: usize, mut f: impl FnMut()) -> f64 {
 
 /// Runs the gate: re-measures every engine row and compares against the
 /// baseline file.  `Err` means the gate could not run at all (missing file
-/// or missing baseline entry — the CI baseline-completeness step should
-/// have caught the latter first); a successful run may still report
+/// or missing baseline entry); a successful run may still report
 /// violations ([`DriftReport::violations`]).
 pub fn run_drift_check(
     baseline_path: &std::path::Path,
@@ -144,78 +255,34 @@ pub fn run_drift_check(
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?;
     let baseline = crate::baseline::parse(&text);
-    let baseline_of = |key: &str| {
-        baseline
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("{} has no entry for `{key}`", baseline_path.display()))
-    };
+    let recorded = ENGINE_ROWS
+        .iter()
+        .map(|row| {
+            let key = row.key();
+            baseline
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|&(_, v)| (key.clone(), v))
+                .ok_or_else(|| format!("{} has no entry for `{key}`", baseline_path.display()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let instance = reference_instance(3, 3, 20, 3);
-    let events = capture_system2_events(&instance);
-    assert!(!events.is_empty());
-
-    let sweep = |config: SolverConfig| {
-        let mut backend = config.instantiate();
-        let mut ws = FlowWorkspace::new();
-        min_time(samples, || {
-            for (problem, slack) in &events {
-                problem
-                    .system2_allocation_with_backend(*slack, backend.as_mut(), &mut ws)
-                    .expect("feasible at the captured objective");
+    let workload = EngineWorkload::reference();
+    let rows = ENGINE_ROWS
+        .iter()
+        .zip(recorded)
+        .map(|(row, (key, baseline))| {
+            let mut body = row.timed_body(&workload);
+            let measured = min_time(samples, || {
+                black_box(body());
+            });
+            DriftRow {
+                key,
+                baseline,
+                measured,
             }
         })
-    };
-    // The incremental sweep routes through one persistent solver so the
-    // System-(2) arena (instance, intervals, keys, flow network) is reused
-    // across events — mirroring the bench's `-incremental` rows exactly,
-    // which run with warm start on (the `all_backends` default).
-    let incremental_sweep = |config: SolverConfig| {
-        let mut solver = stretch_core::ParametricDeadlineSolver::with_config(
-            config.with_warm_start(true).with_incremental(true),
-        );
-        min_time(samples, || {
-            for (problem, slack) in &events {
-                solver
-                    .system2_allocation(problem, *slack)
-                    .expect("feasible at the captured objective");
-            }
-        })
-    };
-    let online = |config: SolverConfig| {
-        min_time(samples, || {
-            run_online_with(&instance, OnlineVariant::Online, config).expect("schedulable");
-        })
-    };
-
-    let mut rows = Vec::new();
-    for key in engine_row_keys() {
-        let tail = key
-            .strip_prefix("engine/")
-            .expect("engine_row_keys emits engine rows");
-        let (group, mut backend_name) = tail.split_once('/').expect("group/backend keys");
-        let warm = backend_name.ends_with("-warm");
-        if warm {
-            backend_name = &backend_name[..backend_name.len() - "-warm".len()];
-        }
-        let incremental = backend_name.ends_with("-incremental");
-        if incremental {
-            backend_name = &backend_name[..backend_name.len() - "-incremental".len()];
-        }
-        let config = SolverConfig::parse_backend(backend_name).with_warm_start(warm);
-        let measured = match (group, incremental) {
-            ("system2-events", false) => sweep(config),
-            ("system2-events", true) => incremental_sweep(config),
-            ("online-loop", false) => online(config),
-            (other, inc) => unreachable!("unknown engine group `{other}` (incremental={inc})"),
-        };
-        rows.push(DriftRow {
-            key: key.clone(),
-            baseline: baseline_of(&key)?,
-            measured,
-        });
-    }
+        .collect();
     Ok(DriftReport {
         rows,
         factor: DRIFT_FACTOR,
@@ -226,23 +293,57 @@ pub fn run_drift_check(
 mod tests {
     use super::*;
 
+    /// A fresh scratch directory named per process, so concurrent test
+    /// runs (say, with and without `invariant-audit`) never share a
+    /// baseline file.
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn engine_row_keys_cover_every_backend_and_warm_tier() {
-        let keys = engine_row_keys();
-        for kind in BackendKind::ALL {
-            assert!(keys.contains(&format!("engine/system2-events/{}", kind.name())));
-            assert!(keys.contains(&format!(
-                "engine/system2-events/{}-incremental",
-                kind.name()
-            )));
-            assert!(keys.contains(&format!("engine/online-loop/{}", kind.name())));
-            assert!(keys.contains(&format!("engine/online-loop/{}-warm", kind.name())));
+        let keys: Vec<String> = ENGINE_ROWS.iter().map(EngineRow::key).collect();
+        let unique: std::collections::BTreeSet<&String> = keys.iter().collect();
+        assert_eq!(
+            unique.len(),
+            keys.len(),
+            "duplicate engine-row keys: {keys:?}"
+        );
+        let has = |body, config| {
+            ENGINE_ROWS
+                .iter()
+                .any(|r| r.body == body && r.config == config)
+        };
+        for warm in SolverConfig::all_backends() {
+            let cold = warm.with_warm_start(false);
+            assert!(has(System2Sweep, cold), "{warm:?}: cold sweep");
+            assert!(has(System2Incremental, warm), "{warm:?}: incremental sweep");
+            assert!(has(OnlineLoop, cold), "{warm:?}: cold on-line loop");
+            assert!(has(OnlineLoop, warm), "{warm:?}: warm on-line loop");
         }
-        assert!(keys.contains(&"engine/system2-events/simplex-warm".to_string()));
         assert!(
-            !keys.contains(&"engine/system2-events/primal-dual-warm".to_string()),
+            has(System2Sweep, SIMPLEX),
+            "the simplex has a warm sweep row"
+        );
+        assert!(
+            !has(System2Sweep, PRIMAL_DUAL),
             "the stateless kernel has no warm sweep row"
         );
+        // Each key spells its row: the backend's name, `-incremental` on
+        // the incremental sweeps, `-warm` on every other warm row.
+        for row in &ENGINE_ROWS {
+            let incremental = row.body == System2Incremental;
+            assert!(row.id.contains(row.config.backend.name()), "{row:?}");
+            assert_eq!(row.id.ends_with("-incremental"), incremental, "{row:?}");
+            assert_eq!(
+                row.id.ends_with("-warm"),
+                row.config.warm_start && !incremental,
+                "{row:?}"
+            );
+            assert!(row.config.incremental, "{row:?}");
+        }
     }
 
     #[test]
@@ -273,31 +374,30 @@ mod tests {
         // same measurements against a 1 ns baseline must all violate.  This
         // exercises the full measurement path (capture, sweeps, loops)
         // without depending on the absolute speed of the test machine.
-        let dir = std::env::temp_dir().join("stretch_drift_check_test");
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = tmp("stretch_drift_check_test");
         let path = dir.join("BENCH_baseline.json");
-        let generous: Vec<(String, f64)> =
-            engine_row_keys().into_iter().map(|k| (k, 1e3)).collect();
-        std::fs::write(&path, crate::baseline::render(&generous)).unwrap();
+        let baseline = |seconds: f64| {
+            let rows: Vec<(String, f64)> = ENGINE_ROWS.iter().map(|r| (r.key(), seconds)).collect();
+            crate::baseline::render(&rows)
+        };
+        std::fs::write(&path, baseline(1e3)).unwrap();
         let report = run_drift_check(&path, 1).expect("baseline is complete");
-        assert_eq!(report.rows.len(), engine_row_keys().len());
+        assert_eq!(report.rows.len(), ENGINE_ROWS.len());
         assert!(report.violations().is_empty(), "{}", report.render());
 
-        let stingy: Vec<(String, f64)> = engine_row_keys().into_iter().map(|k| (k, 1e-9)).collect();
-        std::fs::write(&path, crate::baseline::render(&stingy)).unwrap();
+        std::fs::write(&path, baseline(1e-9)).unwrap();
         let report = run_drift_check(&path, 1).expect("baseline is complete");
         assert_eq!(report.violations().len(), report.rows.len());
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn missing_baseline_entries_error_out() {
-        let dir = std::env::temp_dir().join("stretch_drift_missing_test");
-        let _ = std::fs::create_dir_all(&dir);
+        let dir = tmp("stretch_drift_missing_test");
         let path = dir.join("BENCH_baseline.json");
         std::fs::write(&path, "{\n}\n").unwrap();
         let err = run_drift_check(&path, 1).expect_err("empty baseline must fail");
         assert!(err.contains("engine/system2-events/"), "{err}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

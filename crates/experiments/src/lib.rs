@@ -31,7 +31,10 @@ pub use campaign::{
 pub use config::{
     adversary_budget, full_grid, reduced_grid, scenario_families, scenario_grid, ExperimentConfig,
 };
-pub use drift::{engine_row_keys, run_drift_check, DriftReport, DRIFT_FACTOR, DRIFT_SAMPLES};
+pub use drift::{
+    run_drift_check, DriftReport, EngineRow, EngineWorkload, DRIFT_FACTOR, DRIFT_SAMPLES,
+    ENGINE_GROUP, ENGINE_ROWS,
+};
 pub use figure3::{run_figure3, Figure3Point, Figure3Settings};
 pub use heuristics::{heuristic_battery, HeuristicKind, TABLE1_ORDER};
 pub use overhead::{run_overhead_study, OverheadReport};

@@ -1,18 +1,13 @@
-//! CI-coverage completeness: a min-cost backend can never again land
-//! without CI coverage.
+//! CI-coverage pins: the legs of `.github/workflows/ci.yml` that guard a
+//! contract cannot be dropped silently.
 //!
-//! The CI workflow runs the whole suite once per backend
-//! (`STRETCH_MINCOST_BACKEND` matrix) and requires one recorded bench row
-//! per backend (baseline-completeness key list).  Both lists live in YAML,
-//! which nothing type-checks — so these tests parse `.github/workflows/
-//! ci.yml` and cross-check it against the single source of truth in code:
-//! `BackendKind::ALL` (which also drives `SolverConfig`'s parser and the
-//! abort message) and `stretch_experiments::engine_row_keys()` (which also
-//! drives the perf-drift gate).  Adding a backend without touching CI now
-//! fails here, in every cell of the existing matrix.
+//! The workflow is YAML, which nothing type-checks, so these tests read it
+//! and require each guarded job and the commands of its steps.  The last
+//! test checks the recorded perf trajectory itself: `BENCH_baseline.json`
+//! must carry every row of `stretch_experiments::ENGINE_ROWS`, the table
+//! the bench records and the perf-drift gate re-measures.
 
-use stretch_experiments::engine_row_keys;
-use stretch_flow::BackendKind;
+use stretch_experiments::ENGINE_ROWS;
 
 fn ci_yml() -> String {
     let path =
@@ -20,59 +15,10 @@ fn ci_yml() -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
-/// The `backend: [...]` matrix line, parsed into its cell names.
-fn matrix_backends(yml: &str) -> Vec<String> {
-    let line = yml
-        .lines()
-        .map(str::trim)
-        .find(|l| l.starts_with("backend:"))
-        .expect("ci.yml has a `backend:` matrix line");
-    let inner = line
-        .split_once('[')
-        .and_then(|(_, rest)| rest.split_once(']'))
-        .map(|(inner, _)| inner)
-        .expect("`backend:` line is a flow list");
-    inner
-        .split(',')
-        .map(|cell| {
-            cell.trim()
-                .trim_matches(|c| c == '"' || c == '\'')
-                .to_string()
-        })
-        .filter(|cell| !cell.is_empty())
-        .collect()
-}
-
-#[test]
-fn every_backend_has_a_ci_matrix_cell() {
-    let yml = ci_yml();
-    let cells = matrix_backends(&yml);
-    for kind in BackendKind::ALL {
-        assert!(
-            cells.iter().any(|c| c == kind.name()),
-            "backend `{}` is parseable (STRETCH_MINCOST_BACKEND accepts it) but \
-             .github/workflows/ci.yml has no matrix cell for it; cells: {cells:?}",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn every_ci_matrix_cell_names_a_parseable_backend() {
-    // The reverse direction: a stale cell (renamed or removed backend)
-    // would make that whole CI column run under an aborting configuration.
-    for cell in matrix_backends(&ci_yml()) {
-        assert!(
-            BackendKind::parse(&cell).is_some(),
-            "ci.yml matrix cell `{cell}` is not a recognised STRETCH_MINCOST_BACKEND value"
-        );
-    }
-}
-
 #[test]
 fn test_step_runs_every_target() {
     // `cargo test` stops at the first failing test target, so one failure
-    // would hide the verdict of every target after it in the matrix cell.
+    // would hide the verdict of every target after it.
     let yml = ci_yml();
     assert!(
         yml.contains("run: cargo test -q --no-fail-fast\n"),
@@ -134,8 +80,9 @@ fn analyze_leg_is_pinned() {
 #[test]
 fn invariant_audit_leg_is_pinned() {
     // The runtime-audit leg: tier-1 suite plus the kill-and-recover smoke
-    // with the `invariant-audit` feature armed.  Without this job the
-    // audit layer would compile (cfg'd out) but never actually run in CI.
+    // with the `invariant-audit` feature armed, and clippy over the same
+    // build.  Without this job the audit layer would compile (cfg'd out)
+    // but never actually run, nor be linted, in CI.
     let yml = ci_yml();
     assert!(
         yml.contains("\n  invariant-audit:"),
@@ -144,6 +91,7 @@ fn invariant_audit_leg_is_pinned() {
     for needle in [
         "cargo test -q --features invariant-audit",
         "--features invariant-audit --test serve_recover",
+        "cargo clippy --all-targets --features invariant-audit -- -D warnings",
     ] {
         assert!(
             yml.contains(needle),
@@ -217,31 +165,15 @@ fn benchmark_self_test_is_pinned() {
 }
 
 #[test]
-fn baseline_completeness_list_covers_every_engine_row() {
-    // The bench-smoke job greps one key per engine row; that list must stay
-    // in lockstep with the rows the bench records and the drift gate
-    // re-measures (`engine_row_keys` — itself derived from
-    // `BackendKind::ALL`).
-    let yml = ci_yml();
-    for key in engine_row_keys() {
-        assert!(
-            yml.contains(&format!("\"{key}\"")),
-            "ci.yml baseline-completeness step is missing \"{key}\""
-        );
-    }
-}
-
-#[test]
 fn recorded_baseline_carries_every_engine_row() {
-    // And the checked-in trajectory itself must already have the rows —
-    // the in-repo version of the CI grep, so a missing re-record fails
-    // locally too.
+    // The checked-in trajectory must already have every engine row, so a
+    // missing re-record fails here, before the drift gate runs.
     let path =
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let entries = stretch_experiments::baseline::parse(&text);
-    for key in engine_row_keys() {
+    for key in ENGINE_ROWS.iter().map(|row| row.key()) {
         assert!(
             entries.iter().any(|(k, _)| *k == key),
             "BENCH_baseline.json is missing \"{key}\"; re-record with \

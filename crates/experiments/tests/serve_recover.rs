@@ -1,10 +1,12 @@
 //! The kill-and-recover harness: SIGKILL `repro_serve` at an arbitrary
 //! instant mid-stream (possibly mid-journal-write), recover by replaying the
 //! journal, continue the stream, and require the final scheduler state to be
-//! bit-identical to an uninterrupted run — on every backend, warm and cold.
-//! The child always runs warm; the cell's warm/cold setting applies to the
-//! recovery and to the uninterrupted reference, so a cold recovery of a
-//! warm journal is checked too.
+//! bit-identical to an uninterrupted run, recovered warm and cold.  The
+//! child always runs the default configuration (the warm simplex); the
+//! cell's warm/cold setting applies to the recovery and to the
+//! uninterrupted reference, so a cold recovery of a warm journal is checked
+//! too.  Primal-dual recovery is covered in process, by the serve crate's
+//! `rotation.rs` and `serve_replay.rs`.
 //!
 //! The child process is the `crash` mode of `repro_serve`: it touches a
 //! marker file and then submits the reference stream with a small delay per
@@ -26,7 +28,7 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use stretch_core::refstream::reference_instance;
-use stretch_core::{BackendKind, SolverConfig};
+use stretch_core::SolverConfig;
 use stretch_serve::journal::RotationPolicy;
 use stretch_serve::{ServeConfig, StretchServe, Submission};
 use stretch_workload::Instance;
@@ -86,81 +88,74 @@ fn rotated(solver: SolverConfig) -> ServeConfig {
 }
 
 #[test]
-fn sigkill_mid_stream_recovers_bit_identically_on_every_backend() {
+fn sigkill_mid_stream_recovers_bit_identically_warm_and_cold() {
     let instance = reference_instance(3, 3, 20, 3);
-    for backend in BackendKind::ALL {
-        for warm_start in [true, false] {
-            let solver = SolverConfig {
-                backend,
-                warm_start,
-                incremental: true,
-            };
-            let cell = format!("{}-{warm_start}", backend.name());
-            let journal = tmp(&format!("journal-{cell}"));
-            let marker = tmp(&format!("marker-{cell}"));
-            let _ = std::fs::remove_file(&journal);
-            let _ = std::fs::remove_file(&marker);
+    for warm_start in [true, false] {
+        let solver = SolverConfig::default().with_warm_start(warm_start);
+        let cell = format!("warm-{warm_start}");
+        let journal = tmp(&format!("journal-{cell}"));
+        let marker = tmp(&format!("marker-{cell}"));
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&marker);
 
-            let child = Command::new(env!("CARGO_BIN_EXE_repro_serve"))
-                .env("STRETCH_SERVE_MODE", "crash")
-                .env("STRETCH_SERVE_JOURNAL", &journal)
-                .env("STRETCH_SERVE_MARKER", &marker)
-                .env("STRETCH_SERVE_SUBMIT_DELAY_US", "2000")
-                .env("STRETCH_MINCOST_BACKEND", backend.name())
-                .spawn()
-                .expect("spawn repro_serve crash mode");
-            let mut child = ChildGuard(child);
+        let child = Command::new(env!("CARGO_BIN_EXE_repro_serve"))
+            .env("STRETCH_SERVE_MODE", "crash")
+            .env("STRETCH_SERVE_JOURNAL", &journal)
+            .env("STRETCH_SERVE_MARKER", &marker)
+            .env("STRETCH_SERVE_SUBMIT_DELAY_US", "2000")
+            .spawn()
+            .expect("spawn repro_serve crash mode");
+        let mut child = ChildGuard(child);
 
-            // Wait for the service to come up, then kill it mid-stream.
-            let deadline = Instant::now() + Duration::from_secs(120);
-            while !marker.exists() {
-                assert!(
-                    Instant::now() < deadline,
-                    "{cell}: repro_serve never touched its marker"
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            std::thread::sleep(Duration::from_millis(23));
-            child.0.kill().expect("SIGKILL repro_serve");
-            child.0.wait().expect("reap repro_serve");
-
-            // Recover in-process, continue the stream, drain.
-            let (mut recovered, report) = StretchServe::recover(
-                &journal,
-                instance.platform.clone(),
-                ServeConfig::with_solver(solver),
-            )
-            .unwrap_or_else(|e| panic!("{cell}: recovery failed: {e}"));
-            let done = report.submissions as usize;
+        // Wait for the service to come up, then kill it mid-stream.
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while !marker.exists() {
             assert!(
-                done <= instance.jobs.len(),
-                "{cell}: journal holds {done} submissions"
+                Instant::now() < deadline,
+                "{cell}: repro_serve never touched its marker"
             );
-            for job in &instance.jobs[done..] {
-                let outcome = recovered
-                    .submit(Submission::new(job.release, job.work, job.databank))
-                    .unwrap();
-                assert!(outcome.is_accepted(), "{cell}: {outcome:?}");
-            }
-            recovered.finish().unwrap();
-
-            let reference = run_uninterrupted(&instance, solver, &format!("full-{cell}"));
-            assert_eq!(
-                recovered.state_digest(),
-                reference.state_digest(),
-                "{cell}: killed at submission {done} (torn tail: {:?}), recovered state \
-                 diverged from the uninterrupted run",
-                report.torn
-            );
-            assert_eq!(
-                bits(recovered.completions()),
-                bits(reference.completions()),
-                "{cell}: recovered completions diverged"
-            );
-
-            std::fs::remove_dir_all(&journal).unwrap();
-            std::fs::remove_file(&marker).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
         }
+        std::thread::sleep(Duration::from_millis(23));
+        child.0.kill().expect("SIGKILL repro_serve");
+        child.0.wait().expect("reap repro_serve");
+
+        // Recover in-process, continue the stream, drain.
+        let (mut recovered, report) = StretchServe::recover(
+            &journal,
+            instance.platform.clone(),
+            ServeConfig::with_solver(solver),
+        )
+        .unwrap_or_else(|e| panic!("{cell}: recovery failed: {e}"));
+        let done = report.submissions as usize;
+        assert!(
+            done <= instance.jobs.len(),
+            "{cell}: journal holds {done} submissions"
+        );
+        for job in &instance.jobs[done..] {
+            let outcome = recovered
+                .submit(Submission::new(job.release, job.work, job.databank))
+                .unwrap();
+            assert!(outcome.is_accepted(), "{cell}: {outcome:?}");
+        }
+        recovered.finish().unwrap();
+
+        let reference = run_uninterrupted(&instance, solver, &format!("full-{cell}"));
+        assert_eq!(
+            recovered.state_digest(),
+            reference.state_digest(),
+            "{cell}: killed at submission {done} (torn tail: {:?}), recovered state \
+                 diverged from the uninterrupted run",
+            report.torn
+        );
+        assert_eq!(
+            bits(recovered.completions()),
+            bits(reference.completions()),
+            "{cell}: recovered completions diverged"
+        );
+
+        std::fs::remove_dir_all(&journal).unwrap();
+        std::fs::remove_file(&marker).unwrap();
     }
 }
 

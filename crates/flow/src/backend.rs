@@ -32,8 +32,8 @@
 //!
 //! Backend selection is threaded through the scheduling layer by
 //! `stretch_core::SolverConfig`; [`BackendKind`] is the serialisable tag the
-//! configuration, the CI test matrix (`STRETCH_MINCOST_BACKEND`) and the
-//! bench rows use to name a backend.
+//! configuration, the serve ladder and the bench rows use to name a
+//! backend.
 
 use crate::graph::FlowNetwork;
 use crate::mincost::{min_cost_flow_up_to, MinCostResult};
@@ -146,22 +146,11 @@ impl BackendKind {
     /// Every available backend, reference first.
     pub const ALL: [BackendKind; 2] = [BackendKind::PrimalDual, BackendKind::NetworkSimplex];
 
-    /// The stable name used by configuration, CI and bench rows.
+    /// The stable name used by diagnostics and bench rows.
     pub fn name(&self) -> &'static str {
         match self {
             BackendKind::PrimalDual => "primal-dual",
             BackendKind::NetworkSimplex => "simplex",
-        }
-    }
-
-    /// Parses the spellings accepted by `STRETCH_MINCOST_BACKEND`.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "primal-dual" | "primaldual" | "reference" | "pd" => Some(BackendKind::PrimalDual),
-            "simplex" | "network-simplex" | "networksimplex" | "ns" => {
-                Some(BackendKind::NetworkSimplex)
-            }
-            _ => None,
         }
     }
 
@@ -195,14 +184,8 @@ mod tests {
     #[test]
     fn kinds_round_trip_through_their_names() {
         for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
             assert_eq!(kind.instantiate().name(), kind.name());
         }
-        assert_eq!(
-            BackendKind::parse("network-simplex"),
-            Some(BackendKind::NetworkSimplex)
-        );
-        assert_eq!(BackendKind::parse("no-such-backend"), None);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl FlowNetwork {
         self.edges[edge].cap
     }
 
-    /// Cost of an edge.
-    pub fn cost_of(&self, edge: usize) -> f64 {
-        self.edges[edge].cost
-    }
-
     /// Iterates over the edge indices leaving `node`.
     pub fn edges_from(&self, node: usize) -> &[usize] {
         &self.adj[node]
@@ -197,19 +192,6 @@ impl FlowNetwork {
         } else {
             false
         }
-    }
-
-    /// Rebinds the cost of a forward edge (and of its reverse, negated) **in
-    /// place**.
-    ///
-    /// Together with [`FlowNetwork::try_set_capacity`] this lets a parametric
-    /// caller re-price a frozen topology between solves — the System-(2)
-    /// route costs move with the objective `F` while the adjacency does not.
-    pub fn set_cost(&mut self, edge: usize, cost: f64) {
-        assert!(edge.is_multiple_of(2), "costs are set on forward edges");
-        assert!(cost.is_finite(), "cost must be finite");
-        self.edges[edge].cost = cost;
-        self.edges[edge ^ 1].cost = -cost;
     }
 
     /// Total flow leaving `source` (sum of flow on its forward edges).

@@ -18,6 +18,11 @@
 //! removes every per-probe allocation and most of the repeated augmentation
 //! work, which is where the off-line and on-line schedulers of the paper
 //! spend almost all of their time.
+//!
+//! The network answers feasibility only.  The System-(2) min-cost solves
+//! build a [`crate::TransportInstance`] into a reused
+//! [`crate::TransportArena`] instead
+//! ([`crate::TransportInstance::solve_min_cost_in`]).
 
 use crate::graph::FlowNetwork;
 use crate::maxflow::max_flow_with;
@@ -238,60 +243,6 @@ impl ParametricNetwork {
         self.network.residual(self.route_edges[idx]) + self.flow_on_route(idx)
     }
 
-    /// Rebinds every route cost in place (one cost per route, construction
-    /// order).
-    ///
-    /// Like the capacities, the System-(2) costs are functions of the
-    /// objective `F` (interval midpoints move linearly), so re-pricing the
-    /// frozen topology *can* replace the per-solve network rebuild.  The
-    /// scheduler hot path still rebuilds a [`crate::TransportInstance`] per
-    /// System-(2) solve — its cross-event reuse happens one level down, in
-    /// the backend's basis memory ([`crate::remap::BasisRemap`]) — so this
-    /// API is exercised and guarded by the workspace-reuse invariant tests.
-    pub fn set_route_costs(&mut self, costs: &[f64]) {
-        assert_eq!(costs.len(), self.route_edges.len(), "one cost per route");
-        for (&edge, &cost) in self.route_edges.iter().zip(costs) {
-            self.network.set_cost(edge, cost);
-        }
-    }
-
-    /// Ships every demand at minimum total cost under the current bin/route
-    /// capacities and route costs, using `backend`.
-    ///
-    /// Returns `None` when the instance is infeasible (some demand cannot be
-    /// routed within `tol`, same rule as [`ParametricNetwork::probe_feasible`]).
-    /// Unlike the feasibility probes, a min-cost solve always **restarts from
-    /// zero flow**: the residual flow left by warm-started probes is maximal
-    /// but not cost-optimal, and no min-cost backend can resume from it
-    /// without violating the min-cost-per-value invariant.  The per-edge
-    /// flows are readable through [`ParametricNetwork::flow_on_route`]
-    /// afterwards, and subsequent probes warm-start from the solution.
-    pub fn solve_min_cost_with(
-        &mut self,
-        tol: f64,
-        backend: &mut dyn crate::backend::MinCostBackend,
-        workspace: &mut FlowWorkspace,
-    ) -> Option<crate::mincost::MinCostResult> {
-        self.network.reset();
-        self.shipped = 0.0;
-        if self.total_demand <= FLOW_EPS {
-            return Some(crate::mincost::MinCostResult {
-                flow: 0.0,
-                cost: 0.0,
-                augmentations: 0,
-                phases: 0,
-            });
-        }
-        let slack = tol.max(self.total_demand * tol);
-        let target = self.total_demand - slack.min(self.total_demand * 1e-9 + FLOW_EPS);
-        let r = backend.solve_up_to(&mut self.network, self.source, self.sink, target, workspace);
-        self.shipped = r.flow;
-        if r.flow < self.total_demand - slack {
-            return None;
-        }
-        Some(r)
-    }
-
     /// `true` when every source can ship its entire demand under the current
     /// bin capacities, within the same tolerance rule as
     /// [`crate::TransportInstance::is_feasible_with_tolerance`].
@@ -471,70 +422,6 @@ mod tests {
         // And an infeasible shrink is detected.
         p.set_bin_capacities(&[1.0, 1.0]);
         assert!(!p.probe_feasible(1e-6, &mut ws));
-    }
-
-    #[test]
-    fn parametric_min_cost_matches_transport_solve() {
-        use crate::backend::{MinCostBackend, PrimalDualBackend};
-        use crate::simplex::NetworkSimplexBackend;
-        let demands = [2.0, 3.0];
-        let routes = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
-        let costs = [1.0, 3.0, 2.0, 1.0];
-        let caps = [4.0, 4.0];
-
-        let mut t = TransportInstance::new(2, 2);
-        for (j, &d) in demands.iter().enumerate() {
-            t.set_demand(j, d);
-        }
-        for (b, &c) in caps.iter().enumerate() {
-            t.set_capacity(b, c);
-        }
-        for (&(j, b), &c) in routes.iter().zip(&costs) {
-            t.add_route(j, b, c);
-        }
-        let reference = t.solve_min_cost().expect("feasible");
-
-        for backend in [
-            &mut PrimalDualBackend as &mut dyn MinCostBackend,
-            &mut NetworkSimplexBackend::new(),
-        ] {
-            let mut p = ParametricNetwork::new(&demands, 2, routes.clone());
-            p.set_bin_capacities(&caps);
-            p.set_route_costs(&costs);
-            let mut ws = FlowWorkspace::new();
-            let r = p
-                .solve_min_cost_with(1e-6, backend, &mut ws)
-                .expect("feasible");
-            assert!(
-                (r.cost - reference.cost).abs() < 1e-6,
-                "{}: cost {} vs {}",
-                backend.name(),
-                r.cost,
-                reference.cost
-            );
-            // Per-route flows conserve each demand.
-            for (j, &d) in demands.iter().enumerate() {
-                let shipped: f64 = routes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &(src, _))| src == j)
-                    .map(|(idx, _)| p.flow_on_route(idx))
-                    .sum();
-                assert!((shipped - d).abs() < 1e-6, "job {j}: {shipped} vs {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn infeasible_min_cost_solve_is_detected() {
-        use crate::backend::PrimalDualBackend;
-        let mut p = ParametricNetwork::new(&[5.0], 1, vec![(0, 0)]);
-        p.set_bin_capacities(&[1.0]);
-        p.set_route_costs(&[2.0]);
-        let mut ws = FlowWorkspace::new();
-        assert!(p
-            .solve_min_cost_with(1e-6, &mut PrimalDualBackend, &mut ws)
-            .is_none());
     }
 
     #[test]

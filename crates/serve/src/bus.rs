@@ -134,7 +134,7 @@ fn consume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServeConfig;
+    use crate::config::ServeConfig;
     use stretch_platform::fixtures::small_platform;
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -36,6 +36,7 @@
 #![deny(missing_docs)]
 
 pub mod bus;
+pub mod config;
 pub mod dlq;
 pub mod event;
 pub mod journal;
@@ -46,6 +47,7 @@ pub mod snapshot;
 pub mod trace;
 
 pub use bus::{spawn_service, BusHandle, BusMessage, BusSendError};
+pub use config::ServeConfig;
 pub use dlq::{DeadLetter, DeadLetterQueue};
 pub use event::{
     validate_submission, JournalEvent, JournalRecord, RejectReason, SolveTier, Submission,
@@ -57,7 +59,7 @@ pub use journal::{
 pub use metrics::ServeMetrics;
 pub use scheduler::{AcceptedJob, PreparedDecision, ServeScheduler, SolveFailure};
 pub use service::{
-    RecoverError, RecoveryReport, ServeConfig, SnapshotRejectReason, StretchServe, SubmitOutcome,
+    RecoverError, RecoveryReport, SnapshotRejectReason, StretchServe, SubmitOutcome,
 };
 pub use snapshot::{ServiceCounters, Snapshot, SnapshotError};
 pub use trace::{

@@ -36,7 +36,7 @@
 //!
 //! The journal is a *directory* of rotated segments plus scheduler-state
 //! snapshots (see [`journal`] and [`snapshot`]).  After
-//! each applied record the service checks the [`RotationPolicy`] threshold;
+//! each applied record the service checks the [`journal::RotationPolicy`] threshold;
 //! when due, the active segment is sealed, a snapshot of the exact
 //! post-record state may be published (every `snapshot_every`th seal), and
 //! sealed segments wholly covered by the oldest retained snapshot are
@@ -64,133 +64,18 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use stretch_core::{SiteView, SolverConfig};
+use stretch_core::SiteView;
 use stretch_platform::Platform;
 
+use crate::config::ServeConfig;
 use crate::dlq::{DeadLetter, DeadLetterQueue};
 use crate::event::{
     validate_submission, JournalEvent, JournalRecord, RejectReason, SolveTier, Submission,
 };
-use crate::journal::{
-    self, JournalError, RotationCrashPoint, RotationPolicy, SegmentScan, SegmentedJournal,
-    TailStatus, TornReason,
-};
+use crate::journal::{self, JournalError, SegmentScan, SegmentedJournal, TailStatus, TornReason};
 use crate::metrics::ServeMetrics;
 use crate::scheduler::{PreparedDecision, ServeScheduler, SolveFailure, EVENT_TOL};
 use crate::snapshot::{self, ServiceCounters, Snapshot, SnapshotError};
-
-/// Configuration of the serve loop.
-#[derive(Clone, Debug)]
-pub struct ServeConfig {
-    /// Primary solver configuration: the backend names the *top* rung of the
-    /// degradation ladder, `warm_start` is forwarded to every tier.
-    pub solver: SolverConfig,
-    /// Time budget of the first ladder rung.
-    pub solve_budget: Duration,
-    /// Budget multiplier applied at each fallback rung (retry with backoff).
-    pub retry_backoff: u32,
-    /// Consecutive over-budget decisions that trip the circuit breaker.
-    pub breaker_threshold: u32,
-    /// Decisions shed to EDF while the breaker is open, before it closes
-    /// again.
-    pub breaker_cooldown: u32,
-    /// Dead-letter queue retention.
-    pub dlq_capacity: usize,
-    /// When the active journal segment rotates (record/byte threshold).
-    pub rotation: RotationPolicy,
-    /// Snapshot cadence in seals: a snapshot is published at every
-    /// `snapshot_every`th segment seal (1 = every seal).  Must be nonzero.
-    pub snapshot_every: u64,
-    /// Snapshots retained on disk; older snapshots — and the sealed
-    /// segments wholly covered by the oldest retained one — are
-    /// garbage-collected at rotation and after recovery.  Clamped to ≥ 1.
-    pub snapshot_retain: usize,
-    /// Chaos injection for tests: `(decision_index, tier)` pairs that force
-    /// the given solver rung to fail at the given decision.  Only solver
-    /// rungs are affected (the EDF tier cannot fail).
-    pub chaos_tier_failures: Vec<(u64, SolveTier)>,
-    /// Chaos injection for tests: abort the process at the given point of
-    /// the rotation sealing segment `index` — the deterministic stand-in
-    /// for a crash landing inside the seal → snapshot → reopen window.
-    pub chaos_rotation_abort: Option<(u64, RotationCrashPoint)>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            solver: SolverConfig::default(),
-            solve_budget: Duration::from_millis(250),
-            retry_backoff: 2,
-            breaker_threshold: 3,
-            breaker_cooldown: 4,
-            dlq_capacity: 1024,
-            rotation: RotationPolicy::default(),
-            snapshot_every: 1,
-            snapshot_retain: 2,
-            chaos_tier_failures: Vec::new(),
-            chaos_rotation_abort: None,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Default config on an explicit solver configuration.
-    pub fn with_solver(solver: SolverConfig) -> Self {
-        ServeConfig {
-            solver,
-            ..Default::default()
-        }
-    }
-
-    /// A config read from the environment: the solver backend from
-    /// `STRETCH_MINCOST_BACKEND`, the rotation and snapshot knobs from
-    ///
-    /// * `STRETCH_SERVE_SEGMENT_RECORDS` — records per segment before
-    ///   rotation (default 1024),
-    /// * `STRETCH_SERVE_SEGMENT_BYTES` — frame bytes per segment before
-    ///   rotation (default 1 MiB),
-    /// * `STRETCH_SERVE_SNAPSHOT_EVERY` — snapshot cadence in seals
-    ///   (default 1),
-    /// * `STRETCH_SERVE_SNAPSHOT_RETAIN` — snapshots retained (default 2).
-    ///
-    /// All four follow the strict `STRETCH_*` parse policy: unset falls
-    /// back to the default; `0`, overflow, garbage or non-unicode values
-    /// abort loudly with the offending string
-    /// (see [`SolverConfig::env_u64_nonzero`]).
-    pub fn from_env() -> Self {
-        let defaults = RotationPolicy::default();
-        let mut config = ServeConfig::with_solver(SolverConfig::from_env());
-        config.rotation = RotationPolicy {
-            max_records: SolverConfig::env_u64_nonzero(
-                "STRETCH_SERVE_SEGMENT_RECORDS",
-                defaults.max_records,
-            ),
-            max_bytes: SolverConfig::env_u64_nonzero(
-                "STRETCH_SERVE_SEGMENT_BYTES",
-                defaults.max_bytes,
-            ),
-        };
-        config.snapshot_every = SolverConfig::env_u64_nonzero("STRETCH_SERVE_SNAPSHOT_EVERY", 1);
-        config.snapshot_retain = usize::try_from(SolverConfig::env_u64_nonzero(
-            "STRETCH_SERVE_SNAPSHOT_RETAIN",
-            2,
-        ))
-        .unwrap_or_else(|_| {
-            panic!("STRETCH_SERVE_SNAPSHOT_RETAIN overflows usize on this platform")
-        });
-        config
-    }
-
-    /// The solver rungs of the degradation ladder: the suffix of
-    /// simplex → primal-dual starting at the configured backend.
-    /// (The EDF shed tier sits below and is handled separately.)
-    pub fn solve_ladder(&self) -> Vec<SolveTier> {
-        const RUNGS: [SolveTier; 2] = [SolveTier::Simplex, SolveTier::PrimalDual];
-        let top = SolveTier::of_backend(self.solver.backend);
-        let start = RUNGS.iter().position(|&t| t == top).unwrap_or(0);
-        RUNGS[start..].to_vec()
-    }
-}
 
 /// What [`StretchServe::submit`] did with a submission.  Rejection is normal
 /// flow (the letter is parked in the DLQ), not an error; the `Err` channel

@@ -47,10 +47,11 @@ use stretch_core::{SiteView, SolverConfig};
 use stretch_flow::BackendKind;
 use stretch_platform::Platform;
 
+use crate::config::ServeConfig;
 use crate::event::{validate_submission, SolveTier, Submission};
 use crate::journal::{self, JournalError, MAX_PAYLOAD_LEN, RECORD_HEADER_LEN};
 use crate::scheduler::{ServeScheduler, SolveFailure, EVENT_TOL};
-use crate::service::{ServeConfig, StretchServe, SubmitOutcome};
+use crate::service::{StretchServe, SubmitOutcome};
 
 /// Magic prefix of a trace file; the trailing `01` is the on-disk
 /// generation (frames additionally carry [`TRACE_VERSION`]).

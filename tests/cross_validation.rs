@@ -56,8 +56,8 @@ fn milestone_search_and_bisection_agree_on_random_instances() {
     for seed in [7u64, 8, 9] {
         let instance = random_instance(seed, 10);
         let problem = offline_problem(&instance);
-        let bisect = problem.min_feasible_stretch().unwrap();
-        let milestones = problem.min_feasible_stretch_milestones().unwrap();
+        let bisect = problem.min_feasible_stretch_reference().unwrap();
+        let milestones = problem.min_feasible_stretch().unwrap();
         assert!(
             (bisect - milestones).abs() <= 2e-3 * bisect.max(1e-9),
             "seed {seed}: bisection {bisect} vs milestones {milestones}"
