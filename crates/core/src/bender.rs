@@ -12,6 +12,7 @@
 
 use crate::config::SolverConfig;
 use crate::deadline::{DeadlineProblem, PendingJob};
+use crate::online::{decision_points, fold_execution, pending_jobs, EVENT_TOL};
 use crate::parametric::ParametricDeadlineSolver;
 use crate::plan::execute_list_order;
 use crate::scheduler::{ScheduleError, ScheduleResult, Scheduler};
@@ -49,9 +50,7 @@ impl Scheduler for Bender98Scheduler {
         let mut remaining: Vec<f64> = instance.jobs.iter().map(|j| j.work).collect();
         let mut completions = vec![f64::NAN; n];
 
-        let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-        events.sort_by(|a, b| a.total_cmp(b));
-        events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
+        let events = decision_points(instance);
         // One parametric engine across the per-arrival re-optimisations.
         let mut solver = ParametricDeadlineSolver::with_config(self.config);
 
@@ -60,7 +59,7 @@ impl Scheduler for Bender98Scheduler {
             let arrived: Vec<&stretch_workload::Job> = instance
                 .jobs
                 .iter()
-                .filter(|j| j.release <= now + 1e-12)
+                .filter(|j| j.release <= now + EVENT_TOL)
                 .collect();
             if arrived.is_empty() {
                 continue;
@@ -92,18 +91,7 @@ impl Scheduler for Bender98Scheduler {
             let target = optimal * alpha;
 
             // EDF over the pending jobs with the expanded deadlines.
-            let pending: Vec<PendingJob> = arrived
-                .iter()
-                .filter(|j| remaining[j.id] > 1e-9)
-                .map(|j| PendingJob {
-                    job_id: j.id,
-                    release: j.release,
-                    ready: now,
-                    work: j.work,
-                    remaining: remaining[j.id],
-                    databank: j.databank,
-                })
-                .collect();
+            let pending = pending_jobs(instance, &remaining, now);
             if pending.is_empty() {
                 continue;
             }
@@ -115,13 +103,7 @@ impl Scheduler for Bender98Scheduler {
                 da.total_cmp(&db)
             });
             let execution = execute_list_order(&problem, &order, &sites, now, horizon);
-            for (idx, job) in problem.jobs.iter().enumerate() {
-                remaining[job.job_id] = (remaining[job.job_id] - execution.executed[idx]).max(0.0);
-                if let Some(&c) = execution.completions.get(&idx) {
-                    remaining[job.job_id] = 0.0;
-                    completions[job.job_id] = c;
-                }
-            }
+            fold_execution(&problem, &execution, &mut remaining, &mut completions);
         }
 
         if completions.iter().any(|c| c.is_nan()) {

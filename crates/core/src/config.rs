@@ -5,8 +5,8 @@
 //! and the System-(2) min-cost re-allocation, which runs on a pluggable
 //! [`MinCostBackend`].  A [`SolverConfig`]
 //! names the backend and decides whether solver state may be **carried
-//! across events** (simplex basis remapping, residual-flow carry-over); it
-//! is carried by the schedulers ([`crate::OnlineScheduler::with_config`],
+//! across events** (the network simplex's remapped basis); it is carried by
+//! the schedulers ([`crate::OnlineScheduler::with_config`],
 //! [`crate::OfflineScheduler::with_config`],
 //! [`crate::Bender98Scheduler::with_config`]) and by the reusable
 //! [`crate::ParametricDeadlineSolver`].
@@ -34,8 +34,11 @@ use stretch_flow::{BackendKind, MinCostBackend};
 pub struct SolverConfig {
     /// Which engine solves the System-(2) min-cost transportation problems.
     pub backend: BackendKind,
-    /// Whether solver state (the simplex spanning-tree basis, the residual
-    /// flow of the feasibility probes) may be carried across events.
+    /// Whether the network simplex remembers its optimal spanning-tree
+    /// basis under the stable job and bin keys and remaps it onto the next
+    /// event's network: the one piece of solver state carried across
+    /// events.  The primal-dual kernel is stateless and runs the same code
+    /// either way.
     ///
     /// Default `true`.  Purely a performance switch: warm-started and cold
     /// solves return bit-identical objectives and allocations (the

@@ -130,13 +130,12 @@ impl Scheduler for OfflineScheduler {
         // algorithm does not re-optimise the sum-stretch, which is exactly why
         // its sum-stretch column in Table 1 is mediocre.
         //
-        // The slack must dominate both the bisection tolerance (1e-7 relative)
-        // and the max-flow feasibility tolerance, otherwise an allocation
-        // exactly at the bisection's answer can be judged infeasible.
-        let slack = crate::deadline::certified_slack(stretch);
+        // The objective is the certified slack above the optimum, retried
+        // at a looser one when the transport solve rejects it (the same
+        // rule as the on-line allocation).
         let mut solver = ParametricDeadlineSolver::with_config(self.config);
         let plan = solver
-            .feasibility_allocation(&problem, slack)
+            .certified_feasibility_allocation(&problem, stretch)
             .ok_or_else(|| {
                 ScheduleError::Optimisation("allocation infeasible at the optimal stretch".into())
             })?;

@@ -22,14 +22,100 @@
 //! The extra variant [`OnlineVariant::NonOptimized`] stops after step 2 and
 //! simply runs EDF on the resulting deadlines: it is the baseline of the
 //! Figure 3 comparison, showing what the System-(2) refinement buys.
+//!
+//! # The event rule
+//!
+//! Every on-line loop of the crate (this one, [`crate::Bender98Scheduler`],
+//! the serve layer's replayable scheduler) shares one rule for *when* it
+//! decides and *what* is pending, written once here:
+//!
+//! * the decision points are the distinct release dates, two dates at most
+//!   [`EVENT_TOL`] apart being one point ([`decision_points`]);
+//! * a job is pending at a decision point once released (within
+//!   [`EVENT_TOL`]) while more than [`PENDING_REMAINING_EPS`] of its work
+//!   remains, and its remaining work may start right away
+//!   ([`pending_job`]);
+//! * after a decision executes, each pending job's executed work is
+//!   subtracted from its remaining work, clamped at zero, and completions
+//!   are recorded ([`fold_execution`]).
+//!
+//! The serve layer must drain bit-identical to [`run_online_with`], which
+//! is why it calls these instead of restating them.
 
 use crate::config::SolverConfig;
 use crate::deadline::{DeadlineProblem, PendingJob};
 use crate::parametric::ParametricDeadlineSolver;
-use crate::plan::{execute_list_order, execute_sequences, site_sequences, PieceOrdering};
+use crate::plan::{
+    execute_list_order, execute_sequences, site_sequences, PieceOrdering, PlanExecution,
+};
 use crate::scheduler::{ScheduleError, ScheduleResult, Scheduler};
 use crate::sites::SiteView;
 use stretch_workload::Instance;
+
+/// Two release dates at most this far apart are one decision point.
+pub const EVENT_TOL: f64 = 1e-12;
+
+/// A job with at most this much remaining work is no longer pending.
+pub const PENDING_REMAINING_EPS: f64 = 1e-9;
+
+/// The decision points of an on-line run: the release dates in ascending
+/// order, each date within [`EVENT_TOL`] of the one before merged into it.
+pub fn decision_points(instance: &Instance) -> Vec<f64> {
+    let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
+    events.sort_by(|a, b| a.total_cmp(b));
+    events.dedup_by(|a, b| (*a - *b).abs() <= EVENT_TOL);
+    events
+}
+
+/// Job `job_id` — released at `release`, of size `work`, on `databank`,
+/// with `remaining` work left — as an on-line loop sees it at decision
+/// point `now`: ready at `now`, or `None` when it is not pending there.
+pub fn pending_job(
+    job_id: usize,
+    release: f64,
+    work: f64,
+    databank: usize,
+    remaining: f64,
+    now: f64,
+) -> Option<PendingJob> {
+    (release <= now + EVENT_TOL && remaining > PENDING_REMAINING_EPS).then_some(PendingJob {
+        job_id,
+        release,
+        ready: now,
+        work,
+        remaining,
+        databank,
+    })
+}
+
+/// The pending jobs of `instance` at decision point `now`, in instance
+/// order, given each job's remaining work (indexed by job id).
+pub(crate) fn pending_jobs(instance: &Instance, remaining: &[f64], now: f64) -> Vec<PendingJob> {
+    instance
+        .jobs
+        .iter()
+        .filter_map(|j| pending_job(j.id, j.release, j.work, j.databank, remaining[j.id], now))
+        .collect()
+}
+
+/// Folds an executed decision on `problem` back into the per-job state
+/// (indexed by job id): each pending job's executed work is subtracted
+/// from its remaining work, clamped at zero, and a completed job gets its
+/// completion time and no remaining work.
+pub fn fold_execution(
+    problem: &DeadlineProblem,
+    execution: &PlanExecution,
+    remaining: &mut [f64],
+    completions: &mut [f64],
+) {
+    for (pending_idx, job) in problem.jobs.iter().enumerate() {
+        remaining[job.job_id] = (remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
+        if let Some(&c) = execution.completions.get(&pending_idx) {
+            remaining[job.job_id] = 0.0;
+            completions[job.job_id] = c;
+        }
+    }
+}
 
 /// The serialisation variants of the on-line heuristic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,6 +207,25 @@ pub fn run_online_with(
     variant: OnlineVariant,
     config: SolverConfig,
 ) -> Result<Vec<f64>, ScheduleError> {
+    let completions = run_online_observed(instance, variant, config, |_, _| {})?;
+    if completions.iter().any(|c| c.is_nan()) {
+        return Err(ScheduleError::Simulation(
+            "some job never completed under the on-line heuristic".into(),
+        ));
+    }
+    Ok(completions)
+}
+
+/// The event loop of [`run_online_with`], calling `observe(problem, best)`
+/// at every decision with its deadline problem and optimal max-stretch,
+/// before the allocation step.  Returns the completion times, `NaN` for a
+/// job that never completed.
+pub(crate) fn run_online_observed(
+    instance: &Instance,
+    variant: OnlineVariant,
+    config: SolverConfig,
+    mut observe: impl FnMut(&DeadlineProblem, f64),
+) -> Result<Vec<f64>, ScheduleError> {
     let n = instance.num_jobs();
     let sites = SiteView::of(instance);
     let mut remaining: Vec<f64> = instance.jobs.iter().map(|j| j.work).collect();
@@ -134,27 +239,10 @@ pub fn run_online_with(
     // a warm-startable basis — instead of reallocating them at each arrival.
     let mut solver = ParametricDeadlineSolver::with_config(config);
 
-    // Distinct release dates = the decision points of the on-line algorithm.
-    let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-    events.sort_by(|a, b| a.total_cmp(b));
-    events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-
+    let events = decision_points(instance);
     for (e, &now) in events.iter().enumerate() {
         let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);
-        // Pending jobs: released, not completed.
-        let pending: Vec<PendingJob> = instance
-            .jobs
-            .iter()
-            .filter(|j| j.release <= now + 1e-12 && remaining[j.id] > 1e-9)
-            .map(|j| PendingJob {
-                job_id: j.id,
-                release: j.release,
-                ready: now,
-                work: j.work,
-                remaining: remaining[j.id],
-                databank: j.databank,
-            })
-            .collect();
+        let pending = pending_jobs(instance, &remaining, now);
         if pending.is_empty() {
             continue;
         }
@@ -164,6 +252,7 @@ pub fn run_online_with(
         let best = solver.min_feasible_stretch(&problem).ok_or_else(|| {
             ScheduleError::Unschedulable("no finite max-stretch achievable on-line".into())
         })?;
+        observe(&problem, best);
 
         // Steps 3-4: allocate and serialise according to the variant.
         let mut allocate = || {
@@ -210,9 +299,8 @@ pub fn run_online_with(
                 // early each job finishes.  This is the behaviour the paper
                 // criticises ("all jobs scheduled so that their stretch is
                 // equal to the objective") and the baseline of Figure 3.
-                let slack = crate::deadline::certified_slack(best);
                 let plan = solver
-                    .feasibility_allocation(&problem, slack)
+                    .certified_feasibility_allocation(&problem, best)
                     .ok_or_else(|| {
                         ScheduleError::Optimisation(
                             "feasibility allocation unavailable at the optimal max-stretch".into(),
@@ -222,22 +310,7 @@ pub fn run_online_with(
                 execute_sequences(&problem, &sequences, now, horizon)
             }
         };
-
-        // Bookkeeping: subtract executed work, record completions.
-        for (pending_idx, job) in problem.jobs.iter().enumerate() {
-            remaining[job.job_id] =
-                (remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
-            if let Some(&c) = execution.completions.get(&pending_idx) {
-                remaining[job.job_id] = 0.0;
-                completions[job.job_id] = c;
-            }
-        }
-    }
-
-    if completions.iter().any(|c| c.is_nan()) {
-        return Err(ScheduleError::Simulation(
-            "some job never completed under the on-line heuristic".into(),
-        ));
+        fold_execution(&problem, &execution, &mut remaining, &mut completions);
     }
     Ok(completions)
 }

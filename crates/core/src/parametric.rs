@@ -46,23 +46,17 @@
 //! # Cross-event solver memory
 //!
 //! A solver fed a *stream* of problems — the on-line schedulers call it at
-//! every arrival and completion — additionally carries state **across
+//! every arrival and completion — carries one piece of state **across
 //! events** when its [`SolverConfig`] has `warm_start` on (the default):
+//! the System-(2) min-cost solve hands the backend stable node keys (jobs
+//! by instance-wide job id, bins by `(site, interval position)`), letting
+//! the network simplex remap its previous optimal spanning-tree basis onto
+//! the new event's network — see [`stretch_flow::BasisRemap`].  The
+//! feasibility probes keep no such state: each event's first probe starts
+//! from zero flow, and later probes of the same search resume from the
+//! previous probe's flow.
 //!
-//! * **Residual carry-over.**  The flow of the last feasible probe is
-//!   remembered per `(job id, site, interval position)` — all three stable
-//!   across events — and replayed, clamped to the new capacities, into the
-//!   next event's network before its first probe
-//!   ([`ParametricNetwork::seed_route_flow`]).  Consecutive events share
-//!   most of their jobs, so the first (most expensive) probe only has to
-//!   route the new arrivals and whatever the capacity shift displaced,
-//!   instead of rebuilding the whole flow from zero.
-//! * **Basis remapping.**  The System-(2) min-cost solve hands the backend
-//!   stable node keys (same identities as above), letting the network
-//!   simplex remap its previous spanning-tree basis onto the new event's
-//!   network — see [`stretch_flow::BasisRemap`].
-//!
-//! Both are speed levers only: warm-started and cold solves return
+//! The remap is a speed lever only: warm-started and cold solves return
 //! **bit-identical** objectives and allocations (pinned by the
 //! differential-oracle suite, which builds the cold reference through
 //! [`SolverConfig::with_warm_start`]).
@@ -82,15 +76,14 @@ use crate::config::SolverConfig;
 use crate::deadline::{
     certified_slack, AllocationPlan, DeadlineProblem, System2Arena, STRETCH_TOL,
 };
-use stretch_flow::{FastMap, FlowWorkspace, MinCostBackend, ParametricNetwork};
+use stretch_flow::{FlowWorkspace, MinCostBackend, ParametricNetwork};
 
 /// Feasibility tolerance of the flow probes, matching
 /// [`stretch_flow::TransportInstance::is_feasible`].
 const FEAS_TOL: f64 = 1e-6;
 
-/// How many looser objectives
-/// [`ParametricDeadlineSolver::certified_allocation`] tries after System (2)
-/// rejects the certified slack.
+/// How many looser objectives an allocation rejected at the certified
+/// slack is retried at; see [`certified_retry`].
 const ALLOCATION_RETRIES: usize = 2;
 
 /// Relative width to which a cut's root is bisected (about 45 capacity
@@ -135,20 +128,6 @@ pub struct ParametricDeadlineSolver {
     /// The configured System-(2) min-cost engine, held across events so a
     /// warm-startable backend keeps (and remaps) its basis.
     backend: Box<dyn MinCostBackend + Send>,
-    /// Cross-event residual carry: flow of the previous event's final
-    /// feasible probe, grouped per job.  `carry_jobs` maps an instance-wide
-    /// job id to a `(start, len)` slice of `carry_flows`, whose entries are
-    /// `(site, interval position, flow)` — all identities stable across
-    /// events even though every event rebuilds the epochal structure from
-    /// scratch.  Empty when `config.warm_start` is off or the previous solve
-    /// exited through a fallback path.
-    ///
-    /// Grouping by job (instead of one map entry per route) keeps the
-    /// per-event seeding cost proportional to the *carried flow pattern* —
-    /// a handful of entries per surviving job — rather than to the route
-    /// count, which is orders of magnitude larger.
-    carry_jobs: FastMap<usize, (u32, u32)>,
-    carry_flows: Vec<(u32, u32, f64)>,
     /// Memory refilled in place at every event (`config.incremental`, the
     /// default); `None` when every event fills fresh memory.
     persistent: Option<PersistentMemory>,
@@ -195,15 +174,6 @@ pub(crate) struct ParametricStructure {
     route_caps: Vec<f64>,
     /// Deadline values at the current probe point, refilled per probe.
     deadline_vals: Vec<f64>,
-    /// Per-job route layout (`jobs.len() + 1` prefix offsets into the route
-    /// list, which is built job-contiguous): the carry-over seeding jumps
-    /// straight to a job's routes instead of scanning all of them.
-    route_start: Vec<usize>,
-    /// Per-job first admissible interval position (routes cover
-    /// `i_min..=i_max` per hosting site).
-    route_imin: Vec<usize>,
-    /// Per-job one-past-last admissible position.
-    route_iend: Vec<usize>,
     /// Hosting sites of each job, in route construction order.
     hosting: Vec<Vec<usize>>,
     /// Route construction scratch, kept so [`Self::refill`] builds the
@@ -251,15 +221,11 @@ impl ParametricStructure {
         // deadline) on the whole range iff it does at both endpoints.
         let eval = |&(a, b): &(f64, f64), f: f64| a + b * f;
         self.routes_scratch.clear();
-        self.route_start.clear();
-        self.route_imin.clear();
-        self.route_iend.clear();
         for host in &mut self.hosting {
             host.clear();
         }
         self.hosting.resize_with(problem.jobs.len(), Vec::new);
         for (j, job) in problem.jobs.iter().enumerate() {
-            self.route_start.push(self.routes_scratch.len());
             let ready = job.ready.max(problem.now);
             let (d_lo, d_hi) = (job.deadline(lo), job.deadline(hi));
             // Positions below `i_min` always start before the ready time.
@@ -283,16 +249,7 @@ impl ParametricStructure {
                     self.routes_scratch.push((j, s * k + i));
                 }
             }
-            self.route_imin.push(i_min);
-            self.route_iend.push(
-                if self.routes_scratch.len() > *self.route_start.last().unwrap() {
-                    i_max + 1
-                } else {
-                    i_min
-                },
-            );
         }
-        self.route_start.push(self.routes_scratch.len());
         self.network
             .rebuild(&self.demands, num_sites * k, &self.routes_scratch);
         // Seed the permutation with the order at `lo` so the per-probe
@@ -320,11 +277,11 @@ impl ParametricStructure {
             .extend(problem.jobs.iter().map(|j| (j.release, j.work)));
     }
 
-    /// Binds the structure to objective `stretch`: re-sort the symbolic
-    /// times and rebind every capacity in place.  [`Self::probe_current`]
-    /// then runs the flow; splitting the two lets the caller seed
-    /// carried-over flow in between.
-    fn bind(&mut self, stretch: f64) {
+    /// One feasibility probe at objective `stretch`: re-sort the symbolic
+    /// times, rebind every capacity in place and resume the early-exit
+    /// max-flow from whatever residual flow of the previous probe survived
+    /// the rebind (none on the first probe after a fill).
+    fn probe(&mut self, stretch: f64, ws: &mut FlowWorkspace) -> bool {
         // The permutation is nearly sorted across probes; a stable insertion
         // sort keeps this O(k) in the common case.
         let times = &self.times;
@@ -361,12 +318,6 @@ impl ParametricStructure {
         }
         let (bin_caps, route_caps) = (&self.bin_caps, &self.route_caps);
         self.network.set_capacities(bin_caps, route_caps);
-    }
-
-    /// One feasibility probe at the currently bound objective: resume the
-    /// early-exit max-flow from whatever residual flow survived the rebind
-    /// (previous probe, or carried-over seed).
-    fn probe_current(&mut self, ws: &mut FlowWorkspace) -> bool {
         self.network.probe_feasible(FEAS_TOL, ws)
     }
 }
@@ -496,8 +447,6 @@ impl ParametricDeadlineSolver {
             cut: JobCut::default(),
             stats: SearchStats::default(),
             backend: config.instantiate(),
-            carry_jobs: FastMap::default(),
-            carry_flows: Vec::new(),
             persistent: config.incremental.then(PersistentMemory::default),
             config,
         }
@@ -545,16 +494,11 @@ impl ParametricDeadlineSolver {
         }
         let lo_bound = problem.stretch_lower_bound();
         if !lo_bound.is_finite() {
-            self.clear_carry();
             return None;
         }
         // Certified upper bound: serialising the pending jobs is a valid
         // schedule, so its stretch is feasible (up to flow tolerances).
-        let Some(ub) = problem.serialized_upper_bound() else {
-            self.clear_carry();
-            return None;
-        };
-        let ub = ub.max(lo_bound) * (1.0 + 1e-9);
+        let ub = problem.serialized_upper_bound()?.max(lo_bound) * (1.0 + 1e-9);
 
         let demand: f64 = problem.jobs.iter().map(|j| j.remaining).sum();
         let slack = FEAS_TOL.max(demand * FEAS_TOL);
@@ -590,20 +534,9 @@ impl ParametricDeadlineSolver {
         // The iteration starts at the lower bound; its first probe doubles
         // as the `feasible(lo_bound)` fast path.
         let mut f = lo_bound;
-        let mut first_probe = true;
         for _ in 0..64 {
-            structure.bind(f);
-            if std::mem::take(&mut first_probe) && self.config.warm_start {
-                // Cross-event residual carry: replay the previous event's
-                // flow (surviving jobs only — departed keys simply miss)
-                // before the expensive first augmentation run.
-                self.seed_carry(problem, structure);
-            }
             self.stats.probes += 1;
-            if structure.probe_current(&mut self.workspace) {
-                if self.config.warm_start {
-                    self.record_carry(problem, structure);
-                }
+            if structure.probe(f, &mut self.workspace) {
                 return Some(f);
             }
             // The probe ended at a maximum flow; the job set of its minimum
@@ -613,10 +546,10 @@ impl ParametricDeadlineSolver {
             // Land a hair *above* the cut root: at the exact root the cut
             // capacity equals the probe target, so the feasibility verdict
             // there would hinge on floating-point noise — and the verdict
-            // must not depend on which residual flow (cold, or carried
-            // over) the probe happened to start from.  The overshoot gives
-            // the comparison a real margin at a cost of ≤1e-9 relative on
-            // the answer, far inside STRETCH_TOL.
+            // must not depend on which residual flow the probe happened to
+            // resume from.  The overshoot gives the comparison a real margin
+            // at a cost of ≤1e-9 relative on the answer, far inside
+            // STRETCH_TOL.
             let mut next = self
                 .cut
                 .root(structure, f, ub, target)
@@ -635,7 +568,6 @@ impl ParametricDeadlineSolver {
             if next >= ub {
                 // Every F below `next` is infeasible, and the serialised
                 // bound certifies `ub`: the optimum is `ub` itself.
-                self.clear_carry();
                 return self.confirm_upper_bound(problem, ub);
             }
             f = next;
@@ -644,10 +576,8 @@ impl ParametricDeadlineSolver {
         // bisection on from-scratch probes (the structure's route pruning
         // only covers `[lo_bound, ub]`, and a widened upper bound may lie
         // beyond it).  Everything at or below `f` failed a probe, and `ub`
-        // is certified feasible.  The fallback probes don't maintain the
-        // carry, so the next event starts its probes cold.
+        // is certified feasible.
         self.stats.fallbacks += 1;
-        self.clear_carry();
         let mut hi = self.confirm_upper_bound(problem, ub)?.max(f);
         let mut lo = f;
         while (hi - lo) > STRETCH_TOL * hi.max(1.0) {
@@ -659,70 +589,6 @@ impl ParametricDeadlineSolver {
             }
         }
         Some(hi)
-    }
-
-    /// Drops the cross-event carry (fallback exits, infeasible problems).
-    fn clear_carry(&mut self) {
-        self.carry_jobs.clear();
-        self.carry_flows.clear();
-    }
-
-    /// Seeds the freshly bound `structure` with the remembered flow of the
-    /// previous event, restricted to surviving `(job, site, position)`
-    /// routes and clamped to the new capacities.  Purely a warm start: the
-    /// subsequent probe computes the same maximum flow either way.
-    ///
-    /// Cost: one map lookup per pending job plus one O(1) route-index
-    /// computation per carried flow entry, using the job-contiguous route
-    /// layout recorded by [`ParametricStructure::refill`].
-    fn seed_carry(&mut self, problem: &DeadlineProblem, structure: &mut ParametricStructure) {
-        if self.carry_jobs.is_empty() {
-            return;
-        }
-        for (j, job) in problem.jobs.iter().enumerate() {
-            let Some(&(start, len)) = self.carry_jobs.get(&job.job_id) else {
-                continue;
-            };
-            let i_min = structure.route_imin[j];
-            let i_end = structure.route_iend[j];
-            let span = i_end - i_min;
-            if span == 0 {
-                continue;
-            }
-            for &(site, pos, amount) in &self.carry_flows[start as usize..(start + len) as usize] {
-                let (site, pos) = (site as usize, pos as usize);
-                if pos < i_min || pos >= i_end {
-                    continue;
-                }
-                let Some(rank) = structure.hosting[j].iter().position(|&s| s == site) else {
-                    continue;
-                };
-                let idx = structure.route_start[j] + rank * span + (pos - i_min);
-                structure.network.seed_route_flow(idx, amount);
-            }
-        }
-    }
-
-    /// Remembers where the final (feasible) probe of this event routed its
-    /// flow, as the seed for the next event's first probe.
-    fn record_carry(&mut self, problem: &DeadlineProblem, structure: &ParametricStructure) {
-        self.clear_carry();
-        let k = structure.num_intervals;
-        for (j, job) in problem.jobs.iter().enumerate() {
-            let start = self.carry_flows.len() as u32;
-            for idx in structure.route_start[j]..structure.route_start[j + 1] {
-                let flow = structure.network.flow_on_route(idx);
-                if flow > 1e-12 {
-                    let (_, bin) = structure.network.routes()[idx];
-                    self.carry_flows
-                        .push(((bin / k) as u32, (bin % k) as u32, flow));
-                }
-            }
-            let len = self.carry_flows.len() as u32 - start;
-            if len > 0 {
-                self.carry_jobs.insert(job.job_id, (start, len));
-            }
-        }
     }
 
     /// Verifies the certified upper bound with an actual probe, absorbing
@@ -767,10 +633,10 @@ impl ParametricDeadlineSolver {
     /// allocation step of the on-line heuristic.
     ///
     /// The probes call an objective feasible once the maximum flow covers
-    /// the demand up to a relative `1e-6`; System (2) accepts a shortfall of
-    /// only [`stretch_flow::acceptance_tolerance`], and the slack's relative
-    /// step does not always cover the gap.  When System (2) rejects the
-    /// certified slack, the allocation is retried at most twice, each time
+    /// the demand up to a relative `1e-6`; a transport solve accepts a
+    /// shortfall of only [`stretch_flow::acceptance_tolerance`], and the
+    /// slack's relative step does not always cover the gap.  When the solve
+    /// rejects the certified slack, it is retried at most twice, each time
     /// at an objective `1e-3` (relative) looser.  A solve accepted at the
     /// first attempt is never retried, so the retry leaves every decision
     /// that succeeded without it unchanged.
@@ -779,25 +645,42 @@ impl ParametricDeadlineSolver {
         problem: &DeadlineProblem,
         best: f64,
     ) -> Option<AllocationPlan> {
-        let mut stretch = certified_slack(best);
-        for _ in 0..ALLOCATION_RETRIES {
-            if let Some(plan) = self.system2_allocation(problem, stretch) {
-                return Some(plan);
-            }
-            stretch *= 1.0 + 1e-3;
-        }
-        self.system2_allocation(problem, stretch)
+        certified_retry(best, |stretch| self.system2_allocation(problem, stretch))
     }
 
     /// Ships every remaining unit of work at zero cost (the System-(1)
-    /// feasibility allocation), reusing the solver scratch.
-    pub fn feasibility_allocation(
+    /// feasibility allocation) at [`certified_slack`]`(best)`, retried like
+    /// [`Self::certified_allocation`]: how the `Offline` scheduler realises
+    /// its optimum, and the allocation of the non-optimized on-line
+    /// variant.
+    pub fn certified_feasibility_allocation(
         &mut self,
         problem: &DeadlineProblem,
-        stretch: f64,
+        best: f64,
     ) -> Option<AllocationPlan> {
-        problem.feasibility_allocation_with(stretch, &mut self.workspace)
+        certified_retry(best, |stretch| {
+            problem.feasibility_allocation_with(stretch, &mut self.workspace)
+        })
     }
+}
+
+/// Runs `allocate` at [`certified_slack`]`(best)` and, while it is
+/// rejected, up to [`ALLOCATION_RETRIES`] more times at an objective `1e-3`
+/// (relative) looser each time: the retry rule of
+/// [`ParametricDeadlineSolver::certified_allocation`], written once for
+/// both allocations.
+fn certified_retry(
+    best: f64,
+    mut allocate: impl FnMut(f64) -> Option<AllocationPlan>,
+) -> Option<AllocationPlan> {
+    let mut stretch = certified_slack(best);
+    for _ in 0..ALLOCATION_RETRIES {
+        if let Some(plan) = allocate(stretch) {
+            return Some(plan);
+        }
+        stretch *= 1.0 + 1e-3;
+    }
+    allocate(stretch)
 }
 
 #[cfg(test)]
@@ -829,9 +712,6 @@ impl ParametricStructure {
         put(&mut out, &floats(&self.demands));
         put(&mut out, &floats(&self.ready));
         put(&mut out, &lines(&self.deadline));
-        put(&mut out, &indices(&self.route_start));
-        put(&mut out, &indices(&self.route_imin));
-        put(&mut out, &indices(&self.route_iend));
         out.push(self.hosting.len() as u64);
         for host in &self.hosting {
             put(&mut out, &indices(host));

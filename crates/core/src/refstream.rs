@@ -7,13 +7,13 @@
 //! (`stretch_experiments::drift`, which re-measures those rows and must
 //! run identical work for the ratios to compare like with like), and the
 //! warm-simplex remap regression in
-//! `crates/core/tests/backend_diff.rs`.  Keeping three hand-synced copies
-//! of the generator constants and the event-replay bookkeeping invited
-//! silent drift; this module is the single implementation.
+//! `crates/core/tests/backend_diff.rs`.  This module holds the one copy
+//! of the generator constants, and captures the events by observing the
+//! on-line loop itself rather than a copy of it.
 
-use crate::deadline::{certified_slack, DeadlineProblem, PendingJob};
-use crate::plan::{execute_sequences, site_sequences, PieceOrdering};
-use crate::{ParametricDeadlineSolver, SiteView, SolverConfig};
+use crate::deadline::{certified_slack, DeadlineProblem};
+use crate::online::run_online_observed;
+use crate::{OnlineVariant, SolverConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use stretch_platform::{PlatformConfig, PlatformGenerator};
@@ -49,10 +49,10 @@ pub fn reference_instance(
     generator.generate_instance(platform, &mut rng)
 }
 
-/// Replays the on-line loop once, capturing every per-event System-(2)
-/// problem together with the slackened objective it is solved at — the
-/// exact min-cost workload the backends compete on (the
-/// `engine/system2-events/*` rows).
+/// Runs the `Online` loop of [`crate::online::run_online_with`] once,
+/// capturing every per-event System-(2) problem together with the
+/// slackened objective it is solved at — the exact min-cost workload the
+/// backends compete on (the `engine/system2-events/*` rows).
 ///
 /// `config` selects the solver that *drives the replay* (whose plans
 /// decide how remaining work evolves between events).  Degenerate optima
@@ -64,48 +64,11 @@ pub fn capture_system2_events_with(
     instance: &Instance,
     config: SolverConfig,
 ) -> Vec<(DeadlineProblem, f64)> {
-    let sites = SiteView::of(instance);
-    let mut remaining: Vec<f64> = instance.jobs.iter().map(|j| j.work).collect();
-    let mut events: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-    events.sort_by(|a, b| a.total_cmp(b));
-    events.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-    let mut solver = ParametricDeadlineSolver::with_config(config);
     let mut captured = Vec::new();
-    for (e, &now) in events.iter().enumerate() {
-        let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);
-        let pending: Vec<PendingJob> = instance
-            .jobs
-            .iter()
-            .filter(|j| j.release <= now + 1e-12 && remaining[j.id] > 1e-9)
-            .map(|j| PendingJob {
-                job_id: j.id,
-                release: j.release,
-                ready: now,
-                work: j.work,
-                remaining: remaining[j.id],
-                databank: j.databank,
-            })
-            .collect();
-        if pending.is_empty() {
-            continue;
-        }
-        let problem = DeadlineProblem::new(pending, sites.clone(), now);
-        let best = solver.min_feasible_stretch(&problem).expect("feasible");
-        let slack = certified_slack(best);
-        captured.push((problem.clone(), slack));
-        let plan = solver
-            .certified_allocation(&problem, best)
-            .expect("feasible");
-        let sequences = site_sequences(&problem, &plan, PieceOrdering::Online);
-        let execution = execute_sequences(&problem, &sequences, now, horizon);
-        for (pending_idx, job) in problem.jobs.iter().enumerate() {
-            remaining[job.job_id] =
-                (remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
-            if execution.completions.contains_key(&pending_idx) {
-                remaining[job.job_id] = 0.0;
-            }
-        }
-    }
+    run_online_observed(instance, OnlineVariant::Online, config, |problem, best| {
+        captured.push((problem.clone(), certified_slack(best)));
+    })
+    .expect("feasible");
     captured
 }
 

@@ -395,16 +395,15 @@ proptest! {
 // Warm vs cold: cross-event solver memory must be invisible in the results
 // ---------------------------------------------------------------------------
 //
-// `warm_start` carries two kinds of state across the events of an on-line
+// `warm_start` carries one kind of state across the events of an on-line
 // run: the network simplex remaps its spanning-tree basis onto the next
-// event's System-(2) network (stretch_flow::BasisRemap), and the parametric
-// deadline solver replays the previous event's residual flow into the next
-// event's first feasibility probe.  The contract is that both are pure speed
-// levers: a warm-started run returns **bit-identical** objectives,
-// allocations and completions to a cold run.  (The solver earns this with a
-// lexicographic tie-break and a canonical basis extraction — the System-(2)
-// costs are site-tied, so without them each start basis would legitimately
-// land on a different optimal vertex.)
+// event's System-(2) network (stretch_flow::BasisRemap).  The contract is
+// that it is a pure speed lever: a warm-started run returns
+// **bit-identical** objectives, allocations and completions to a cold run.
+// (The solver earns this with a lexicographic tie-break and a canonical
+// basis extraction — the System-(2) costs are site-tied, so without them
+// each start basis would legitimately land on a different optimal
+// vertex.)
 
 /// Runs one instance through the on-line loop warm and cold and reports the
 /// first bitwise divergence, if any.
@@ -636,11 +635,13 @@ fn online_schedulers_complete_identical_workloads_on_both_backends() {
 /// Feeds the per-event System-(2) instances of the 3-cluster reference
 /// workload (the platform/workload the benches measure:
 /// `bench_instance(3, 3, 20, 3)`) in order to one warm simplex, and each
-/// one to a fresh cold simplex.  The plans must match bit for bit at every
-/// event, and every event after the first must start from the remapped
-/// basis of the event before: if a keying or re-priming change ever makes
-/// the remap decline on this stream, the warm path silently degrades into
-/// cold solves, and this test makes that loud.
+/// one to a fresh cold simplex; the middle event is solved twice in a row,
+/// as a retried allocation solves it.  The plans must match bit for bit at
+/// every solve, and every solve after the first must start from the
+/// remapped basis of the solve before — the repeated one included: if a
+/// keying or re-priming change ever makes the remap decline on this
+/// stream, the warm path silently degrades into cold solves, and this test
+/// makes that loud.
 #[test]
 fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
@@ -657,9 +658,15 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
         captured.len()
     );
 
+    let repeated = captured.len() / 2;
+    let solves: Vec<&(DeadlineProblem, f64)> = captured
+        .iter()
+        .enumerate()
+        .flat_map(|(e, event)| std::iter::repeat_n(event, if e == repeated { 2 } else { 1 }))
+        .collect();
     let mut warm = NetworkSimplexBackend::new();
     let mut warm_ws = FlowWorkspace::new();
-    for (problem, slack) in &captured {
+    for (problem, slack) in solves.iter().copied() {
         let now = problem.now;
         let warm_plan = problem
             .system2_allocation_with_backend(*slack, &mut warm, &mut warm_ws)
@@ -688,7 +695,8 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
             );
         }
     }
-    assert_eq!(warm.remap_count(), captured.len() - 1);
+    assert_eq!(solves.len(), captured.len() + 1);
+    assert_eq!(warm.remap_count(), solves.len() - 1);
     assert_eq!(warm.fallback_count(), 0);
 }
 

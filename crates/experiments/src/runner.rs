@@ -5,6 +5,7 @@ use crate::heuristics::{HeuristicKind, TABLE1_ORDER};
 use crate::json::Json;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use stretch_core::online::decision_points;
 use stretch_core::SolverConfig;
 use stretch_platform::{Platform, PlatformConfig, PlatformGenerator};
 use stretch_workload::{Instance, Job, Scenario, WorkloadConfig, WorkloadGenerator};
@@ -208,12 +209,7 @@ pub fn run_instance_scaled_with(
     solver: SolverConfig,
 ) -> InstanceObservation {
     let instance = draw_instance_scaled(config, scale, seed);
-    let num_events = {
-        let mut releases: Vec<f64> = instance.jobs.iter().map(|j| j.release).collect();
-        releases.sort_by(|a, b| a.total_cmp(b));
-        releases.dedup_by(|a, b| (*a - *b).abs() <= 1e-12);
-        releases.len()
-    };
+    let num_events = decision_points(&instance).len();
     let mut observations = Vec::with_capacity(TABLE1_ORDER.len());
     for kind in TABLE1_ORDER {
         if !kind.runs_on(config.sites) {

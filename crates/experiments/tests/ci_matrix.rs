@@ -165,6 +165,29 @@ fn benchmark_self_test_is_pinned() {
 }
 
 #[test]
+fn bench_smoke_and_drift_gate_are_pinned() {
+    // The bench smoke runs every bench target of `stretch-bench` once
+    // without timing, in one command, so a new bench target cannot slip
+    // past it; the perf-drift gate re-measures every engine row against
+    // `BENCH_baseline.json`.  Dropping either step would let a bench rot
+    // or an engine regress by an order of magnitude with CI green.
+    let yml = ci_yml();
+    assert!(
+        yml.contains("\n  bench-smoke:"),
+        "ci.yml lost the `bench-smoke` job"
+    );
+    for needle in [
+        "run: cargo bench -p stretch-bench -- --test\n",
+        "STRETCH_DRIFT_CHECK=1\n          cargo run --release -p stretch-experiments --bin repro_overhead",
+    ] {
+        assert!(
+            yml.contains(needle),
+            "ci.yml bench-smoke job is missing the `{needle}` step"
+        );
+    }
+}
+
+#[test]
 fn recorded_baseline_carries_every_engine_row() {
     // The checked-in trajectory must already have every engine row, so a
     // missing re-record fails here, before the drift gate runs.

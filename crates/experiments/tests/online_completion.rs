@@ -9,15 +9,19 @@
 //!   under `simplex` but not under `primal-dual`, on the instances of
 //!   [`STARVING`].  The completion test of `plan::execute_sequences`
 //!   accepts any shortfall System (2) accepts.
-//! * **System (2) rejecting the certified slack.**  The min-stretch probes
-//!   accept an objective at a looser flow tolerance than System (2) does,
-//!   so on some instances the allocation at `certified_slack(best)` was
-//!   rejected on every backend ([`REJECTED`]).
-//!   `ParametricDeadlineSolver::certified_allocation` retries it at a
-//!   slightly looser objective.
+//! * **An allocation rejecting the certified slack.**  The min-stretch
+//!   probes accept an objective at a looser flow tolerance than a
+//!   transport solve does, so on some instances the allocation at
+//!   `certified_slack(best)` was rejected: System (2) on every backend
+//!   ([`REJECTED`]), and the zero-cost feasibility allocation that
+//!   `Offline` realises its optimum with ([`OFFLINE_REJECTED`]) and that
+//!   the non-optimized variant serialises ([`REJECTED`] again).
+//!   `ParametricDeadlineSolver::certified_allocation` and
+//!   `certified_feasibility_allocation` retry at a slightly looser
+//!   objective.
 
 use stretch_core::online::run_online_with;
-use stretch_core::{BackendKind, OnlineVariant, SolverConfig};
+use stretch_core::{BackendKind, OfflineScheduler, OnlineVariant, Scheduler, SolverConfig};
 use stretch_experiments::campaign::instance_seed;
 use stretch_experiments::runner::{draw_instance_scaled, InstanceScale};
 use stretch_experiments::ExperimentConfig;
@@ -48,8 +52,13 @@ const STARVING: [Case; 8] = [
     (2006, 1, 1978, 30),
 ];
 
-/// The instance on which System (2) rejected the certified slack.
+/// The instance on which System (2), and the non-optimized variant's
+/// feasibility allocation, rejected the certified slack.
 const REJECTED: Case = (2006, 1, 0, 30);
+
+/// An instance on which `Offline`'s feasibility allocation rejected the
+/// certified slack at the optimal max-stretch.
+const OFFLINE_REJECTED: Case = (2006, 1, 148, 30);
 
 fn draw((base, config, index, jobs): Case) -> Instance {
     draw_instance_scaled(
@@ -97,4 +106,25 @@ fn a_rejected_certified_slack_is_retried_on_every_backend() {
     for backend in BackendKind::ALL {
         assert_every_job_completes(backend, &[REJECTED]);
     }
+}
+
+#[test]
+fn offline_retries_a_rejected_certified_slack() {
+    let instance = draw(OFFLINE_REJECTED);
+    let result = OfflineScheduler::new()
+        .schedule(&instance)
+        .unwrap_or_else(|e| panic!("instance {OFFLINE_REJECTED:?}: {e}"));
+    assert!(result.outcomes.iter().all(|o| o.completion.is_finite()));
+}
+
+#[test]
+fn non_optimized_retries_a_rejected_certified_slack() {
+    let instance = draw(REJECTED);
+    let completions = run_online_with(
+        &instance,
+        OnlineVariant::NonOptimized,
+        SolverConfig::default(),
+    )
+    .unwrap_or_else(|e| panic!("instance {REJECTED:?}: {e}"));
+    assert!(completions.iter().all(|c| c.is_finite()));
 }

@@ -12,10 +12,9 @@
 //!   harness (`crates/core/tests/backend_diff.rs`).
 //! * [`crate::simplex::NetworkSimplexBackend`] — a network simplex on a
 //!   spanning-tree basis with strongly-feasible pivots, warm-startable from
-//!   the previous solve's basis: in place when the arc topology repeats, or
-//!   through a [`crate::remap::BasisRemap`] when the shape changed but the
-//!   caller supplied stable node keys via [`MinCostBackend::warm_hint`].
-//!   The default.
+//!   the previous solve's basis, mapped onto the next network through a
+//!   [`crate::remap::BasisRemap`] by the stable node keys the caller
+//!   supplies via [`MinCostBackend::warm_hint`].  The default.
 //!
 //! # Contract
 //!
@@ -154,8 +153,8 @@ impl BackendKind {
         }
     }
 
-    /// Instantiates the backend this tag names, with every cross-solve
-    /// warm-start tier enabled.
+    /// Instantiates the backend this tag names, with cross-solve warm start
+    /// enabled.
     pub fn instantiate(&self) -> Box<dyn MinCostBackend + Send> {
         self.instantiate_with(true)
     }

@@ -1,13 +1,13 @@
 //! A tiny multiply–rotate hasher for the solver's integer-keyed maps.
 //!
-//! The cross-event warm-start bookkeeping (basis memory in
-//! [`crate::remap::BasisRemap`], residual carry in the scheduling layer)
-//! performs thousands of map operations per *event*, keyed by small packed
-//! integers.  `std`'s default SipHash is DoS-resistant but costs tens of
-//! nanoseconds per key — measurably more than the pivot work the warm start
-//! saves on paper-scale events.  These maps never see attacker-controlled
-//! keys (they hold job ids and bin positions of a simulation), so an
-//! FxHash-style multiply–rotate mix is the right trade.
+//! The cross-event warm-start bookkeeping (the basis memory in
+//! [`crate::remap::BasisRemap`]) performs thousands of map operations per
+//! *event*, keyed by small packed integers.  `std`'s default SipHash is
+//! DoS-resistant but costs tens of nanoseconds per key — measurably more
+//! than the pivot work the warm start saves on paper-scale events.  These
+//! maps never see attacker-controlled keys (they hold job ids and bin
+//! positions of a simulation), so an FxHash-style multiply–rotate mix is
+//! the right trade.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -19,6 +19,11 @@
 //! work, which is where the off-line and on-line schedulers of the paper
 //! spend almost all of their time.
 //!
+//! Flow survives from probe to probe of one problem only:
+//! [`ParametricNetwork::rebuild`] clears it, so each event's first probe
+//! starts from zero flow and nothing crosses from one event's network to
+//! the next.
+//!
 //! The network answers feasibility only.  The System-(2) min-cost solves
 //! build a [`crate::TransportInstance`] into a reused
 //! [`crate::TransportArena`] instead
@@ -57,9 +62,6 @@ pub struct ParametricNetwork {
     bin_edges: Vec<usize>,
     /// Forward-edge handle of each route edge (same order as `routes`).
     route_edges: Vec<usize>,
-    /// Forward-edge handle of each source -> job edge (`usize::MAX` for
-    /// zero-demand jobs, which get no edge).
-    source_edges: Vec<usize>,
     source: usize,
     sink: usize,
     /// Flow shipped by the probes since the last reset.
@@ -97,7 +99,6 @@ impl ParametricNetwork {
             network: FlowNetwork::new(2),
             bin_edges: Vec::new(),
             route_edges: Vec::new(),
-            source_edges: Vec::new(),
             source: 0,
             sink: 1,
             shipped: 0.0,
@@ -149,13 +150,10 @@ impl ParametricNetwork {
         }
         self.network
             .reserve(num_sources + num_bins + routes.len(), degrees);
-        self.source_edges.clear();
         for (j, &d) in demands.iter().enumerate() {
-            self.source_edges.push(if d > 0.0 {
-                self.network.add_edge(source, j, d, 0.0)
-            } else {
-                usize::MAX
-            });
+            if d > 0.0 {
+                self.network.add_edge(source, j, d, 0.0);
+            }
         }
         self.bin_edges.clear();
         for b in 0..num_bins {
@@ -260,43 +258,6 @@ impl ParametricNetwork {
             self.shipped += r.value;
         }
         self.shipped >= self.total_demand - slack
-    }
-
-    /// Seeds up to `amount` units of flow along route `idx` — through the
-    /// source edge, the route edge and the bin edge — clamped to the three
-    /// residual capacities, and returns the amount actually seeded.
-    ///
-    /// This is the **cross-event residual carry-over** primitive: a solver
-    /// that remembered where the previous event's (maximum) flow ran can
-    /// replay the surviving jobs' shares into a freshly bound network before
-    /// the first probe, so the probe only has to route what changed.  Any
-    /// seeded flow is conserving and capacity-respecting by construction, so
-    /// — like every warm start in this crate — seeding can only change how
-    /// much augmentation work a probe does, never its answer.
-    ///
-    /// Call after the capacities are bound for the probe
-    /// ([`ParametricNetwork::set_capacities`]); a later rebind that shrinks
-    /// a capacity below the seeded flow resets the network as usual.
-    pub fn seed_route_flow(&mut self, idx: usize, amount: f64) -> f64 {
-        let (j, b) = self.routes[idx];
-        let se = self.source_edges[j];
-        if se == usize::MAX {
-            return 0.0;
-        }
-        let re = self.route_edges[idx];
-        let be = self.bin_edges[b];
-        let f = amount
-            .min(self.network.residual(se))
-            .min(self.network.residual(re))
-            .min(self.network.residual(be));
-        if f <= FLOW_EPS {
-            return 0.0;
-        }
-        self.network.push(se, f);
-        self.network.push(re, f);
-        self.network.push(be, f);
-        self.shipped += f;
-        f
     }
 
     /// Flow currently routed through route `idx` (order of construction).
@@ -425,29 +386,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_flow_is_clamped_and_probes_stay_correct() {
-        let demands = [2.0, 2.0];
-        let routes = vec![(0, 0), (1, 0), (1, 1)];
-        let mut p = ParametricNetwork::new(&demands, 2, routes.clone());
-        let mut ws = FlowWorkspace::new();
-        p.set_bin_capacities(&[3.0, 1.0]);
-        // Seed more than fits anywhere: clamped to the tightest of the
-        // source, route and bin residuals.
-        let seeded = p.seed_route_flow(0, 10.0);
-        assert!((seeded - 2.0).abs() < 1e-9, "clamped to the job demand");
-        assert!((p.flow_on_route(0) - 2.0).abs() < 1e-9);
-        // Bin 0 has 1.0 residual left; seeding route 1 respects it.
-        let seeded = p.seed_route_flow(1, 2.0);
-        assert!((seeded - 1.0).abs() < 1e-9, "clamped to the bin residual");
-        // The probe completes the flow and agrees with from-scratch.
-        let fast = p.probe_feasible(1e-6, &mut ws);
-        assert_eq!(fast, reference_feasible(&demands, &[3.0, 1.0], &routes));
-        // And an infeasible rebind after seeding is still detected.
-        p.set_bin_capacities(&[1.0, 0.5]);
-        assert!(!p.probe_feasible(1e-6, &mut ws));
-    }
-
-    #[test]
     fn rebuilt_networks_probe_identically_to_fresh_ones() {
         type Shape<'a> = (&'a [f64], usize, &'a [(usize, usize)]);
         let shapes: [Shape; 3] = [
@@ -481,14 +419,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn zero_demand_jobs_cannot_be_seeded() {
-        let mut p = ParametricNetwork::new(&[0.0, 1.0], 1, vec![(0, 0), (1, 0)]);
-        p.set_bin_capacities(&[2.0]);
-        assert_eq!(p.seed_route_flow(0, 1.0), 0.0);
-        assert!((p.seed_route_flow(1, 1.0) - 1.0).abs() < 1e-9);
     }
 
     #[test]

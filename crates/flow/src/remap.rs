@@ -1,11 +1,11 @@
 //! Cross-event basis memory for the network simplex.
 //!
-//! The exact-topology warm start of [`crate::simplex::NetworkSimplexBackend`]
-//! (PR 2) only fires when two consecutive instances have *identical* arc
-//! lists — the repeated-solve case, not the scheduler's.  Across arrival and
-//! completion events the System-(2) network changes shape: completed jobs
-//! drop their arcs, new jobs add theirs, and the `(site, interval)` bin set
-//! stretches or shrinks with the epochal structure.  Yet most of the network
+//! A basis indexed by arc position can only be reused when two consecutive
+//! instances have *identical* arc lists — the repeated-solve case, not the
+//! scheduler's.  Across arrival and completion events the System-(2)
+//! network changes shape: completed jobs drop their arcs, new jobs add
+//! theirs, and the `(site, interval)` bin set stretches or shrinks with the
+//! epochal structure.  Yet most of the network
 //! *persists*: Srivastav–Trystram-style online re-optimisation exploits
 //! exactly this — consecutive instances differ by a handful of jobs.
 //!
@@ -26,11 +26,13 @@
 //!    still-disconnected node off the artificial root — a bounded
 //!    `O(m α(n))` repair instead of a cold crash-basis Phase 1.
 //!
-//! The remapped basis is then re-primed exactly like an exact-topology warm
-//! start (bound snap, conservation re-solve, fresh potentials); if the old
-//! basis is infeasible under the new capacities the solver falls back to a
-//! crash basis, so **correctness never depends on the remap** — it only
-//! decides how many pivots the solve needs.
+//! This is the one warm start of [`crate::simplex::NetworkSimplexBackend`]:
+//! a repeated solve of one network is a remap whose keys all survive.  The
+//! remapped basis is then re-primed (bound snap, conservation re-solve,
+//! fresh potentials); if the old basis is infeasible under the new
+//! capacities the solver falls back to a crash basis, so **correctness
+//! never depends on the remap** — it only decides how many pivots the
+//! solve needs.
 
 use crate::fasthash::FastMap;
 

@@ -44,22 +44,23 @@
 //!   *canonicalised*: flows are re-derived from the vertex itself, not from
 //!   the pivot history, so any two pivot paths reaching the optimum produce
 //!   identical bytes.
-//! * **Warm starts.**  Three tiers, checked in order.  The first two
-//!   re-prime the basis for the new data: nonbasic flows snap to their
-//!   bounds, tree flows are recomputed by conservation (leaf elimination,
-//!   with a bounded big-M repair hanging any misfit on artificial arcs)
-//!   and potentials are rebuilt; if re-priming fails outright the solver
-//!   crashes fresh, so correctness never depends on the warm start.
-//!   1. **Exact topology** — the next network has the same arc list (the
-//!      repeated-solve case): the previous basis is re-primed in place.
-//!   2. **Basis remap** ([`crate::remap::BasisRemap`]) — the network changed
-//!      shape but the caller supplied stable node keys through
-//!      [`MinCostBackend::warm_hint`] (the cross-*event* case of the on-line
-//!      schedulers: jobs complete, intervals move, most of the network
-//!      persists): surviving arcs keep their basis state, departed arcs are
-//!      pruned, new arcs enter nonbasic, and a bounded union–find repair
-//!      pass restores a spanning tree.
-//!   3. **Cold** — the crash basis of artificial root arcs.
+//! * **Warm starts.**  Two start paths.  When the caller supplied stable
+//!   node keys through [`MinCostBackend::warm_hint`] and the backend
+//!   remembers the basis of an earlier keyed solve, the solve starts from
+//!   that basis **remapped** onto the new network
+//!   ([`crate::remap::BasisRemap`]; the cross-*event* case of the on-line
+//!   schedulers: jobs complete, intervals move, most of the network
+//!   persists): surviving arcs keep their basis state, departed arcs are
+//!   pruned, new arcs enter nonbasic, and a bounded union–find repair pass
+//!   restores a spanning tree.  The remapped basis is then re-primed for
+//!   the new data: nonbasic flows snap to their bounds, tree flows are
+//!   recomputed by conservation (leaf elimination, with a bounded big-M
+//!   repair hanging any misfit on artificial arcs) and potentials are
+//!   rebuilt.  Otherwise — no keys, no remembered basis, or a remap the
+//!   re-priming rejects — the solve starts **cold** from the crash basis
+//!   of artificial root arcs, so correctness never depends on the warm
+//!   start.  A repeated solve of one network is just a remap whose keys
+//!   all survive.
 //! * **Numerical safety net.**  All comparisons use scale-aware epsilons; if
 //!   the pivot budget is ever exhausted (pathological numerics), the backend
 //!   resets the network and delegates to the primal-dual reference kernel,
@@ -128,23 +129,12 @@ enum Side {
     Second,
 }
 
-/// Which warm-start tier [`NetworkSimplexBackend::load`] selected.
-#[derive(Clone, Copy, PartialEq)]
-enum WarmPath {
-    /// Same arc list as the previous solve: re-prime the basis in place.
-    Exact,
-    /// Different shape, stable keys available: remap the basis.
-    Remap,
-    /// No reusable basis: crash fresh.
-    Cold,
-}
-
 /// Min-cost max-flow by network simplex; see the module docs.
 ///
 /// Hold one per solver and feed it every instance: scratch memory — and the
-/// spanning-tree basis, re-primed on exact topology repeats and *remapped*
-/// across shape changes when [`MinCostBackend::warm_hint`] supplies stable
-/// node keys — is reused across solves.
+/// spanning-tree basis, *remapped* onto the next network when
+/// [`MinCostBackend::warm_hint`] supplies stable node keys — is reused
+/// across solves.
 pub struct NetworkSimplexBackend {
     // --- arc arrays (real arcs, then the return arc, then root arcs) ---
     from: Vec<usize>,
@@ -164,14 +154,9 @@ pub struct NetworkSimplexBackend {
     /// Secondary potentials (exact integers, paired with `cost2`).
     pi2: Vec<f64>,
     // --- warm-start bookkeeping ---
-    /// `(from << 32) | to` per real arc of the last solve; the exact-topology
-    /// warm start is attempted only when the next instance matches exactly.
-    signature: Vec<u64>,
-    /// Node count (excluding the artificial root) of the last solve.
+    /// Node count (excluding the artificial root) of the loaded instance.
     num_nodes: usize,
-    /// `true` when the stored basis belongs to a completed solve.
-    basis_valid: bool,
-    /// `false` disables every cross-solve reuse tier (the "cold" reference
+    /// `false` disables the cross-solve basis remap (the "cold" reference
     /// configuration of the warm/cold differential tests).
     warm_start: bool,
     /// Stable node keys supplied for the *next* solve via
@@ -197,7 +182,7 @@ pub struct NetworkSimplexBackend {
     /// Pivot budget blow-ups so far (each one fell back to the reference
     /// kernel); exposed for tests and diagnostics.
     fallbacks: usize,
-    /// Solves that took the basis-remap warm tier; diagnostic.
+    /// Solves that started from the remapped basis; diagnostic.
     remapped_solves: usize,
 }
 
@@ -208,8 +193,8 @@ impl Default for NetworkSimplexBackend {
 }
 
 impl NetworkSimplexBackend {
-    /// Creates a backend with empty scratch (grows on first use) and every
-    /// warm-start tier enabled.
+    /// Creates a backend with empty scratch (grows on first use) and the
+    /// remapped warm start enabled.
     pub fn new() -> Self {
         Self::with_warm_start(true)
     }
@@ -234,9 +219,7 @@ impl NetworkSimplexBackend {
             children: Vec::new(),
             pi: Vec::new(),
             pi2: Vec::new(),
-            signature: Vec::new(),
             num_nodes: 0,
-            basis_valid: false,
             warm_start,
             hint: Vec::new(),
             hint_valid: false,
@@ -264,29 +247,30 @@ impl NetworkSimplexBackend {
         self.fallbacks
     }
 
-    /// How many solves started from a remapped (cross-event) basis;
-    /// diagnostic for tests and benches.
+    /// How many solves started from a remapped (cross-event) basis; every
+    /// other solve started cold.  Diagnostic for tests and benches.
     pub fn remap_count(&self) -> usize {
         self.remapped_solves
     }
 
-    /// `true` when the next solve of a `num_nodes`-node network will start
-    /// from the remembered cross-event basis: warm start on, a
-    /// [`BasisRemap`] remembered, and a [`MinCostBackend::warm_hint`] for
-    /// exactly this node count pending.  [`Self::load`] picks
-    /// [`WarmPath::Remap`] by this predicate.
-    fn holds_remap_basis(&self, num_nodes: usize) -> bool {
-        self.warm_start && self.remap.is_valid() && self.hint_valid && self.hint.len() == num_nodes
+    /// `true` when the loaded instance may start from the remembered
+    /// cross-event basis: warm start on, a [`BasisRemap`] remembered, and a
+    /// [`MinCostBackend::warm_hint`] for exactly the loaded node count
+    /// pending.
+    fn holds_remap_basis(&self) -> bool {
+        self.warm_start
+            && self.remap.is_valid()
+            && self.hint_valid
+            && self.hint.len() == self.num_nodes
     }
 
     /// Loads the instance out of `network` (fresh, no flow) into the arc
-    /// arrays and picks the warm-start tier (see the module docs).
-    fn load(&mut self, network: &FlowNetwork, source: usize, sink: usize) -> WarmPath {
+    /// arrays.
+    fn load(&mut self, network: &FlowNetwork, source: usize, sink: usize) {
         let n = network.num_nodes();
         let m_real = network.num_edges();
         // + return arc + up root arcs (v → root) + down root arcs (root → v).
         let num_arcs = m_real + 1 + 2 * n;
-        let mut same_topology = self.warm_start && self.basis_valid && self.num_nodes == n;
 
         self.from.clear();
         self.to.clear();
@@ -305,22 +289,6 @@ impl NetworkSimplexBackend {
             if u == source {
                 source_out += fwd.cap;
             }
-            let sig = ((u as u64) << 32) | v as u64;
-            if same_topology && self.signature.get(a).copied() != Some(sig) {
-                same_topology = false;
-            }
-        }
-        if same_topology && self.signature.len() != m_real {
-            same_topology = false;
-        }
-        if !same_topology {
-            self.signature.clear();
-            self.signature.extend(
-                self.from
-                    .iter()
-                    .zip(&self.to)
-                    .map(|(&u, &v)| ((u as u64) << 32) | v as u64),
-            );
         }
 
         // `BIG` must dominate the cost of any simple path so that the return
@@ -380,13 +348,6 @@ impl NetworkSimplexBackend {
         debug_assert_eq!(self.from.len(), num_arcs);
         self.flow.resize(num_arcs, 0.0);
         self.num_nodes = n;
-        if same_topology && self.state.len() == num_arcs {
-            WarmPath::Exact
-        } else if self.holds_remap_basis(n) {
-            WarmPath::Remap
-        } else {
-            WarmPath::Cold
-        }
     }
 
     /// Installs the crash basis: every real arc nonbasic at its lower bound,
@@ -505,7 +466,7 @@ impl NetworkSimplexBackend {
     /// Returns `false` when the basis is infeasible under the new data
     /// (caller then crashes fresh).
     ///
-    /// With `repair` on — the warm-start tiers — an out-of-bounds tree flow
+    /// With `repair` on — the remapped warm start — an out-of-bounds tree flow
     /// does **not** reject the basis: the violating arc is clamped to the
     /// bound it broke (and demoted there), the node is re-hung on the
     /// artificial root arc of the orientation its leftover imbalance needs,
@@ -1170,24 +1131,17 @@ impl MinCostBackend for NetworkSimplexBackend {
                 phases: 0,
             };
         }
-        let path = self.load(network, source, sink);
+        self.load(network, source, sink);
         let (eps_flow, eps_cost) = self.tolerances();
 
-        let warmed = match path {
-            WarmPath::Exact => self.warm_basis(eps_flow, true),
-            WarmPath::Remap => {
-                let ok = self.apply_remap() && self.warm_basis(eps_flow, true);
-                if ok {
-                    // Counted only once the re-priming accepted the basis:
-                    // a rejected remap runs cold and must not show up in
-                    // the diagnostic the vacuity guards assert on.
-                    self.remapped_solves += 1;
-                }
-                ok
-            }
-            WarmPath::Cold => false,
-        };
-        if !warmed {
+        let warmed =
+            self.holds_remap_basis() && self.apply_remap() && self.warm_basis(eps_flow, true);
+        if warmed {
+            // Counted only once the re-priming accepted the basis: a
+            // rejected remap runs cold and must not show up in the
+            // diagnostic the vacuity guards assert on.
+            self.remapped_solves += 1;
+        } else {
             self.crash_basis();
         }
         #[cfg(feature = "invariant-audit")]
@@ -1196,7 +1150,6 @@ impl MinCostBackend for NetworkSimplexBackend {
         // Pivot to the unique lexicographic optimum and canonicalise: the
         // same tail whatever basis the solve started from, which is what
         // makes warm-started and cold solves bit-identical.
-        self.basis_valid = false; // invalidated until this solve completes
         self.block_pos = 0; // stateless pricing: per-solve determinism
         let had_hint = self.hint_valid;
         self.hint_valid = false;
@@ -1212,7 +1165,6 @@ impl MinCostBackend for NetworkSimplexBackend {
         self.canonicalize(eps_flow);
         #[cfg(feature = "invariant-audit")]
         self.audit_basis("canonicalize");
-        self.basis_valid = true;
         if had_hint && self.warm_start {
             self.remap
                 .remember(&self.hint, &self.from, &self.to, &self.state);
@@ -1372,81 +1324,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn warm_start_matches_cold_solves_across_capacity_and_cost_moves() {
-        // Same topology, shifting capacities/costs: the second and third
-        // solves take the warm path and must match fresh-backend solves.
-        let build = |scale: f64, cost: f64| {
-            let mut g = FlowNetwork::new(5);
-            g.add_edge(0, 1, 2.0 * scale, 0.0);
-            g.add_edge(0, 2, 3.0 * scale, 0.0);
-            g.add_edge(1, 3, 2.0 * scale, cost);
-            g.add_edge(2, 3, 3.0 * scale, 2.0 * cost);
-            g.add_edge(3, 4, 4.0 * scale, 0.0);
-            g
-        };
-        let mut shared = NetworkSimplexBackend::new();
-        let mut ws = FlowWorkspace::new();
-        for (scale, cost) in [(1.0, 1.0), (0.5, 3.0), (2.0, 0.25), (2.0, 0.25)] {
-            let mut g_warm = build(scale, cost);
-            let warm = shared.solve_up_to(&mut g_warm, 0, 4, f64::INFINITY, &mut ws);
-            let mut g_cold = build(scale, cost);
-            let cold = NetworkSimplexBackend::new().solve_up_to(
-                &mut g_cold,
-                0,
-                4,
-                f64::INFINITY,
-                &mut FlowWorkspace::new(),
-            );
-            assert!(
-                close(warm.flow, cold.flow),
-                "{} vs {}",
-                warm.flow,
-                cold.flow
-            );
-            assert!(
-                close(warm.cost, cold.cost),
-                "{} vs {}",
-                warm.cost,
-                cold.cost
+    /// Solves the network `build` returns (with its source and sink) on
+    /// `warm` and on a fresh cold backend, both keyed by `keys`, and
+    /// requires bit-identical results and per-edge flows.  The cold solve
+    /// gets the same per-instance keys: they seed the tie-break, not any
+    /// cross-solve state.
+    fn assert_warm_solve_matches_cold(
+        warm: &mut NetworkSimplexBackend,
+        build: impl Fn() -> (FlowNetwork, usize, usize),
+        keys: &[u64],
+    ) {
+        let (mut g_warm, s, t) = build();
+        warm.warm_hint(keys);
+        let r_warm = warm.solve_up_to(&mut g_warm, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+        let (mut g_cold, _, _) = build();
+        let mut cold = NetworkSimplexBackend::with_warm_start(false);
+        cold.warm_hint(keys);
+        let r_cold = cold.solve_up_to(&mut g_cold, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+        assert_eq!(r_warm.flow.to_bits(), r_cold.flow.to_bits());
+        assert_eq!(r_warm.cost.to_bits(), r_cold.cost.to_bits());
+        for a in 0..g_warm.num_edges() {
+            assert_eq!(
+                g_warm.flow_on(2 * a).to_bits(),
+                g_cold.flow_on(2 * a).to_bits(),
+                "edge {a} flow diverged between warm and cold"
             );
         }
+    }
+
+    #[test]
+    fn warm_start_matches_cold_solves_across_capacity_and_cost_moves() {
+        // Same keyed topology, shifting capacities/costs: every solve after
+        // the first starts from the remapped basis of the one before (the
+        // last repeats the third exactly) and must match a cold solve bit
+        // for bit.
+        use crate::backend::{KEY_SUPER_SINK, KEY_SUPER_SOURCE};
+        let keys = [KEY_SUPER_SOURCE, 1, 2, 3, KEY_SUPER_SINK];
+        let build = |scale: f64, cost: f64| {
+            move || {
+                let mut g = FlowNetwork::new(5);
+                g.add_edge(0, 1, 2.0 * scale, 0.0);
+                g.add_edge(0, 2, 3.0 * scale, 0.0);
+                g.add_edge(1, 3, 2.0 * scale, cost);
+                g.add_edge(2, 3, 3.0 * scale, 2.0 * cost);
+                g.add_edge(3, 4, 4.0 * scale, 0.0);
+                (g, 0, 4)
+            }
+        };
+        let moves = [(1.0, 1.0), (0.5, 3.0), (2.0, 0.25), (2.0, 0.25)];
+        let mut shared = NetworkSimplexBackend::new();
+        for (scale, cost) in moves {
+            assert_warm_solve_matches_cold(&mut shared, build(scale, cost), &keys);
+        }
+        assert_eq!(
+            shared.remap_count(),
+            moves.len() - 1,
+            "every later solve must start from the remapped basis"
+        );
         assert_eq!(shared.fallback_count(), 0);
     }
 
     #[test]
     fn topology_change_invalidates_the_warm_basis() {
+        // A network without stable keys cannot be matched to the remembered
+        // basis: it starts cold (and must stay right) and drops the memory,
+        // so the keyed solve after it starts cold too.  Only a keyed solve
+        // following a keyed one remaps.
+        use crate::backend::{KEY_SUPER_SINK, KEY_SUPER_SOURCE};
+        let keys = [KEY_SUPER_SOURCE, 10, KEY_SUPER_SINK];
+        let chain = || {
+            let mut g = FlowNetwork::new(3);
+            g.add_edge(0, 1, 1.0, 1.0);
+            g.add_edge(1, 2, 1.0, 1.0);
+            g
+        };
+        let diamond = || {
+            let mut g = FlowNetwork::new(4);
+            g.add_edge(0, 1, 2.0, 1.0);
+            g.add_edge(0, 2, 2.0, 3.0);
+            g.add_edge(1, 3, 1.0, 0.0);
+            g.add_edge(2, 3, 2.0, 0.0);
+            g
+        };
         let mut ns = NetworkSimplexBackend::new();
         let mut ws = FlowWorkspace::new();
-        let mut g1 = FlowNetwork::new(3);
-        g1.add_edge(0, 1, 1.0, 1.0);
-        g1.add_edge(1, 2, 1.0, 1.0);
-        let r1 = ns.solve_up_to(&mut g1, 0, 2, f64::INFINITY, &mut ws);
+        ns.warm_hint(&keys);
+        let r1 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
         assert!(close(r1.flow, 1.0));
-        // Different arc set: must not reuse the basis (and must stay right).
-        let mut g2 = FlowNetwork::new(4);
-        g2.add_edge(0, 1, 2.0, 1.0);
-        g2.add_edge(0, 2, 2.0, 3.0);
-        g2.add_edge(1, 3, 1.0, 0.0);
-        g2.add_edge(2, 3, 2.0, 0.0);
-        let r2 = ns.solve_up_to(&mut g2, 0, 3, f64::INFINITY, &mut ws);
-        let mut g2b = FlowNetwork::new(4);
-        g2b.add_edge(0, 1, 2.0, 1.0);
-        g2b.add_edge(0, 2, 2.0, 3.0);
-        g2b.add_edge(1, 3, 1.0, 0.0);
-        g2b.add_edge(2, 3, 2.0, 0.0);
-        let reference = min_cost_max_flow(&mut g2b, 0, 3);
+        assert_eq!(r1.phases, 1, "the first solve starts cold");
+
+        let r2 = ns.solve_up_to(&mut diamond(), 0, 3, f64::INFINITY, &mut ws);
+        let reference = min_cost_max_flow(&mut diamond(), 0, 3);
         assert!(close(r2.flow, reference.flow));
         assert!(close(r2.cost, reference.cost));
+        assert_eq!(r2.phases, 1, "an unkeyed network starts cold");
+
+        ns.warm_hint(&keys);
+        let r3 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
+        assert_eq!(r3.phases, 1, "the unkeyed solve dropped the basis");
+        assert_eq!(ns.remap_count(), 0);
+
+        ns.warm_hint(&keys);
+        let r4 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
+        assert_eq!(r4.phases, 0, "a keyed solve after a keyed one remaps");
+        assert_eq!(ns.remap_count(), 1);
+        assert_eq!(r4.flow.to_bits(), r3.flow.to_bits());
+        assert_eq!(r4.cost.to_bits(), r3.cost.to_bits());
     }
 
     /// Builds a jobs × bins transportation network from explicit routes,
-    /// with stable keys `job_keys[j]` / `bin_keys[b]` for the remap tests.
+    /// with its source and sink, for the remap tests to key.
     fn keyed_transport(
         demands: &[f64],
         caps: &[f64],
         routes: &[(usize, usize, f64)],
-    ) -> (FlowNetwork, Vec<u64>, usize, usize) {
+    ) -> (FlowNetwork, usize, usize) {
         let (nj, nb) = (demands.len(), caps.len());
         let s = nj + nb;
         let t = s + 1;
@@ -1460,8 +1452,7 @@ mod tests {
         for &(j, b, cost) in routes {
             g.add_edge(j, nj + b, demands[j], cost);
         }
-        let keys = Vec::new();
-        (g, keys, s, t)
+        (g, s, t)
     }
 
     #[test]
@@ -1474,41 +1465,23 @@ mod tests {
         let e1_caps = [2.5, 4.0];
         let e1_routes = [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 1.5), (1, 1, 0.5)];
         let e1_keys: Vec<u64> = vec![10, 11, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
-        // One fewer route than event 1: the arc list differs, so only the
-        // key-based remap tier (not the exact-topology tier) can fire.
+        // One fewer route than event 1: the arc list differs, and only the
+        // keys carry the basis over.
         let e2_demands = [3.0, 1.0];
         let e2_caps = [2.5, 4.0];
         let e2_routes = [(0, 0, 1.5), (0, 1, 0.5), (1, 1, 2.0)];
         let e2_keys: Vec<u64> = vec![11, 12, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
 
         let mut shared = NetworkSimplexBackend::new();
-        let mut ws = FlowWorkspace::new();
-        let (mut g1, _, s, t) = keyed_transport(&e1_demands, &e1_caps, &e1_routes);
+        let (mut g1, s, t) = keyed_transport(&e1_demands, &e1_caps, &e1_routes);
         shared.warm_hint(&e1_keys);
-        shared.solve_up_to(&mut g1, s, t, f64::INFINITY, &mut ws);
+        shared.solve_up_to(&mut g1, s, t, f64::INFINITY, &mut FlowWorkspace::new());
         assert_eq!(shared.remap_count(), 0);
 
-        let (mut g2, _, s, t) = keyed_transport(&e2_demands, &e2_caps, &e2_routes);
-        shared.warm_hint(&e2_keys);
-        let warm = shared.solve_up_to(&mut g2, s, t, f64::INFINITY, &mut ws);
+        let event2 = || keyed_transport(&e2_demands, &e2_caps, &e2_routes);
+        assert_warm_solve_matches_cold(&mut shared, event2, &e2_keys);
         assert_eq!(shared.remap_count(), 1, "event 2 must take the remap tier");
         assert_eq!(shared.fallback_count(), 0);
-
-        let (mut g2c, _, s, t) = keyed_transport(&e2_demands, &e2_caps, &e2_routes);
-        let mut cold = NetworkSimplexBackend::with_warm_start(false);
-        // The cold solve gets the same per-instance hint (it seeds the
-        // tie-break, not any cross-solve state).
-        cold.warm_hint(&e2_keys);
-        let cold_r = cold.solve_up_to(&mut g2c, s, t, f64::INFINITY, &mut FlowWorkspace::new());
-        assert_eq!(warm.flow.to_bits(), cold_r.flow.to_bits());
-        assert_eq!(warm.cost.to_bits(), cold_r.cost.to_bits());
-        for a in 0..g2.num_edges() {
-            assert_eq!(
-                g2.flow_on(2 * a).to_bits(),
-                g2c.flow_on(2 * a).to_bits(),
-                "edge {a} flow diverged between remap-warm and cold"
-            );
-        }
     }
 
     #[test]
@@ -1523,30 +1496,16 @@ mod tests {
         let keys: Vec<u64> = vec![7, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
 
         let mut shared = NetworkSimplexBackend::new();
-        let mut ws = FlowWorkspace::new();
         // Prime the shared backend with a network whose optimum sits on bin
         // 1 only (bin 0 inadmissible), then re-solve the tied instance warm.
         let primer = [(0, 1, 1.0)];
-        let (mut g0, _, s, t) = keyed_transport(&demands, &caps, &primer);
+        let (mut g0, s, t) = keyed_transport(&demands, &caps, &primer);
         shared.warm_hint(&keys[..]);
-        shared.solve_up_to(&mut g0, s, t, f64::INFINITY, &mut ws);
+        shared.solve_up_to(&mut g0, s, t, f64::INFINITY, &mut FlowWorkspace::new());
 
-        let (mut g_warm, _, s, t) = keyed_transport(&demands, &caps, &routes);
-        shared.warm_hint(&keys[..]);
-        shared.solve_up_to(&mut g_warm, s, t, f64::INFINITY, &mut ws);
-
-        let (mut g_cold, _, s, t) = keyed_transport(&demands, &caps, &routes);
-        let mut cold = NetworkSimplexBackend::with_warm_start(false);
-        cold.warm_hint(&keys[..]);
-        cold.solve_up_to(&mut g_cold, s, t, f64::INFINITY, &mut FlowWorkspace::new());
-
-        for a in 0..g_warm.num_edges() {
-            assert_eq!(
-                g_warm.flow_on(2 * a).to_bits(),
-                g_cold.flow_on(2 * a).to_bits(),
-                "tied optimum must be start-basis-independent (edge {a})"
-            );
-        }
+        let tied = || keyed_transport(&demands, &caps, &routes);
+        assert_warm_solve_matches_cold(&mut shared, tied, &keys);
+        assert_eq!(shared.remap_count(), 1);
     }
 
     #[test]

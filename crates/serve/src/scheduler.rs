@@ -20,6 +20,7 @@
 //! to outputs, so a recovered (cold) process matches a long-lived (warm) one.
 
 use stretch_core::deadline::{DeadlineProblem, PendingJob};
+use stretch_core::online::{fold_execution, pending_job};
 use stretch_core::plan::{
     execute_list_order, execute_sequences, site_sequences, PieceOrdering, PlanExecution,
 };
@@ -27,13 +28,10 @@ use stretch_core::{ParametricDeadlineSolver, SiteView, SolverConfig};
 
 use crate::event::SolveTier;
 
-/// Absolute tolerance under which two release dates are the same on-line
-/// event — identical to the dedup tolerance of `run_online_with`.
-pub const EVENT_TOL: f64 = 1e-12;
-
-/// Remaining work under which a job no longer counts as pending — identical
-/// to the pending filter of `run_online_with`.
-pub const PENDING_REMAINING_EPS: f64 = 1e-9;
+// The on-line event rule's tolerances, shared with `run_online_with`:
+// release dates at most `EVENT_TOL` apart are one event, and a job with at
+// most `PENDING_REMAINING_EPS` of work left is no longer pending.
+pub use stretch_core::online::{EVENT_TOL, PENDING_REMAINING_EPS};
 
 /// A validated, accepted job as staged into the scheduler.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -229,23 +227,21 @@ impl ServeScheduler {
         self.started && self.active.is_none() && !self.pending().is_empty()
     }
 
-    /// Pending jobs at the frontier, exactly as `run_online_with` builds
-    /// them: released (within [`EVENT_TOL`]) and not completed.
+    /// Pending jobs at the frontier, by the rule `run_online_with` uses
+    /// ([`pending_job`]): released (within [`EVENT_TOL`]) and not completed.
     fn pending(&self) -> Vec<PendingJob> {
         self.jobs
             .iter()
             .enumerate()
-            .filter(|(id, j)| {
-                j.release <= self.stage_time + EVENT_TOL
-                    && self.remaining[*id] > PENDING_REMAINING_EPS
-            })
-            .map(|(id, j)| PendingJob {
-                job_id: id,
-                release: j.release,
-                ready: self.stage_time,
-                work: j.work,
-                remaining: self.remaining[id],
-                databank: j.databank,
+            .filter_map(|(id, j)| {
+                pending_job(
+                    id,
+                    j.release,
+                    j.work,
+                    j.databank,
+                    self.remaining[id],
+                    self.stage_time,
+                )
             })
             .collect()
     }
@@ -318,8 +314,8 @@ impl ServeScheduler {
 
     /// Moves the frontier to `t` (the next event time, or `f64::INFINITY` to
     /// drain), executing the installed decision over `[stage_time, t)` and
-    /// folding executed work and completions back — the bookkeeping step of
-    /// `run_online_with`, verbatim.
+    /// folding executed work and completions back with the bookkeeping step
+    /// of `run_online_with` ([`fold_execution`]).
     pub fn advance(&mut self, t: f64) {
         debug_assert!(
             t >= self.stage_time - EVENT_TOL,
@@ -334,14 +330,12 @@ impl ServeScheduler {
                     execute_list_order(&decision.problem, order, &self.sites, self.stage_time, t)
                 }
             };
-            for (pending_idx, job) in decision.problem.jobs.iter().enumerate() {
-                self.remaining[job.job_id] =
-                    (self.remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
-                if let Some(&c) = execution.completions.get(&pending_idx) {
-                    self.remaining[job.job_id] = 0.0;
-                    self.completions[job.job_id] = c;
-                }
-            }
+            fold_execution(
+                &decision.problem,
+                &execution,
+                &mut self.remaining,
+                &mut self.completions,
+            );
         }
         if t.is_finite() {
             self.stage_time = t;
