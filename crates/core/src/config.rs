@@ -5,11 +5,12 @@
 //! and the System-(2) min-cost re-allocation, which runs on a pluggable
 //! [`MinCostBackend`].  A [`SolverConfig`]
 //! names the backend and decides whether solver state may be **carried
-//! across events** (the network simplex's remapped basis); it is carried by
-//! the schedulers ([`crate::OnlineScheduler::with_config`],
-//! [`crate::OfflineScheduler::with_config`],
+//! across events** (the network simplex's basis, remapped by the stable
+//! keys each System-(2) instance carries); it is carried by the schedulers
+//! that solve System (2) ([`crate::OnlineScheduler::with_config`],
 //! [`crate::Bender98Scheduler::with_config`]) and by the reusable
-//! [`crate::ParametricDeadlineSolver`].
+//! [`crate::ParametricDeadlineSolver`].  [`crate::OfflineScheduler`] runs
+//! no min-cost solve and takes no configuration.
 //!
 //! # The default is a constant
 //!

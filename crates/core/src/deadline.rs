@@ -13,8 +13,7 @@
 use crate::parametric::ParametricDeadlineSolver;
 use crate::sites::SiteView;
 use stretch_flow::{
-    FlowWorkspace, MinCostBackend, PrimalDualBackend, TransportArena, TransportInstance,
-    TransportSolution,
+    FlowWorkspace, MinCostBackend, PrimalDualBackend, TransportInstance, TransportSolution,
 };
 
 /// Relative tolerance used when bisecting on the objective `F`.
@@ -349,8 +348,8 @@ impl DeadlineProblem {
     /// times, same capacity loop, same admissibility slacks, same route
     /// declaration order — which is what makes a solve in a reused arena
     /// bit-identical to one in a fresh arena by construction.  `times` is
-    /// pure scratch; `t` keeps any stable keys it carried (see
-    /// [`TransportInstance::reset`]).
+    /// pure scratch; `t` is left unkeyed, whatever keys it carried before
+    /// (see [`TransportInstance::reset`]).
     pub fn transport_into(
         &self,
         stretch: f64,
@@ -498,19 +497,14 @@ impl DeadlineProblem {
     /// Solves System (2) at objective `F`: ship every remaining unit of work,
     /// minimising the sum over jobs of (interval midpoint) × (fraction of the
     /// job placed there) — the rational relaxation of the sum-stretch used by
-    /// the paper's on-line heuristics.  Returns `None` when `F` is
-    /// infeasible.
+    /// the paper's on-line heuristics, solved on the primal-dual reference
+    /// backend.  Returns `None` when `F` is infeasible.
     pub fn system2_allocation(&self, stretch: f64) -> Option<AllocationPlan> {
-        self.system2_allocation_with(stretch, &mut FlowWorkspace::new())
-    }
-
-    /// [`Self::system2_allocation`] reusing caller scratch.
-    pub fn system2_allocation_with(
-        &self,
-        stretch: f64,
-        workspace: &mut FlowWorkspace,
-    ) -> Option<AllocationPlan> {
-        self.system2_allocation_with_backend(stretch, &mut PrimalDualBackend, workspace)
+        self.system2_allocation_with_backend(
+            stretch,
+            &mut PrimalDualBackend,
+            &mut FlowWorkspace::new(),
+        )
     }
 
     /// [`Self::system2_allocation`] on an explicit min-cost backend.
@@ -520,14 +514,14 @@ impl DeadlineProblem {
     /// transportation solve on the hot path, so the backend choice of
     /// [`crate::SolverConfig`] lands here.
     ///
-    /// The instance is labelled with **stable identities** — jobs by their
+    /// The instance is keyed with **stable identities** — jobs by their
     /// instance-wide [`PendingJob::job_id`] (unchanged however many events a
-    /// job survives), bins by `(site, interval position)` — and those labels
-    /// reach the backend as a [`MinCostBackend::warm_hint`].  A
-    /// basis-carrying backend (the network simplex) uses them to remap its
-    /// previous event's basis onto this event's network; stateless backends
-    /// ignore them.  Either way the allocation is bit-identical: the hint
-    /// only changes how many pivots the solve needs.
+    /// job survives), bins by `(site, interval position)`
+    /// ([`TransportInstance::set_stable_keys`]).  A basis-carrying backend
+    /// (the network simplex) reads them to remap its previous event's basis
+    /// onto this event's instance; stateless backends ignore them.  Warm or
+    /// cold, the allocation is bit-identical: the remap only changes how
+    /// many pivots the solve needs.
     pub fn system2_allocation_with_backend(
         &self,
         stretch: f64,
@@ -556,23 +550,19 @@ impl DeadlineProblem {
     }
 }
 
-/// The memory of a System-(2) solve: the [`TransportInstance`], the
-/// interval and key buffers, and the [`TransportArena`] holding the flow
-/// network.
+/// The memory of a System-(2) solve: the keyed [`TransportInstance`] and
+/// the interval buffers it is filled from.
 ///
 /// [`DeadlineProblem::system2_allocation_with_backend`] solves on a fresh
 /// arena; a [`crate::ParametricDeadlineSolver`] keeps one alive across
-/// events, so a steady stream of events solves System (2) without
-/// allocating.  Both run the same fill and the same backend call, so a
-/// reused arena returns bit for bit what a fresh one does.
+/// events, so a steady stream of events refills one instance in place.
+/// Both run the same fill and the same backend call, so a reused arena
+/// returns bit for bit what a fresh one does.
 #[derive(Debug, Default)]
 pub struct System2Arena {
     instance: TransportInstance,
     intervals: Vec<(f64, f64)>,
     times: Vec<f64>,
-    source_keys: Vec<u64>,
-    bin_keys: Vec<u64>,
-    arena: TransportArena,
 }
 
 impl System2Arena {
@@ -602,21 +592,17 @@ impl System2Arena {
             &mut self.times,
         );
         let num_intervals = self.intervals.len();
-        self.source_keys.clear();
-        self.source_keys
-            .extend(problem.jobs.iter().map(|j| j.job_id as u64));
         // Bins are keyed by (site, position-from-now); tagged into a range
         // disjoint from any realistic job id.
-        self.bin_keys.clear();
-        self.bin_keys
-            .extend((0..problem.sites.len() * num_intervals).map(|bin| {
+        self.instance.set_stable_keys(
+            problem.jobs.iter().map(|j| j.job_id as u64),
+            (0..problem.sites.len() * num_intervals).map(|bin| {
                 (1u64 << 48) | (((bin / num_intervals) as u64) << 24) | (bin % num_intervals) as u64
-            }));
-        self.instance
-            .set_stable_keys_from(&self.source_keys, &self.bin_keys);
+            }),
+        );
         let solution = self
             .instance
-            .solve_min_cost_in(backend, workspace, &mut self.arena)?;
+            .solve_min_cost_with_backend(backend, workspace)?;
         Some(AllocationPlan::from_transport(
             problem,
             self.intervals.clone(),

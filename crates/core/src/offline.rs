@@ -3,12 +3,12 @@
 //! With every release date known in advance, minimising the max-stretch
 //! reduces to a deadline-scheduling problem parametrised by the objective
 //! `F`: binary-search the milestones, check feasibility on each candidate
-//! interval, and take the smallest feasible `F`.  Two back-ends are
-//! available:
+//! interval, and take the smallest feasible `F`.  Two back-ends compute the
+//! optimum ([`optimal_max_stretch`]):
 //!
-//! * [`OfflineBackend::Flow`] (default): feasibility as a transportation
-//!   max-flow plus a numeric bisection — fast, used for the simulation
-//!   sweeps;
+//! * [`OfflineBackend::Flow`] (default, and the one [`OfflineScheduler`]
+//!   runs): feasibility as a transportation max-flow plus a numeric
+//!   bisection — fast, used for the simulation sweeps;
 //! * [`OfflineBackend::Lp`]: the paper's System (1) solved exactly on the
 //!   final milestone interval with the `stretch-lp` simplex.
 //!
@@ -17,7 +17,6 @@
 //! every completion within its deadline and therefore achieves the optimal
 //! max-stretch.
 
-use crate::config::SolverConfig;
 use crate::deadline::{DeadlineProblem, PendingJob};
 use crate::parametric::ParametricDeadlineSolver;
 use crate::plan::{execute_sequences, site_sequences, PieceOrdering};
@@ -83,37 +82,18 @@ pub fn optimal_max_stretch(
 }
 
 /// The off-line optimal max-stretch scheduler.
+///
+/// It has no knobs.  The optimum is searched with the flow engine
+/// ([`OfflineBackend::Flow`]) and realised with the zero-cost feasibility
+/// allocation, so no min-cost backend takes part; the LP engine stays
+/// reachable as [`optimal_max_stretch`]`(.., OfflineBackend::Lp)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OfflineScheduler {
-    backend: OfflineBackend,
-    config: SolverConfig,
-}
+pub struct OfflineScheduler;
 
 impl OfflineScheduler {
-    /// Creates the scheduler with the default (flow) back-end.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the scheduler with an explicit back-end.
-    pub fn with_backend(backend: OfflineBackend) -> Self {
-        Self::with_backend_and_config(backend, SolverConfig::default())
-    }
-
-    /// Creates the scheduler with an explicit solver configuration and the
-    /// default (flow) back-end (the realised allocation is a zero-cost
-    /// transportation solve, so the min-cost backend choice only matters for
-    /// uniformity with the on-line schedulers — both backends must, and do,
-    /// accept it).
-    pub fn with_config(config: SolverConfig) -> Self {
-        Self::with_backend_and_config(OfflineBackend::default(), config)
-    }
-
-    /// Creates the scheduler with both axes explicit: which engine computes
-    /// the optimal max-stretch, and which min-cost backend realises the
-    /// allocation.
-    pub fn with_backend_and_config(backend: OfflineBackend, config: SolverConfig) -> Self {
-        OfflineScheduler { backend, config }
+        OfflineScheduler
     }
 }
 
@@ -123,7 +103,8 @@ impl Scheduler for OfflineScheduler {
     }
 
     fn schedule(&self, instance: &Instance) -> Result<ScheduleResult, ScheduleError> {
-        let OptimalStretch { stretch, problem } = optimal_max_stretch(instance, self.backend)?;
+        let OptimalStretch { stretch, problem } =
+            optimal_max_stretch(instance, OfflineBackend::Flow)?;
         // Realise the optimum: compute a feasible allocation at (marginally
         // above) the optimal objective, then serialise it per site.  The
         // allocation is the plain feasibility solution — the paper's Offline
@@ -133,8 +114,7 @@ impl Scheduler for OfflineScheduler {
         // The objective is the certified slack above the optimum, retried
         // at a looser one when the transport solve rejects it (the same
         // rule as the on-line allocation).
-        let mut solver = ParametricDeadlineSolver::with_config(self.config);
-        let plan = solver
+        let plan = ParametricDeadlineSolver::new()
             .certified_feasibility_allocation(&problem, stretch)
             .ok_or_else(|| {
                 ScheduleError::Optimisation("allocation infeasible at the optimal stretch".into())

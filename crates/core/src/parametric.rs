@@ -48,10 +48,10 @@
 //! A solver fed a *stream* of problems — the on-line schedulers call it at
 //! every arrival and completion — carries one piece of state **across
 //! events** when its [`SolverConfig`] has `warm_start` on (the default):
-//! the System-(2) min-cost solve hands the backend stable node keys (jobs
-//! by instance-wide job id, bins by `(site, interval position)`), letting
-//! the network simplex remap its previous optimal spanning-tree basis onto
-//! the new event's network — see [`stretch_flow::BasisRemap`].  The
+//! the System-(2) transport instance carries stable keys (jobs by
+//! instance-wide job id, bins by `(site, interval position)`), letting the
+//! network simplex remap its previous optimal spanning-tree basis onto the
+//! new event's instance — see [`stretch_flow::BasisRemap`].  The
 //! feasibility probes keep no such state: each event's first probe starts
 //! from zero flow, and later probes of the same search resume from the
 //! previous probe's flow.

@@ -72,11 +72,12 @@ impl HeuristicKind {
     }
 
     /// Builds the corresponding scheduler on an explicit solver
-    /// configuration (min-cost backend selection for the LP/flow-based
-    /// heuristics; the list and greedy rules ignore it).
+    /// configuration (min-cost backend selection for the on-line and
+    /// Bender98 heuristics; `Offline`, which runs no min-cost solve, and
+    /// the list and greedy rules ignore it).
     pub fn scheduler_with(&self, config: SolverConfig) -> Box<dyn Scheduler + Send + Sync> {
         match self {
-            HeuristicKind::Offline => Box::new(OfflineScheduler::with_config(config)),
+            HeuristicKind::Offline => Box::new(OfflineScheduler::new()),
             HeuristicKind::Online => {
                 Box::new(OnlineScheduler::with_config(OnlineVariant::Online, config))
             }

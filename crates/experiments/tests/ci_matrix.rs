@@ -27,6 +27,57 @@ fn test_step_runs_every_target() {
 }
 
 #[test]
+fn build_and_test_gates_are_pinned() {
+    // The gates of the one build cell besides the test step: lints with
+    // warnings denied, formatting, warning-free rustdoc, and the
+    // paper-scale streaming smoke.  Dropping any of them would let lint,
+    // format or doc debt, or a broken paper preset, land with CI green.
+    let yml = ci_yml();
+    assert!(
+        yml.contains("\n  build-and-test:"),
+        "ci.yml lost the `build-and-test` job"
+    );
+    for needle in [
+        "run: cargo clippy --all-targets -- -D warnings\n",
+        "run: cargo fmt --check\n",
+        "run: RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps\n",
+        "STRETCH_INSTANCES=1 STRETCH_WINDOW=30 STRETCH_PAPER_CONFIGS=2\n          \
+         cargo run --release -p stretch-experiments --bin repro_paper",
+    ] {
+        assert!(
+            yml.contains(needle),
+            "ci.yml build-and-test job is missing the `{needle}` step"
+        );
+    }
+}
+
+#[test]
+fn thread_matrix_leg_is_pinned() {
+    // Campaign determinism across pool widths: the experiments suite (its
+    // golden fixtures included) and the scale smoke under one worker and
+    // under four.  Without the matrix, or the env line that feeds it to
+    // the pool, a width-dependent result would only show on hosts of
+    // another core count.
+    let yml = ci_yml();
+    assert!(
+        yml.contains("\n  thread-matrix:"),
+        "ci.yml lost the `thread-matrix` job"
+    );
+    for needle in [
+        "threads: [1, 4]\n",
+        "STRETCH_THREADS: ${{ matrix.threads }}\n",
+        "run: cargo test -q -p stretch-experiments -p rayon\n",
+        "STRETCH_SCALE_SMOKE=1\n          \
+         cargo run --release -p stretch-experiments --bin repro_scale",
+    ] {
+        assert!(
+            yml.contains(needle),
+            "ci.yml thread-matrix job is missing the `{needle}` step"
+        );
+    }
+}
+
+#[test]
 fn serve_smoke_leg_is_pinned() {
     // The crash-safety leg: reference stream through `stretch-serve`,
     // SIGKILL mid-stream, journal-replay recovery, diff against the

@@ -46,12 +46,6 @@ impl FlowNetwork {
         self.edges.len() / 2
     }
 
-    /// Adds a node and returns its index.
-    pub fn add_node(&mut self) -> usize {
-        self.adj.push(Vec::new());
-        self.adj.len() - 1
-    }
-
     /// Clears the network down to `nodes` isolated nodes **without
     /// releasing memory**: every adjacency list and the edge storage keep
     /// their allocations, ready to be refilled by the same
@@ -193,15 +187,6 @@ impl FlowNetwork {
             false
         }
     }
-
-    /// Total flow leaving `source` (sum of flow on its forward edges).
-    pub fn outflow(&self, source: usize) -> f64 {
-        self.adj[source]
-            .iter()
-            .filter(|&&idx| idx % 2 == 0)
-            .map(|&idx| self.flow_on(idx))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -263,27 +248,9 @@ mod tests {
     }
 
     #[test]
-    fn add_node_grows_graph() {
-        let mut g = FlowNetwork::new(1);
-        let n = g.add_node();
-        assert_eq!(n, 1);
-        assert_eq!(g.num_nodes(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "node out of range")]
     fn out_of_range_edge_panics() {
         let mut g = FlowNetwork::new(1);
         g.add_edge(0, 3, 1.0, 0.0);
-    }
-
-    #[test]
-    fn outflow_counts_forward_edges_only() {
-        let mut g = FlowNetwork::new(3);
-        let a = g.add_edge(0, 1, 4.0, 0.0);
-        let b = g.add_edge(0, 2, 4.0, 0.0);
-        g.push(a, 1.5);
-        g.push(b, 2.0);
-        assert!((g.outflow(0) - 3.5).abs() < 1e-12);
     }
 }

@@ -28,14 +28,16 @@
 //!   flow and stopping as soon as the demand is covered.
 //!
 //! The minimum-cost solve itself is pluggable: [`backend`] defines the
-//! [`MinCostBackend`] trait, with the primal-dual kernel as the reference
+//! [`MinCostBackend`] trait, one call from a [`TransportInstance`] to its
+//! [`TransportSolution`], with the primal-dual kernel as the reference
 //! implementation and a warm-startable network simplex ([`simplex`]) as the
 //! default engine, cross-checked by the differential-oracle tests in
-//! `stretch-core`.  The simplex carries its spanning-tree basis
-//! **across events**: [`remap`] maps the previous solve's basis onto a
-//! structurally different network through the stable node keys supplied via
-//! [`MinCostBackend::warm_hint`], and a lexicographic tie-break plus
-//! canonical basis extraction keep warm-started and cold solves
+//! `stretch-core`.  The simplex loads its arcs straight from the instance
+//! and carries its spanning-tree basis **across events**: [`remap`] maps
+//! the previous solve's basis onto a structurally different instance
+//! through the stable keys the instance carries
+//! ([`TransportInstance::set_stable_keys`]), and a lexicographic tie-break
+//! plus canonical basis extraction keep warm-started and cold solves
 //! bit-identical.
 
 #![deny(missing_docs)]
@@ -53,9 +55,7 @@ pub mod simplex;
 pub mod transport;
 pub mod workspace;
 
-pub use backend::{
-    BackendKind, MinCostBackend, PrimalDualBackend, KEY_SUPER_SINK, KEY_SUPER_SOURCE,
-};
+pub use backend::{BackendKind, MinCostBackend, PrimalDualBackend};
 pub use fasthash::FastMap;
 pub use graph::FlowNetwork;
 pub use maxflow::MaxFlowResult;
@@ -63,7 +63,7 @@ pub use mincost::MinCostResult;
 pub use parametric::ParametricNetwork;
 pub use remap::BasisRemap;
 pub use simplex::{NetworkSimplexBackend, STATE_LOWER, STATE_TREE, STATE_UPPER};
-pub use transport::{acceptance_tolerance, TransportArena, TransportInstance, TransportSolution};
+pub use transport::{acceptance_tolerance, TransportInstance, TransportSolution};
 pub use workspace::FlowWorkspace;
 
 /// Tolerance under which a residual capacity is considered exhausted.

@@ -25,9 +25,8 @@
 //! the next.
 //!
 //! The network answers feasibility only.  The System-(2) min-cost solves
-//! build a [`crate::TransportInstance`] into a reused
-//! [`crate::TransportArena`] instead
-//! ([`crate::TransportInstance::solve_min_cost_in`]).
+//! hand a [`crate::TransportInstance`] to a [`crate::MinCostBackend`]
+//! instead ([`crate::TransportInstance::solve_min_cost_with_backend`]).
 
 use crate::graph::FlowNetwork;
 use crate::maxflow::max_flow_with;
@@ -234,11 +233,6 @@ impl ParametricNetwork {
             self.network.reset();
             self.shipped = 0.0;
         }
-    }
-
-    /// Current capacity of route `idx`.
-    pub fn route_capacity(&self, idx: usize) -> f64 {
-        self.network.residual(self.route_edges[idx]) + self.flow_on_route(idx)
     }
 
     /// `true` when every source can ship its entire demand under the current

@@ -10,12 +10,13 @@
 //! exactly this — consecutive instances differ by a handful of jobs.
 //!
 //! A [`BasisRemap`] carries the previous solve's basis across such a shape
-//! change.  Identity is established by **stable node keys** supplied by the
-//! caller through [`crate::MinCostBackend::warm_hint`] (the scheduling layer
+//! change.  Identity is established by **stable node keys**, which the
+//! transportation instance carries
+//! ([`crate::TransportInstance::set_stable_keys`]; the scheduling layer
 //! keys jobs by their instance-wide job id and bins by `(site, interval
-//! position)`, both stable across events).  Each basic/nonbasic arc state is
-//! remembered under the key pair of its endpoints, and remapping onto the
-//! next network is pure bookkeeping:
+//! position)`, both stable across events).  Each basic/nonbasic arc state
+//! is remembered under the key pair of its endpoints, and remapping onto
+//! the next network is pure bookkeeping:
 //!
 //! 1. arcs whose endpoint keys **persist** keep their basis state;
 //! 2. **departed** arcs vanish with their nodes — nothing to do;
@@ -37,8 +38,8 @@
 use crate::fasthash::FastMap;
 
 /// Reserved stable key of the artificial root node (never supplied by
-/// callers; see [`crate::backend::KEY_SUPER_SOURCE`] for the caller-facing
-/// reserved keys).
+/// callers, nor used for the super-source and super-sink, which the simplex
+/// keys with reserved values of its own).
 const KEY_ROOT: u64 = u64::MAX;
 
 /// Remembered spanning-tree basis of a previous solve, keyed by stable node
@@ -46,9 +47,9 @@ const KEY_ROOT: u64 = u64::MAX;
 /// network.
 ///
 /// Owned by a [`crate::simplex::NetworkSimplexBackend`]; one remap per
-/// backend, refreshed after every solve that was given a
-/// [`crate::MinCostBackend::warm_hint`].  The struct itself is
-/// allocation-reusing: the key map is cleared and refilled, never rebuilt.
+/// backend, refreshed after every solve of a keyed instance.  The struct
+/// itself is allocation-reusing: the key map is cleared and refilled, never
+/// rebuilt.
 ///
 /// ```
 /// use stretch_flow::{BasisRemap, STATE_LOWER, STATE_TREE};

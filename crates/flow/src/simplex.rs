@@ -1,5 +1,9 @@
 //! A network-simplex backend for the minimum-cost solve.
 //!
+//! The backend loads its arc arrays straight from the
+//! [`TransportInstance`] — no residual network is built — and returns the
+//! shipment read off its own flow.
+//!
 //! The primal-dual kernel of [`crate::mincost`] is at its constant-factor
 //! floor: every phase scans the whole edge set, and on the tie-rich
 //! transportation networks of the scheduler most phases move little flow.
@@ -12,8 +16,13 @@
 //!
 //! Implementation notes:
 //!
-//! * **Maximum flow via a big-cost return arc.**  The min-cost *max*-flow
-//!   semantics of [`crate::backend::MinCostBackend`] are obtained by adding a
+//! * **Arc layout.**  Nodes are the instance's sources, then its bins,
+//!   then a super-source and a super-sink; arcs are one per source of
+//!   positive demand, one per bin of positive capacity, then one per route
+//!   capped at its source's demand (the order a residual network of the
+//!   instance lists its edges in), followed by the artificial arcs below.
+//! * **Maximum flow via a big-cost return arc.**  The instance's demand is
+//!   shipped as a min-cost *max*-flow, obtained by adding a
 //!   `sink → source` arc of cost `-BIG` (with `BIG` dominating any simple
 //!   path cost) and solving a zero-supply min-cost circulation, so flow
 //!   maximisation and cost minimisation happen in one pivot sequence.
@@ -34,8 +43,8 @@
 //!   has many vertices and the one a pivot sequence lands on depends on the
 //!   start basis.  To make warm-started and cold solves agree **bit for
 //!   bit**, every arc carries a secondary integer cost (a pseudo-random
-//!   function of its endpoints' stable keys when the caller supplied them,
-//!   of its index otherwise; exact in `f64`), pricing compares reduced
+//!   function of its endpoints' stable keys when the instance carries
+//!   them, of its index otherwise; exact in `f64`), pricing compares reduced
 //!   costs lexicographically (phase 2 of [`NetworkSimplexBackend`]'s pivot
 //!   loop), and the solve only stops at the unique lexicographic optimum.
 //!   Keying the tie-break by stable identities also makes the canonical
@@ -44,8 +53,8 @@
 //!   *canonicalised*: flows are re-derived from the vertex itself, not from
 //!   the pivot history, so any two pivot paths reaching the optimum produce
 //!   identical bytes.
-//! * **Warm starts.**  Two start paths.  When the caller supplied stable
-//!   node keys through [`MinCostBackend::warm_hint`] and the backend
+//! * **Warm starts.**  Two start paths.  When the instance carries stable
+//!   keys ([`TransportInstance::set_stable_keys`]) and the backend
 //!   remembers the basis of an earlier keyed solve, the solve starts from
 //!   that basis **remapped** onto the new network
 //!   ([`crate::remap::BasisRemap`]; the cross-*event* case of the on-line
@@ -63,15 +72,21 @@
 //!   all survive.
 //! * **Numerical safety net.**  All comparisons use scale-aware epsilons; if
 //!   the pivot budget is ever exhausted (pathological numerics), the backend
-//!   resets the network and delegates to the primal-dual reference kernel,
-//!   so a degraded instance costs time, not correctness.
+//!   hands the instance to the primal-dual reference backend, so a
+//!   degraded instance costs time, not correctness.
 
-use crate::backend::MinCostBackend;
-use crate::graph::FlowNetwork;
-use crate::mincost::{min_cost_flow_up_to, MinCostResult};
+use crate::backend::{MinCostBackend, PrimalDualBackend};
 use crate::remap::{repair_spanning_tree, BasisRemap};
+use crate::transport::{flow_target, ships_demand, TransportInstance, TransportSolution};
 use crate::workspace::FlowWorkspace;
 use crate::FLOW_EPS;
+
+/// Stable key of the super-source: it denotes the same node in every
+/// instance, whatever its shape.
+const KEY_SUPER_SOURCE: u64 = u64::MAX - 1;
+
+/// Stable key of the super-sink; see [`KEY_SUPER_SOURCE`].
+const KEY_SUPER_SINK: u64 = u64::MAX - 2;
 
 /// Nonbasic arc at its lower bound (zero flow).
 pub const STATE_LOWER: i8 = 1;
@@ -132,9 +147,8 @@ enum Side {
 /// Min-cost max-flow by network simplex; see the module docs.
 ///
 /// Hold one per solver and feed it every instance: scratch memory — and the
-/// spanning-tree basis, *remapped* onto the next network when
-/// [`MinCostBackend::warm_hint`] supplies stable node keys — is reused
-/// across solves.
+/// spanning-tree basis, *remapped* onto the next instance when both carry
+/// stable keys — is reused across solves.
 pub struct NetworkSimplexBackend {
     // --- arc arrays (real arcs, then the return arc, then root arcs) ---
     from: Vec<usize>,
@@ -156,14 +170,16 @@ pub struct NetworkSimplexBackend {
     // --- warm-start bookkeeping ---
     /// Node count (excluding the artificial root) of the loaded instance.
     num_nodes: usize,
+    /// Index of the loaded instance's first route arc.
+    first_route: usize,
     /// `false` disables the cross-solve basis remap (the "cold" reference
     /// configuration of the warm/cold differential tests).
     warm_start: bool,
-    /// Stable node keys supplied for the *next* solve via
-    /// [`MinCostBackend::warm_hint`].
-    hint: Vec<u64>,
-    hint_valid: bool,
-    /// Cross-event basis memory (keyed by the hint of the solve it recorded).
+    /// Stable node keys of the loaded instance (sources, bins, super-source,
+    /// super-sink); empty when the instance is unkeyed.
+    keys: Vec<u64>,
+    /// Cross-event basis memory (keyed by the node keys of the solve it
+    /// recorded).
     remap: BasisRemap,
     // --- scratch ---
     remap_states: Vec<i8>,
@@ -201,8 +217,8 @@ impl NetworkSimplexBackend {
 
     /// Creates a backend with cross-solve basis reuse switched on or off.
     ///
-    /// With `false`, every solve crashes a fresh basis and
-    /// [`MinCostBackend::warm_hint`] is ignored — the "cold" reference the
+    /// With `false`, every solve crashes a fresh basis, and an instance's
+    /// stable keys only seed its tie-break — the "cold" reference the
     /// warm/cold bit-identity contract is pinned against.
     pub fn with_warm_start(warm_start: bool) -> Self {
         NetworkSimplexBackend {
@@ -220,9 +236,9 @@ impl NetworkSimplexBackend {
             pi: Vec::new(),
             pi2: Vec::new(),
             num_nodes: 0,
+            first_route: 0,
             warm_start,
-            hint: Vec::new(),
-            hint_valid: false,
+            keys: Vec::new(),
             remap: BasisRemap::default(),
             remap_states: Vec::new(),
             state_backup: Vec::new(),
@@ -253,43 +269,39 @@ impl NetworkSimplexBackend {
         self.remapped_solves
     }
 
-    /// `true` when the loaded instance may start from the remembered
-    /// cross-event basis: warm start on, a [`BasisRemap`] remembered, and a
-    /// [`MinCostBackend::warm_hint`] for exactly the loaded node count
-    /// pending.
-    fn holds_remap_basis(&self) -> bool {
-        self.warm_start
-            && self.remap.is_valid()
-            && self.hint_valid
-            && self.hint.len() == self.num_nodes
-    }
-
-    /// Loads the instance out of `network` (fresh, no flow) into the arc
-    /// arrays.
-    fn load(&mut self, network: &FlowNetwork, source: usize, sink: usize) {
-        let n = network.num_nodes();
-        let m_real = network.num_edges();
-        // + return arc + up root arcs (v → root) + down root arcs (root → v).
-        let num_arcs = m_real + 1 + 2 * n;
+    /// Loads `instance` into the arc arrays (see the module docs for the
+    /// layout) and its stable keys, if any, into the node keys.  Returns
+    /// `true` when the instance is keyed.
+    fn load(&mut self, instance: &TransportInstance) -> bool {
+        let ns = instance.num_sources();
+        let nb = instance.num_bins();
+        let n = ns + nb + 2;
+        let (source, sink) = (ns + nb, ns + nb + 1);
 
         self.from.clear();
         self.to.clear();
         self.cap.clear();
         self.cost.clear();
         let mut source_out = 0.0f64;
-        for a in 0..m_real {
-            let eid = 2 * a;
-            let fwd = network.edge(eid);
-            let u = network.edge(eid ^ 1).to;
-            let v = fwd.to;
-            self.from.push(u);
-            self.to.push(v);
-            self.cap.push(fwd.cap); // network carries no flow: cap == original
-            self.cost.push(fwd.cost);
-            if u == source {
-                source_out += fwd.cap;
+        for j in 0..ns {
+            let d = instance.demand(j);
+            if d > 0.0 {
+                self.push_arc(source, j, d, 0.0);
+                source_out += d;
             }
         }
+        for b in 0..nb {
+            let c = instance.capacity(b);
+            if c > 0.0 {
+                self.push_arc(ns + b, sink, c, 0.0);
+            }
+        }
+        self.first_route = self.from.len();
+        for &(j, b, cost) in instance.routes() {
+            // A route never carries more than its source's demand.
+            self.push_arc(j, ns + b, instance.demand(j), cost);
+        }
+        let num_arcs = self.from.len() + 1 + 2 * n;
 
         // `BIG` must dominate the cost of any simple path so that the return
         // arc (a) makes every augmenting s→t path a negative cycle and
@@ -298,10 +310,7 @@ impl NetworkSimplexBackend {
         let big = (max_cost + 1.0) * (n as f64 + 2.0);
 
         // Return arc sink → source.
-        self.from.push(sink);
-        self.to.push(source);
-        self.cap.push(source_out);
-        self.cost.push(-big);
+        self.push_arc(sink, source, source_out, -big);
 
         // Artificial root arcs, one pair per node: `v → root` (the crash
         // basis star) and `root → v`.  Both cost `+BIG`, so no optimal
@@ -312,29 +321,29 @@ impl NetworkSimplexBackend {
         // imbalance needs, for the pivots to drain.
         let root = n;
         for v in 0..n {
-            self.from.push(v);
-            self.to.push(root);
-            self.cap.push(f64::INFINITY);
-            self.cost.push(big);
+            self.push_arc(v, root, f64::INFINITY, big);
         }
         for v in 0..n {
-            self.from.push(root);
-            self.to.push(v);
-            self.cap.push(f64::INFINITY);
-            self.cost.push(big);
+            self.push_arc(root, v, f64::INFINITY, big);
         }
-        // Secondary costs: keyed by stable identities when the caller
-        // supplied them (event-stable canonical vertex — see
-        // [`keyed_tie_cost`]), by arc index otherwise.  Note the hint is
-        // used here even by a `warm_start = false` backend: it describes
+        // Secondary costs: keyed by stable identities when the instance
+        // carries them (event-stable canonical vertex — see
+        // [`keyed_tie_cost`]), by arc index otherwise.  Note the keys are
+        // used here even by a `warm_start = false` backend: they describe
         // *this* instance, not cross-solve state, and warm and cold solves
         // of one instance must price the same tie-break to land on the same
         // optimum.
-        let have_keys = self.hint_valid && self.hint.len() == n;
+        self.keys.clear();
+        if let Some((source_keys, bin_keys)) = instance.stable_keys() {
+            self.keys.extend_from_slice(source_keys);
+            self.keys.extend_from_slice(bin_keys);
+            self.keys.extend([KEY_SUPER_SOURCE, KEY_SUPER_SINK]);
+        }
+        let keyed = !self.keys.is_empty();
         self.cost2.clear();
-        if have_keys {
-            let hint = &self.hint;
-            let key_of = |v: usize| if v < n { hint[v] } else { u64::MAX };
+        if keyed {
+            let keys = &self.keys;
+            let key_of = |v: usize| if v < n { keys[v] } else { u64::MAX };
             self.cost2.extend(
                 self.from
                     .iter()
@@ -348,6 +357,15 @@ impl NetworkSimplexBackend {
         debug_assert_eq!(self.from.len(), num_arcs);
         self.flow.resize(num_arcs, 0.0);
         self.num_nodes = n;
+        keyed
+    }
+
+    /// Appends the arc `from → to` to the arc arrays.
+    fn push_arc(&mut self, from: usize, to: usize, cap: f64, cost: f64) {
+        self.from.push(from);
+        self.to.push(to);
+        self.cap.push(cap);
+        self.cost.push(cost);
     }
 
     /// Installs the crash basis: every real arc nonbasic at its lower bound,
@@ -447,7 +465,7 @@ impl NetworkSimplexBackend {
         let mut states = std::mem::take(&mut self.remap_states);
         let up_base = self.from.len() - 2 * self.num_nodes;
         self.remap.plan(
-            &self.hint,
+            &self.keys,
             &self.from,
             &self.to,
             self.num_nodes,
@@ -1079,19 +1097,39 @@ impl NetworkSimplexBackend {
         }
     }
 
-    /// Writes the computed flow back into the residual network and sums the
-    /// objective over the real arcs (fixed order: bit-reproducible).
-    fn extract(&self, network: &mut FlowNetwork) -> (f64, f64) {
-        let m_real = network.num_edges();
+    /// The shipment of the optimal flow: one allocation per route, and the
+    /// objective summed in route order (bit-reproducible).  `None` when the
+    /// flow falls short of `demand` (see [`crate::acceptance_tolerance`]).
+    fn shipment(&self, instance: &TransportInstance, demand: f64) -> Option<TransportSolution> {
+        let routes = instance.routes();
+        // The return arc carries the value shipped.
+        let shipped = self.flow[self.first_route + routes.len()];
+        if !ships_demand(shipped, demand) {
+            return None;
+        }
+        let mut allocations = Vec::new();
         let mut cost = 0.0;
-        for a in 0..m_real {
+        for (a, &(j, b, _)) in (self.first_route..).zip(routes) {
             let f = self.flow[a].clamp(0.0, self.cap[a]);
-            if f > FLOW_EPS {
-                network.push(2 * a, f);
-                cost += f * self.cost[a];
+            if f <= FLOW_EPS {
+                continue;
+            }
+            cost += f * self.cost[a];
+            // `cap − (cap − f)`, not `f`: the amount a residual network
+            // holding `f` on the arc reports, which is what this backend
+            // returned while it solved on one.  The two differ in the last
+            // bits, and those bits decide completion times downstream, so
+            // reading `f` itself would move the default path's schedules.
+            let amount = self.cap[a] - (self.cap[a] - f);
+            if amount > FLOW_EPS {
+                allocations.push((j, b, amount));
             }
         }
-        (self.flow[m_real], cost) // return arc carries the s→t value
+        Some(TransportSolution {
+            allocations,
+            cost,
+            shipped,
+        })
     }
 }
 
@@ -1100,42 +1138,29 @@ impl MinCostBackend for NetworkSimplexBackend {
         "simplex"
     }
 
-    fn warm_hint(&mut self, node_keys: &[u64]) {
-        // Stored even when cross-solve reuse is disabled: the keys also
-        // seed the lexicographic tie-break of the *next* solve, which must
-        // be identical between a warm and a cold backend fed the same
-        // instance (the bit-identity contract).
-        self.hint.clear();
-        self.hint.extend_from_slice(node_keys);
-        self.hint_valid = true;
-    }
-
-    fn solve_up_to(
+    fn solve(
         &mut self,
-        network: &mut FlowNetwork,
-        source: usize,
-        sink: usize,
-        target: f64,
+        instance: &TransportInstance,
         workspace: &mut FlowWorkspace,
-    ) -> MinCostResult {
-        assert!(source < network.num_nodes() && sink < network.num_nodes());
-        assert_ne!(source, sink);
-        if target <= 0.0 {
-            // A hint pending for this (skipped) solve must not leak into
-            // the next instance's tie-break or remap keying.
-            self.hint_valid = false;
-            return MinCostResult {
-                flow: 0.0,
+    ) -> Option<TransportSolution> {
+        let demand = instance.total_demand();
+        if flow_target(demand) <= 0.0 {
+            // Nothing to ship: the remembered basis stays for the next
+            // instance.
+            return Some(TransportSolution {
+                allocations: Vec::new(),
                 cost: 0.0,
-                augmentations: 0,
-                phases: 0,
-            };
+                shipped: 0.0,
+            });
         }
-        self.load(network, source, sink);
+        let keyed = self.load(instance);
         let (eps_flow, eps_cost) = self.tolerances();
 
-        let warmed =
-            self.holds_remap_basis() && self.apply_remap() && self.warm_basis(eps_flow, true);
+        let warmed = self.warm_start
+            && keyed
+            && self.remap.is_valid()
+            && self.apply_remap()
+            && self.warm_basis(eps_flow, true);
         if warmed {
             // Counted only once the re-priming accepted the basis: a
             // rejected remap runs cold and must not show up in the
@@ -1151,61 +1176,94 @@ impl MinCostBackend for NetworkSimplexBackend {
         // same tail whatever basis the solve started from, which is what
         // makes warm-started and cold solves bit-identical.
         self.block_pos = 0; // stateless pricing: per-solve determinism
-        let had_hint = self.hint_valid;
-        self.hint_valid = false;
         if !self.optimize(eps_cost) {
             // Pathological numerics: certified fallback to the reference
-            // kernel on a clean network.  The basis memory is dropped — the
-            // reference solution is not a basis this backend could resume.
+            // backend.  The basis memory is dropped — the reference
+            // solution is not a basis this backend could resume.
             self.fallbacks += 1;
             self.remap.invalidate();
-            network.reset();
-            return min_cost_flow_up_to(network, source, sink, target, workspace);
+            return PrimalDualBackend.solve(instance, workspace);
         }
         self.canonicalize(eps_flow);
         #[cfg(feature = "invariant-audit")]
         self.audit_basis("canonicalize");
-        if had_hint && self.warm_start {
+        if keyed && self.warm_start {
             self.remap
-                .remember(&self.hint, &self.from, &self.to, &self.state);
+                .remember(&self.keys, &self.from, &self.to, &self.state);
         } else {
-            // Cross-solve memory disabled, or this solve's nodes carry no
-            // stable identity to key a cross-event remap by.
+            // Cross-solve memory disabled, or this instance's nodes carry
+            // no stable identity to key a cross-event remap by.
             self.remap.invalidate();
         }
-        let (flow, cost) = self.extract(network);
-        MinCostResult {
-            flow,
-            cost,
-            augmentations: 0,
-            phases: if warmed { 0 } else { 1 },
-        }
+        self.shipment(instance, demand)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mincost::min_cost_max_flow;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6 * (1.0 + a.abs().max(b.abs()))
     }
 
-    /// Runs both backends on identically-built networks and checks they
-    /// agree on flow value and cost.
-    fn assert_backends_agree(build: impl Fn() -> FlowNetwork, s: usize, t: usize) {
-        let mut g_ref = build();
-        let reference = min_cost_max_flow(&mut g_ref, s, t);
-        let mut g_ns = build();
+    /// A transportation instance from explicit demands, capacities and
+    /// `(source, bin, cost)` routes.
+    fn transport(
+        demands: &[f64],
+        caps: &[f64],
+        routes: &[(usize, usize, f64)],
+    ) -> TransportInstance {
+        let mut t = TransportInstance::new(demands.len(), caps.len());
+        for (j, &d) in demands.iter().enumerate() {
+            t.set_demand(j, d);
+        }
+        for (b, &c) in caps.iter().enumerate() {
+            t.set_capacity(b, c);
+        }
+        for &(j, b, cost) in routes {
+            t.add_route(j, b, cost);
+        }
+        t
+    }
+
+    /// [`transport`] keyed with `source_keys` and `bin_keys`.
+    fn keyed_transport(
+        demands: &[f64],
+        caps: &[f64],
+        routes: &[(usize, usize, f64)],
+        source_keys: &[u64],
+        bin_keys: &[u64],
+    ) -> TransportInstance {
+        let mut t = transport(demands, caps, routes);
+        t.set_stable_keys(source_keys.iter().copied(), bin_keys.iter().copied());
+        t
+    }
+
+    /// Solves `t` on a fresh simplex and on the primal-dual reference and
+    /// requires them to agree on feasibility, shipped value and cost; a
+    /// feasible simplex shipment must also respect every demand and
+    /// capacity.  Returns whether the instance was feasible.
+    fn assert_backends_agree(t: &TransportInstance) -> bool {
+        let mut ws = FlowWorkspace::new();
+        let reference = PrimalDualBackend.solve(t, &mut ws);
         let mut ns = NetworkSimplexBackend::new();
-        let r = ns.solve_up_to(&mut g_ns, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+        let r = ns.solve(t, &mut ws);
         assert_eq!(ns.fallback_count(), 0, "simplex fell back");
+        let (r, reference) = match (r, reference) {
+            (Some(r), Some(reference)) => (r, reference),
+            (None, None) => return false,
+            (r, reference) => panic!(
+                "feasibility diverged: simplex {:?} vs reference {:?}",
+                r.map(|s| s.cost),
+                reference.map(|s| s.cost)
+            ),
+        };
         assert!(
-            close(r.flow, reference.flow),
-            "flow {} vs reference {}",
-            r.flow,
-            reference.flow
+            close(r.shipped, reference.shipped),
+            "shipped {} vs reference {}",
+            r.shipped,
+            reference.shipped
         );
         assert!(
             close(r.cost, reference.cost),
@@ -1213,72 +1271,64 @@ mod tests {
             r.cost,
             reference.cost
         );
-        // The flow left in the network is conserved and within capacity.
-        for a in 0..g_ns.num_edges() {
-            let f = g_ns.flow_on(2 * a);
-            assert!(f >= -1e-9 && f <= g_ref.edge(2 * a).original_cap + 1e-9);
+        for j in 0..t.num_sources() {
+            assert!(r.shipped_from(j) <= t.demand(j) + 1e-9);
         }
+        for b in 0..t.num_bins() {
+            assert!(r.received_by(b) <= t.capacity(b) + 1e-9);
+        }
+        true
     }
 
     #[test]
     fn agrees_on_two_parallel_routes() {
-        assert_backends_agree(
-            || {
-                let mut g = FlowNetwork::new(4);
-                g.add_edge(0, 1, 1.0, 0.0);
-                g.add_edge(1, 3, 1.0, 1.0);
-                g.add_edge(0, 2, 1.0, 0.0);
-                g.add_edge(2, 3, 1.0, 5.0);
-                g
-            },
-            0,
-            3,
-        );
+        assert!(assert_backends_agree(&transport(
+            &[2.0],
+            &[1.0, 1.0],
+            &[(0, 0, 1.0), (0, 1, 5.0)],
+        )));
     }
 
     #[test]
     fn agrees_on_fractional_split() {
-        assert_backends_agree(
-            || {
-                let mut g = FlowNetwork::new(3);
-                g.add_edge(0, 1, 1.0, 0.0);
-                g.add_edge(1, 2, 0.4, 1.0);
-                g.add_edge(1, 2, 10.0, 2.0);
-                g
-            },
-            0,
-            2,
-        );
+        assert!(assert_backends_agree(&transport(
+            &[1.0],
+            &[0.4, 10.0],
+            &[(0, 0, 1.0), (0, 1, 2.0)],
+        )));
     }
 
     #[test]
     fn agrees_when_negative_costs_are_present() {
-        assert_backends_agree(
-            || {
-                let mut g = FlowNetwork::new(4);
-                g.add_edge(0, 1, 1.0, 0.0);
-                g.add_edge(1, 3, 1.0, -2.0);
-                g.add_edge(0, 2, 1.0, 0.0);
-                g.add_edge(2, 3, 1.0, 4.0);
-                g
-            },
-            0,
-            3,
-        );
+        assert!(assert_backends_agree(&transport(
+            &[2.0],
+            &[1.0, 1.0],
+            &[(0, 0, -2.0), (0, 1, 4.0)],
+        )));
     }
 
     #[test]
     fn empty_network_ships_nothing() {
-        let mut g = FlowNetwork::new(2);
+        // An instance with nothing to ship is a no-op: it ships nothing
+        // and leaves the remembered basis for the next keyed instance.
+        let mut ws = FlowWorkspace::new();
         let mut ns = NetworkSimplexBackend::new();
-        let r = ns.solve_up_to(&mut g, 0, 1, f64::INFINITY, &mut FlowWorkspace::new());
-        assert!(close(r.flow, 0.0) && close(r.cost, 0.0));
+        let keyed = || keyed_transport(&[1.0], &[1.0], &[(0, 0, 1.0)], &[5], &[9]);
+        ns.solve(&keyed(), &mut ws).expect("feasible");
+        let empty = ns
+            .solve(&transport(&[0.0], &[1.0], &[(0, 0, 1.0)]), &mut ws)
+            .expect("nothing to ship is feasible");
+        assert!(empty.allocations.is_empty());
+        assert!(close(empty.shipped, 0.0) && close(empty.cost, 0.0));
+        ns.solve(&keyed(), &mut ws).expect("feasible");
+        assert_eq!(ns.remap_count(), 1, "the empty solve dropped the basis");
     }
 
     #[test]
     fn agrees_on_random_transportation_networks() {
         // Deterministic pseudo-random bipartite instances (mixed congruential
-        // stream), shaped like the scheduler's: source → jobs → bins → sink.
+        // stream), shaped like the scheduler's; some draws are infeasible,
+        // and both backends must then return `None`.
         let mut seed = 0x9E37_79B9u64;
         let mut next = move || {
             seed = seed
@@ -1286,7 +1336,9 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64) / (1u64 << 31) as f64
         };
-        for case in 0..40 {
+        let mut feasible = 0;
+        let cases = 40;
+        for case in 0..cases {
             let jobs = 1 + case % 5;
             let bins = 1 + (case / 2) % 6;
             let mut demands = Vec::new();
@@ -1305,49 +1357,35 @@ mod tests {
                     }
                 }
             }
-            let build = || {
-                let s = jobs + bins;
-                let t = s + 1;
-                let mut g = FlowNetwork::new(jobs + bins + 2);
-                for (j, &d) in demands.iter().enumerate() {
-                    g.add_edge(s, j, d, 0.0);
-                }
-                for (b, &c) in caps.iter().enumerate() {
-                    g.add_edge(jobs + b, t, c, 0.0);
-                }
-                for &(j, b, cost) in &routes {
-                    g.add_edge(j, jobs + b, demands[j], cost);
-                }
-                g
-            };
-            assert_backends_agree(build, jobs + bins, jobs + bins + 1);
+            if assert_backends_agree(&transport(&demands, &caps, &routes)) {
+                feasible += 1;
+            }
         }
+        assert!(
+            0 < feasible && feasible < cases,
+            "{feasible} of {cases} draws feasible: both verdicts must be covered"
+        );
     }
 
-    /// Solves the network `build` returns (with its source and sink) on
-    /// `warm` and on a fresh cold backend, both keyed by `keys`, and
-    /// requires bit-identical results and per-edge flows.  The cold solve
-    /// gets the same per-instance keys: they seed the tie-break, not any
-    /// cross-solve state.
-    fn assert_warm_solve_matches_cold(
-        warm: &mut NetworkSimplexBackend,
-        build: impl Fn() -> (FlowNetwork, usize, usize),
-        keys: &[u64],
-    ) {
-        let (mut g_warm, s, t) = build();
-        warm.warm_hint(keys);
-        let r_warm = warm.solve_up_to(&mut g_warm, s, t, f64::INFINITY, &mut FlowWorkspace::new());
-        let (mut g_cold, _, _) = build();
+    /// Solves `t` on `warm` and on a fresh cold backend and requires
+    /// bit-identical shipments.  Both solves read the instance's keys:
+    /// they seed the tie-break, not any cross-solve state.
+    fn assert_warm_solve_matches_cold(warm: &mut NetworkSimplexBackend, t: &TransportInstance) {
+        let r_warm = warm.solve(t, &mut FlowWorkspace::new());
         let mut cold = NetworkSimplexBackend::with_warm_start(false);
-        cold.warm_hint(keys);
-        let r_cold = cold.solve_up_to(&mut g_cold, s, t, f64::INFINITY, &mut FlowWorkspace::new());
-        assert_eq!(r_warm.flow.to_bits(), r_cold.flow.to_bits());
+        let r_cold = cold.solve(t, &mut FlowWorkspace::new());
+        let (r_warm, r_cold) = (r_warm.expect("feasible"), r_cold.expect("feasible"));
+        assert_eq!(r_warm.shipped.to_bits(), r_cold.shipped.to_bits());
         assert_eq!(r_warm.cost.to_bits(), r_cold.cost.to_bits());
-        for a in 0..g_warm.num_edges() {
+        assert_eq!(r_warm.allocations.len(), r_cold.allocations.len());
+        for (w, c) in r_warm.allocations.iter().zip(&r_cold.allocations) {
+            assert_eq!((w.0, w.1), (c.0, c.1));
             assert_eq!(
-                g_warm.flow_on(2 * a).to_bits(),
-                g_cold.flow_on(2 * a).to_bits(),
-                "edge {a} flow diverged between warm and cold"
+                w.2.to_bits(),
+                c.2.to_bits(),
+                "route {}→{} diverged between warm and cold",
+                w.0,
+                w.1
             );
         }
     }
@@ -1358,23 +1396,19 @@ mod tests {
         // the first starts from the remapped basis of the one before (the
         // last repeats the third exactly) and must match a cold solve bit
         // for bit.
-        use crate::backend::{KEY_SUPER_SINK, KEY_SUPER_SOURCE};
-        let keys = [KEY_SUPER_SOURCE, 1, 2, 3, KEY_SUPER_SINK];
-        let build = |scale: f64, cost: f64| {
-            move || {
-                let mut g = FlowNetwork::new(5);
-                g.add_edge(0, 1, 2.0 * scale, 0.0);
-                g.add_edge(0, 2, 3.0 * scale, 0.0);
-                g.add_edge(1, 3, 2.0 * scale, cost);
-                g.add_edge(2, 3, 3.0 * scale, 2.0 * cost);
-                g.add_edge(3, 4, 4.0 * scale, 0.0);
-                (g, 0, 4)
-            }
+        let instance = |scale: f64, cost: f64| {
+            keyed_transport(
+                &[2.0 * scale, 3.0 * scale],
+                &[4.0 * scale, 1.0 * scale],
+                &[(0, 0, cost), (1, 0, 2.0 * cost), (1, 1, 3.0 * cost)],
+                &[1, 2],
+                &[3, 4],
+            )
         };
         let moves = [(1.0, 1.0), (0.5, 3.0), (2.0, 0.25), (2.0, 0.25)];
         let mut shared = NetworkSimplexBackend::new();
         for (scale, cost) in moves {
-            assert_warm_solve_matches_cold(&mut shared, build(scale, cost), &keys);
+            assert_warm_solve_matches_cold(&mut shared, &instance(scale, cost));
         }
         assert_eq!(
             shared.remap_count(),
@@ -1386,73 +1420,37 @@ mod tests {
 
     #[test]
     fn topology_change_invalidates_the_warm_basis() {
-        // A network without stable keys cannot be matched to the remembered
-        // basis: it starts cold (and must stay right) and drops the memory,
-        // so the keyed solve after it starts cold too.  Only a keyed solve
-        // following a keyed one remaps.
-        use crate::backend::{KEY_SUPER_SINK, KEY_SUPER_SOURCE};
-        let keys = [KEY_SUPER_SOURCE, 10, KEY_SUPER_SINK];
-        let chain = || {
-            let mut g = FlowNetwork::new(3);
-            g.add_edge(0, 1, 1.0, 1.0);
-            g.add_edge(1, 2, 1.0, 1.0);
-            g
-        };
-        let diamond = || {
-            let mut g = FlowNetwork::new(4);
-            g.add_edge(0, 1, 2.0, 1.0);
-            g.add_edge(0, 2, 2.0, 3.0);
-            g.add_edge(1, 3, 1.0, 0.0);
-            g.add_edge(2, 3, 2.0, 0.0);
-            g
-        };
+        // An instance without stable keys cannot be matched to the
+        // remembered basis: it starts cold (and must stay right) and drops
+        // the memory, so the keyed solve after it starts cold too.  Only a
+        // keyed solve following a keyed one remaps.
+        let chain = || keyed_transport(&[1.0], &[1.0], &[(0, 0, 1.0)], &[10], &[20]);
+        let diamond = transport(&[2.0], &[1.0, 2.0], &[(0, 0, 1.0), (0, 1, 3.0)]);
         let mut ns = NetworkSimplexBackend::new();
         let mut ws = FlowWorkspace::new();
-        ns.warm_hint(&keys);
-        let r1 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
-        assert!(close(r1.flow, 1.0));
-        assert_eq!(r1.phases, 1, "the first solve starts cold");
+        let r1 = ns.solve(&chain(), &mut ws).expect("feasible");
+        assert!(close(r1.shipped, 1.0));
+        assert_eq!(ns.remap_count(), 0, "the first solve starts cold");
 
-        let r2 = ns.solve_up_to(&mut diamond(), 0, 3, f64::INFINITY, &mut ws);
-        let reference = min_cost_max_flow(&mut diamond(), 0, 3);
-        assert!(close(r2.flow, reference.flow));
+        let r2 = ns.solve(&diamond, &mut ws).expect("feasible");
+        let reference = PrimalDualBackend
+            .solve(&diamond, &mut ws)
+            .expect("feasible");
+        assert!(close(r2.shipped, reference.shipped));
         assert!(close(r2.cost, reference.cost));
-        assert_eq!(r2.phases, 1, "an unkeyed network starts cold");
+        assert_eq!(ns.remap_count(), 0, "an unkeyed instance starts cold");
 
-        ns.warm_hint(&keys);
-        let r3 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
-        assert_eq!(r3.phases, 1, "the unkeyed solve dropped the basis");
-        assert_eq!(ns.remap_count(), 0);
+        let r3 = ns.solve(&chain(), &mut ws).expect("feasible");
+        assert_eq!(ns.remap_count(), 0, "the unkeyed solve dropped the basis");
 
-        ns.warm_hint(&keys);
-        let r4 = ns.solve_up_to(&mut chain(), 0, 2, f64::INFINITY, &mut ws);
-        assert_eq!(r4.phases, 0, "a keyed solve after a keyed one remaps");
-        assert_eq!(ns.remap_count(), 1);
-        assert_eq!(r4.flow.to_bits(), r3.flow.to_bits());
+        let r4 = ns.solve(&chain(), &mut ws).expect("feasible");
+        assert_eq!(
+            ns.remap_count(),
+            1,
+            "a keyed solve after a keyed one remaps"
+        );
+        assert_eq!(r4.shipped.to_bits(), r3.shipped.to_bits());
         assert_eq!(r4.cost.to_bits(), r3.cost.to_bits());
-    }
-
-    /// Builds a jobs × bins transportation network from explicit routes,
-    /// with its source and sink, for the remap tests to key.
-    fn keyed_transport(
-        demands: &[f64],
-        caps: &[f64],
-        routes: &[(usize, usize, f64)],
-    ) -> (FlowNetwork, usize, usize) {
-        let (nj, nb) = (demands.len(), caps.len());
-        let s = nj + nb;
-        let t = s + 1;
-        let mut g = FlowNetwork::new(nj + nb + 2);
-        for (j, &d) in demands.iter().enumerate() {
-            g.add_edge(s, j, d, 0.0);
-        }
-        for (b, &c) in caps.iter().enumerate() {
-            g.add_edge(nj + b, t, c, 0.0);
-        }
-        for &(j, b, cost) in routes {
-            g.add_edge(j, nj + b, demands[j], cost);
-        }
-        (g, s, t)
     }
 
     #[test]
@@ -1461,25 +1459,29 @@ mod tests {
         // completed, job 12 arrived — different topology, overlapping keys.
         // The shared backend must take the remap tier on event 2 and agree
         // *bitwise* with a fresh cold backend.
-        let e1_demands = [2.0, 3.0];
-        let e1_caps = [2.5, 4.0];
-        let e1_routes = [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 1.5), (1, 1, 0.5)];
-        let e1_keys: Vec<u64> = vec![10, 11, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
+        let bins = [1 << 32, (1 << 32) | 1];
+        let event1 = keyed_transport(
+            &[2.0, 3.0],
+            &[2.5, 4.0],
+            &[(0, 0, 1.0), (0, 1, 2.0), (1, 0, 1.5), (1, 1, 0.5)],
+            &[10, 11],
+            &bins,
+        );
         // One fewer route than event 1: the arc list differs, and only the
         // keys carry the basis over.
-        let e2_demands = [3.0, 1.0];
-        let e2_caps = [2.5, 4.0];
-        let e2_routes = [(0, 0, 1.5), (0, 1, 0.5), (1, 1, 2.0)];
-        let e2_keys: Vec<u64> = vec![11, 12, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
+        let event2 = keyed_transport(
+            &[3.0, 1.0],
+            &[2.5, 4.0],
+            &[(0, 0, 1.5), (0, 1, 0.5), (1, 1, 2.0)],
+            &[11, 12],
+            &bins,
+        );
 
         let mut shared = NetworkSimplexBackend::new();
-        let (mut g1, s, t) = keyed_transport(&e1_demands, &e1_caps, &e1_routes);
-        shared.warm_hint(&e1_keys);
-        shared.solve_up_to(&mut g1, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+        shared.solve(&event1, &mut FlowWorkspace::new());
         assert_eq!(shared.remap_count(), 0);
 
-        let event2 = || keyed_transport(&e2_demands, &e2_caps, &e2_routes);
-        assert_warm_solve_matches_cold(&mut shared, event2, &e2_keys);
+        assert_warm_solve_matches_cold(&mut shared, &event2);
         assert_eq!(shared.remap_count(), 1, "event 2 must take the remap tier");
         assert_eq!(shared.fallback_count(), 0);
     }
@@ -1492,19 +1494,17 @@ mod tests {
         // same optimum, because the lexicographic tie-break makes it unique.
         let demands = [2.0];
         let caps = [2.0, 2.0];
-        let routes = [(0, 0, 1.0), (0, 1, 1.0)];
-        let keys: Vec<u64> = vec![7, 1 << 32, (1 << 32) | 1, u64::MAX - 1, u64::MAX - 2];
+        let bins = [1 << 32, (1 << 32) | 1];
 
         let mut shared = NetworkSimplexBackend::new();
-        // Prime the shared backend with a network whose optimum sits on bin
-        // 1 only (bin 0 inadmissible), then re-solve the tied instance warm.
-        let primer = [(0, 1, 1.0)];
-        let (mut g0, s, t) = keyed_transport(&demands, &caps, &primer);
-        shared.warm_hint(&keys[..]);
-        shared.solve_up_to(&mut g0, s, t, f64::INFINITY, &mut FlowWorkspace::new());
+        // Prime the shared backend with an instance whose optimum sits on
+        // bin 1 only (bin 0 inadmissible), then re-solve the tied instance
+        // warm.
+        let primer = keyed_transport(&demands, &caps, &[(0, 1, 1.0)], &[7], &bins);
+        shared.solve(&primer, &mut FlowWorkspace::new());
 
-        let tied = || keyed_transport(&demands, &caps, &routes);
-        assert_warm_solve_matches_cold(&mut shared, tied, &keys);
+        let tied = keyed_transport(&demands, &caps, &[(0, 0, 1.0), (0, 1, 1.0)], &[7], &bins);
+        assert_warm_solve_matches_cold(&mut shared, &tied);
         assert_eq!(shared.remap_count(), 1);
     }
 
@@ -1512,20 +1512,12 @@ mod tests {
     fn disabled_warm_start_never_reuses_state() {
         let mut ns = NetworkSimplexBackend::with_warm_start(false);
         let mut ws = FlowWorkspace::new();
-        let build = || {
-            let mut g = FlowNetwork::new(3);
-            g.add_edge(0, 1, 2.0, 1.0);
-            g.add_edge(1, 2, 2.0, 1.0);
-            g
-        };
-        ns.warm_hint(&[1, 2, 3]); // ignored
-        let mut g1 = build();
-        let r1 = ns.solve_up_to(&mut g1, 0, 2, f64::INFINITY, &mut ws);
-        let mut g2 = build();
-        let r2 = ns.solve_up_to(&mut g2, 0, 2, f64::INFINITY, &mut ws);
-        assert_eq!(ns.remap_count(), 0);
-        assert_eq!(r1.phases, 1, "cold solve");
-        assert_eq!(r2.phases, 1, "still cold: reuse disabled");
-        assert_eq!(r1.flow.to_bits(), r2.flow.to_bits());
+        // Keyed, yet never remapped: the keys only seed the tie-break.
+        let t = keyed_transport(&[2.0], &[2.0], &[(0, 0, 1.0)], &[1], &[2]);
+        let r1 = ns.solve(&t, &mut ws).expect("feasible");
+        let r2 = ns.solve(&t, &mut ws).expect("feasible");
+        assert_eq!(ns.remap_count(), 0, "reuse disabled");
+        assert_eq!(r1.shipped.to_bits(), r2.shipped.to_bits());
+        assert_eq!(r1.cost.to_bits(), r2.cost.to_bits());
     }
 }

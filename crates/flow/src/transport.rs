@@ -10,6 +10,13 @@
 //!   databank and the interval lies between the job's release date and its
 //!   deadline; its cost is the System-(2) weight (interval midpoint divided
 //!   by the job size) or zero for a pure feasibility check.
+//!
+//! A [`TransportInstance`] is also what a min-cost solve hands over: a
+//! [`MinCostBackend`] takes the instance itself — with the stable keys it
+//! may carry — and returns its [`TransportSolution`].  The residual
+//! network ([`FlowNetwork`]) is built here only for the kernels that need
+//! one: the zero-cost Dinic path, the feasibility checks and the
+//! primal-dual reference backend.
 
 use crate::backend::MinCostBackend;
 use crate::graph::FlowNetwork;
@@ -28,64 +35,36 @@ pub fn acceptance_tolerance(demand: f64) -> f64 {
     1e-6_f64.max(demand * 1e-9)
 }
 
+/// The flow a solve of an instance with total `demand` stops at: a hair
+/// under the demand.  Stopping there keeps the min-cost-per-value
+/// invariant while skipping the final no-augmenting-path search; the
+/// missing sliver is far below every downstream tolerance.
+pub(crate) fn flow_target(demand: f64) -> f64 {
+    demand - FLOW_EPS.max(demand * 1e-12)
+}
+
+/// `true` when a solve that shipped `shipped` of the total `demand` is
+/// accepted as feasible (see [`acceptance_tolerance`]).
+pub(crate) fn ships_demand(shipped: f64, demand: f64) -> bool {
+    shipped >= demand - acceptance_tolerance(demand)
+}
+
 /// A bipartite transportation instance.
+///
+/// Besides its quantities an instance may carry **stable keys**, one per
+/// source and one per bin ([`TransportInstance::set_stable_keys`]): the
+/// identities a basis-carrying [`MinCostBackend`] remaps its previous
+/// solve onto this one by, and the seed of its tie-break among equal-cost
+/// optima.
 #[derive(Clone, Debug, Default)]
 pub struct TransportInstance {
     demands: Vec<f64>,
     capacities: Vec<f64>,
     routes: Vec<(usize, usize, f64)>,
-    /// Optional stable identities (per source, per bin) handed to the
-    /// min-cost backend as a cross-solve warm-start hint.
-    stable_keys: Option<(Vec<u64>, Vec<u64>)>,
-}
-
-/// Persistent construction scratch for repeated transportation solves: the
-/// flow network, the degree counts, the route-edge handles and the key
-/// buffer a solve would otherwise allocate afresh.
-///
-/// An arena makes [`TransportInstance::solve_min_cost_in`] allocation-free
-/// at steady state — the incremental event path of the scheduling layer
-/// holds one arena per solver and rebuilds the network into it at every
-/// event.  The network built into an arena is **element-identical** to the
-/// one a from-scratch solve builds (same node count, same
-/// [`FlowNetwork::add_edge`] sequence, same capacities and costs), so
-/// routing a solve through an arena never changes its result — only where
-/// the memory comes from.
-///
-/// ```
-/// use stretch_flow::{FlowWorkspace, PrimalDualBackend, TransportArena, TransportInstance};
-///
-/// let mut t = TransportInstance::new(1, 2);
-/// t.set_demand(0, 4.0);
-/// t.set_capacity(0, 3.0);
-/// t.set_capacity(1, 3.0);
-/// t.add_route(0, 0, 1.0);
-/// t.add_route(0, 1, 10.0);
-/// let mut arena = TransportArena::default();
-/// let mut ws = FlowWorkspace::new();
-/// let sol = t
-///     .solve_min_cost_in(&mut PrimalDualBackend, &mut ws, &mut arena)
-///     .expect("feasible");
-/// // Identical to the allocating path, reusable for the next event.
-/// assert_eq!(
-///     sol.cost.to_bits(),
-///     t.solve_min_cost().expect("feasible").cost.to_bits()
-/// );
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TransportArena {
-    network: FlowNetwork,
-    degrees: Vec<usize>,
-    route_edges: Vec<usize>,
-    keys: Vec<u64>,
-}
-
-impl TransportArena {
-    /// Creates an empty arena; buffers grow on first use and are reused
-    /// afterwards.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    /// Stable key of each source; empty while the instance is unkeyed.
+    source_keys: Vec<u64>,
+    /// Stable key of each bin; empty while the instance is unkeyed.
+    bin_keys: Vec<u64>,
 }
 
 /// Solution of a transportation instance.
@@ -130,66 +109,77 @@ impl TransportSolution {
 
 impl TransportInstance {
     /// Creates an instance with the given number of sources and bins, all
-    /// demands and capacities zero and no routes.
+    /// demands and capacities zero, no routes and no stable keys.
     pub fn new(num_sources: usize, num_bins: usize) -> Self {
         TransportInstance {
             demands: vec![0.0; num_sources],
             capacities: vec![0.0; num_bins],
-            routes: Vec::new(),
-            stable_keys: None,
+            ..Self::default()
         }
     }
 
-    /// Attaches stable identities to the sources and bins, forwarded to the
-    /// min-cost backend as a [`MinCostBackend::warm_hint`] before solving.
+    /// Keys the sources and bins with stable identities, one key per
+    /// source and one per bin, in index order.
     ///
-    /// Keys equal across instances exactly when the node denotes the same
-    /// logical entity (the scheduler keys jobs by instance-wide job id and
-    /// bins by `(site, interval position)`), letting a basis-carrying
-    /// backend warm-start across *events* even though every event builds a
-    /// fresh instance of a different shape.  The keys also seed the
-    /// backend's deterministic tie-break among equal-cost optima, so two
-    /// solves of the same instance are bit-identical exactly when they are
-    /// given the same keys (warm or cold, with or without carried state) —
-    /// a keyed and an unkeyed solve may legitimately return different
-    /// optimal vertices.
-    pub fn set_stable_keys(&mut self, source_keys: Vec<u64>, bin_keys: Vec<u64>) {
-        assert_eq!(source_keys.len(), self.num_sources(), "one key per source");
-        assert_eq!(bin_keys.len(), self.num_bins(), "one key per bin");
-        self.stable_keys = Some((source_keys, bin_keys));
+    /// Keys are equal across instances exactly when the node denotes the
+    /// same logical entity (the scheduler keys jobs by instance-wide job id
+    /// and bins by `(site, interval position)`), letting a basis-carrying
+    /// backend warm-start across *events* even though every event fills an
+    /// instance of a different shape.  The keys also seed the backend's
+    /// deterministic tie-break among equal-cost optima, so two solves of
+    /// the same instance are bit-identical exactly when they carry the
+    /// same keys (warm or cold, with or without carried state) — a keyed
+    /// and an unkeyed solve may legitimately return different optimal
+    /// vertices.
+    ///
+    /// The keys are copied into the instance's own buffers, which
+    /// [`TransportInstance::reset`] clears but keeps allocated.
+    ///
+    /// # Panics
+    ///
+    /// When the iterators do not yield exactly one key per source and one
+    /// per bin.
+    pub fn set_stable_keys(
+        &mut self,
+        source_keys: impl IntoIterator<Item = u64>,
+        bin_keys: impl IntoIterator<Item = u64>,
+    ) {
+        self.source_keys.clear();
+        self.source_keys.extend(source_keys);
+        self.bin_keys.clear();
+        self.bin_keys.extend(bin_keys);
+        assert_eq!(
+            self.source_keys.len(),
+            self.num_sources(),
+            "one key per source"
+        );
+        assert_eq!(self.bin_keys.len(), self.num_bins(), "one key per bin");
     }
 
-    /// [`TransportInstance::set_stable_keys`] copying from slices into the
-    /// instance's existing key buffers — the allocation-free variant for
-    /// callers that [`TransportInstance::reset`] and refill one persistent
-    /// instance per event.
-    pub fn set_stable_keys_from(&mut self, source_keys: &[u64], bin_keys: &[u64]) {
-        assert_eq!(source_keys.len(), self.num_sources(), "one key per source");
-        assert_eq!(bin_keys.len(), self.num_bins(), "one key per bin");
-        let (sources, bins) = self
-            .stable_keys
-            .get_or_insert_with(|| (Vec::new(), Vec::new()));
-        sources.clear();
-        sources.extend_from_slice(source_keys);
-        bins.clear();
-        bins.extend_from_slice(bin_keys);
+    /// The stable keys of the sources and of the bins, or `None` while the
+    /// instance is unkeyed (fresh, or [`TransportInstance::reset`] since the
+    /// last [`TransportInstance::set_stable_keys`]).
+    pub(crate) fn stable_keys(&self) -> Option<(&[u64], &[u64])> {
+        let keyed = self.num_sources() + self.num_bins() > 0
+            && self.source_keys.len() == self.num_sources()
+            && self.bin_keys.len() == self.num_bins();
+        keyed.then_some((&self.source_keys[..], &self.bin_keys[..]))
     }
 
     /// Clears the instance down to `num_sources` zero-demand sources and
-    /// `num_bins` zero-capacity bins with no routes, **reusing every
-    /// buffer** — the in-place counterpart of [`TransportInstance::new`]
-    /// for callers refilling one persistent instance per event.
-    ///
-    /// Stable keys are kept until overwritten: a caller routing solves
-    /// through [`TransportInstance::set_stable_keys_from`] must re-set them
-    /// after every reset (the scheduling layer does), since the previous
-    /// event's keys are meaningless against the new shape.
+    /// `num_bins` zero-capacity bins with no routes and **no stable keys**,
+    /// reusing every buffer — the in-place counterpart of
+    /// [`TransportInstance::new`] for callers refilling one persistent
+    /// instance per event.  The previous keys name the previous event's
+    /// nodes, so a caller keys every refill anew.
     pub fn reset(&mut self, num_sources: usize, num_bins: usize) {
         self.demands.clear();
         self.demands.resize(num_sources, 0.0);
         self.capacities.clear();
         self.capacities.resize(num_bins, 0.0);
         self.routes.clear();
+        self.source_keys.clear();
+        self.bin_keys.clear();
     }
 
     /// Number of sources (jobs).
@@ -241,43 +231,30 @@ impl TransportInstance {
         self.demands.iter().sum()
     }
 
-    fn build_network(&self) -> (FlowNetwork, Vec<usize>, usize, usize) {
-        let mut arena = TransportArena::new();
-        let (source, sink) = self.build_network_into(&mut arena);
-        (arena.network, arena.route_edges, source, sink)
-    }
-
-    /// Builds the residual network into `arena`, reusing its buffers.
+    /// Builds the residual network of the instance and returns it with the
+    /// edge handle of every route (in route order), the super-source and
+    /// the super-sink.
     ///
-    /// The construction sequence is the single source of truth for *every*
-    /// solve path (fresh or arena-reusing): exact degree counts, source
-    /// edges for positive demands, sink edges for positive capacities, then
-    /// one route edge per declared route, capped at its source's demand.
-    fn build_network_into(&self, arena: &mut TransportArena) -> (usize, usize) {
+    /// Nodes are the sources, then the bins, then the super-source and the
+    /// super-sink.  Edges: one source edge per positive demand, one sink
+    /// edge per positive capacity, then one edge per declared route, capped
+    /// at its source's demand.
+    pub(crate) fn network(&self) -> (FlowNetwork, Vec<usize>, usize, usize) {
         let ns = self.num_sources();
         let nb = self.num_bins();
         let source = ns + nb;
         let sink = ns + nb + 1;
-        arena.network.rebuild(ns + nb + 2);
-        // Exact degree counts: the network is rebuilt per solve, so bulk
-        // construction without adjacency reallocation matters on hot paths.
-        arena.degrees.clear();
-        arena.degrees.resize(ns + nb + 2, 0);
-        let degrees = &mut arena.degrees;
+        // Exact degree counts, so bulk construction never reallocates an
+        // adjacency list.
+        let mut degrees = vec![1; ns + nb + 2];
         degrees[source] = ns;
         degrees[sink] = nb;
-        for degree in degrees[..ns].iter_mut() {
-            *degree += 1; // source edge
-        }
-        for degree in degrees[ns..ns + nb].iter_mut() {
-            *degree += 1; // sink edge
-        }
         for &(j, b, _) in &self.routes {
             degrees[j] += 1;
             degrees[ns + b] += 1;
         }
-        let g = &mut arena.network;
-        g.reserve(ns + nb + self.routes.len(), degrees);
+        let mut g = FlowNetwork::new(ns + nb + 2);
+        g.reserve(ns + nb + self.routes.len(), &degrees);
         for (j, &d) in self.demands.iter().enumerate() {
             if d > 0.0 {
                 g.add_edge(source, j, d, 0.0);
@@ -288,21 +265,50 @@ impl TransportInstance {
                 g.add_edge(ns + b, sink, c, 0.0);
             }
         }
-        arena.route_edges.clear();
-        arena.route_edges.reserve(self.routes.len());
-        for &(j, b, cost) in &self.routes {
-            // A route can never carry more than its source's demand; using the
-            // demand as capacity (instead of "infinity") keeps `flow_on`
-            // numerically exact.
-            let cap = self.demands[j];
-            arena.route_edges.push(g.add_edge(j, ns + b, cap, cost));
+        let route_edges = self
+            .routes
+            .iter()
+            .map(|&(j, b, cost)| {
+                // A route can never carry more than its source's demand;
+                // using the demand as capacity (instead of "infinity")
+                // keeps `flow_on` numerically exact.
+                g.add_edge(j, ns + b, self.demands[j], cost)
+            })
+            .collect();
+        (g, route_edges, source, sink)
+    }
+
+    /// Solves the instance on its residual network: `kernel` ships flow
+    /// from the super-source to the super-sink, stopping at the given
+    /// target, and returns the value and cost it shipped.  `None` when the
+    /// flow falls short of the demand by more than [`acceptance_tolerance`].
+    pub(crate) fn solve_on_network(
+        &self,
+        kernel: impl FnOnce(&mut FlowNetwork, usize, usize, f64) -> (f64, f64),
+    ) -> Option<TransportSolution> {
+        let (mut g, route_edges, source, sink) = self.network();
+        let demand = self.total_demand();
+        let (shipped, cost) = kernel(&mut g, source, sink, flow_target(demand));
+        if !ships_demand(shipped, demand) {
+            return None;
         }
-        (source, sink)
+        let allocations = self
+            .routes
+            .iter()
+            .zip(&route_edges)
+            .map(|(&(j, b, _), &edge)| (j, b, g.flow_on(edge)))
+            .filter(|&(_, _, amount)| amount > FLOW_EPS)
+            .collect();
+        Some(TransportSolution {
+            allocations,
+            cost,
+            shipped,
+        })
     }
 
     /// Maximum total amount that can be shipped (regardless of cost).
     pub fn max_shippable(&self) -> f64 {
-        let (mut g, _, s, t) = self.build_network();
+        let (mut g, _, s, t) = self.network();
         max_flow_with(&mut g, s, t, f64::INFINITY, &mut FlowWorkspace::new()).value
     }
 
@@ -324,7 +330,7 @@ impl TransportInstance {
             return true;
         }
         let slack = tol.max(demand * tol);
-        let (mut g, _, s, t) = self.build_network();
+        let (mut g, _, s, t) = self.network();
         let shipped = max_flow_with(&mut g, s, t, demand - slack, workspace).value;
         shipped >= demand - slack
     }
@@ -358,84 +364,19 @@ impl TransportInstance {
         backend: &mut dyn MinCostBackend,
         workspace: &mut FlowWorkspace,
     ) -> Option<TransportSolution> {
-        self.solve_min_cost_in(backend, workspace, &mut TransportArena::new())
-    }
-
-    /// [`TransportInstance::solve_min_cost_with_backend`] building the
-    /// network into a caller-held [`TransportArena`] instead of fresh
-    /// allocations.
-    ///
-    /// Bit-identical to the allocating path by construction — both build
-    /// the network through the same edge sequence and run the same backend
-    /// call — but allocation-free at steady state, which is what makes the
-    /// incremental event path of the scheduling layer cheaper than a warm
-    /// from-scratch solve.
-    pub fn solve_min_cost_in(
-        &self,
-        backend: &mut dyn MinCostBackend,
-        workspace: &mut FlowWorkspace,
-        arena: &mut TransportArena,
-    ) -> Option<TransportSolution> {
         if self.routes.iter().all(|&(_, _, cost)| cost == 0.0) {
             return self.solve_feasible_with(workspace);
         }
-        if let Some((source_keys, bin_keys)) = &self.stable_keys {
-            // Node order mirrors `build_network_into`: sources, bins, then
-            // the two artificial endpoints under their reserved keys.
-            arena.keys.clear();
-            arena.keys.reserve(source_keys.len() + bin_keys.len() + 2);
-            arena.keys.extend_from_slice(source_keys);
-            arena.keys.extend_from_slice(bin_keys);
-            arena.keys.push(crate::backend::KEY_SUPER_SOURCE);
-            arena.keys.push(crate::backend::KEY_SUPER_SINK);
-            backend.warm_hint(&arena.keys);
-        }
-        let (s, t) = self.build_network_into(arena);
-        let demand = self.total_demand();
-        // Stopping a hair under the demand keeps the min-cost-per-value
-        // invariant while skipping the final no-augmenting-path search; the
-        // missing sliver is far below every downstream tolerance.
-        let target = demand - FLOW_EPS.max(demand * 1e-12);
-        let r = backend.solve_up_to(&mut arena.network, s, t, target, workspace);
-        if r.flow < demand - acceptance_tolerance(demand) {
-            return None;
-        }
-        Some(self.extract_solution(&arena.network, &arena.route_edges, r.cost, r.flow))
+        backend.solve(self, workspace)
     }
 
     /// Ships every demand ignoring costs (all-zero objective): a pure
     /// max-flow, solved with Dinic's algorithm.  Returns `None` when the
     /// instance is infeasible.
     pub fn solve_feasible_with(&self, workspace: &mut FlowWorkspace) -> Option<TransportSolution> {
-        let (mut g, route_edges, s, t) = self.build_network();
-        let demand = self.total_demand();
-        let target = demand - FLOW_EPS.max(demand * 1e-12);
-        let shipped = max_flow_with(&mut g, s, t, target, workspace).value;
-        if shipped < demand - acceptance_tolerance(demand) {
-            return None;
-        }
-        Some(self.extract_solution(&g, &route_edges, 0.0, shipped))
-    }
-
-    fn extract_solution(
-        &self,
-        g: &FlowNetwork,
-        route_edges: &[usize],
-        cost: f64,
-        shipped: f64,
-    ) -> TransportSolution {
-        let mut allocations = Vec::new();
-        for (idx, &(j, b, _)) in self.routes.iter().enumerate() {
-            let amount = g.flow_on(route_edges[idx]);
-            if amount > FLOW_EPS {
-                allocations.push((j, b, amount));
-            }
-        }
-        TransportSolution {
-            allocations,
-            cost,
-            shipped,
-        }
+        self.solve_on_network(|g, s, t, target| {
+            (max_flow_with(g, s, t, target, workspace).value, 0.0)
+        })
     }
 }
 
@@ -497,51 +438,96 @@ mod tests {
         assert!(t.solve_min_cost().is_none());
     }
 
+    /// Fills `t` as the event `event` of the reuse tests: `1 + event`
+    /// sources over `2 + event` bins, every route declared.
+    fn fill_event(t: &mut TransportInstance, event: usize) {
+        let (ns, nb) = (1 + event, 2 + event);
+        t.reset(ns, nb);
+        for j in 0..ns {
+            t.set_demand(j, 1.0 + j as f64);
+        }
+        for b in 0..nb {
+            t.set_capacity(b, 2.5);
+        }
+        for j in 0..ns {
+            for b in 0..nb {
+                t.add_route(j, b, 1.0 + (j * nb + b) as f64);
+            }
+        }
+    }
+
+    /// Requires two solutions to be equal bit for bit.
+    fn assert_bitwise_equal(a: &TransportSolution, b: &TransportSolution) {
+        assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        assert_eq!(a.shipped.to_bits(), b.shipped.to_bits());
+        assert_eq!(a.allocations.len(), b.allocations.len());
+        for (x, y) in a.allocations.iter().zip(&b.allocations) {
+            assert_eq!((x.0, x.1), (y.0, y.1));
+            assert_eq!(x.2.to_bits(), y.2.to_bits());
+        }
+    }
+
     #[test]
-    fn arena_solves_match_fresh_solves_bitwise_across_reuse() {
+    fn reset_instance_solves_match_fresh_solves_bitwise_across_reuse() {
         use crate::backend::PrimalDualBackend;
-        let mut arena = TransportArena::new();
         let mut ws = FlowWorkspace::new();
         let mut t = TransportInstance::new(0, 0);
         // Three "events" of different shapes through one persistent
-        // instance + arena, each compared bitwise against a fresh solve.
+        // instance and workspace, each compared bitwise against a fresh
+        // instance solved with fresh scratch.
         for event in 0..3usize {
-            let (ns, nb) = (1 + event, 2 + event);
-            t.reset(ns, nb);
-            let mut fresh = TransportInstance::new(ns, nb);
-            for j in 0..ns {
-                t.set_demand(j, 1.0 + j as f64);
-                fresh.set_demand(j, 1.0 + j as f64);
-            }
-            for b in 0..nb {
-                t.set_capacity(b, 2.5);
-                fresh.set_capacity(b, 2.5);
-            }
-            for j in 0..ns {
-                for b in 0..nb {
-                    let cost = 1.0 + (j * nb + b) as f64;
-                    t.add_route(j, b, cost);
-                    fresh.add_route(j, b, cost);
-                }
-            }
-            let keys: Vec<u64> = (0..ns as u64).collect();
-            let bin_keys: Vec<u64> = (100..100 + nb as u64).collect();
-            t.set_stable_keys_from(&keys, &bin_keys);
-            fresh.set_stable_keys(keys.clone(), bin_keys.clone());
+            fill_event(&mut t, event);
+            let mut fresh = TransportInstance::new(0, 0);
+            fill_event(&mut fresh, event);
+            let (ns, nb) = (t.num_sources() as u64, t.num_bins() as u64);
+            t.set_stable_keys(0..ns, 100..100 + nb);
+            fresh.set_stable_keys(0..ns, 100..100 + nb);
             let reused = t
-                .solve_min_cost_in(&mut PrimalDualBackend, &mut ws, &mut arena)
+                .solve_min_cost_with_backend(&mut PrimalDualBackend, &mut ws)
                 .expect("feasible");
             let scratch = fresh
                 .solve_min_cost_with_backend(&mut PrimalDualBackend, &mut FlowWorkspace::new())
                 .expect("feasible");
-            assert_eq!(reused.cost.to_bits(), scratch.cost.to_bits());
-            assert_eq!(reused.shipped.to_bits(), scratch.shipped.to_bits());
-            assert_eq!(reused.allocations.len(), scratch.allocations.len());
-            for (a, b) in reused.allocations.iter().zip(&scratch.allocations) {
-                assert_eq!((a.0, a.1), (b.0, b.1));
-                assert_eq!(a.2.to_bits(), b.2.to_bits());
-            }
+            assert_bitwise_equal(&reused, &scratch);
         }
+    }
+
+    #[test]
+    fn reset_drops_the_stable_keys() {
+        use crate::simplex::NetworkSimplexBackend;
+        let mut ws = FlowWorkspace::new();
+        let mut backend = NetworkSimplexBackend::new();
+        let mut t = TransportInstance::new(0, 0);
+        fill_event(&mut t, 1);
+        t.set_stable_keys([7, 8], [100, 101, 102]);
+        assert!(t.stable_keys().is_some());
+        t.solve_min_cost_with_backend(&mut backend, &mut ws)
+            .expect("feasible");
+        // The same shape refilled without keys: the previous event's keys
+        // must not name its nodes, so the warm backend starts cold and
+        // breaks ties as on any unkeyed instance.
+        fill_event(&mut t, 1);
+        assert!(t.stable_keys().is_none());
+        let refilled = t
+            .solve_min_cost_with_backend(&mut backend, &mut ws)
+            .expect("feasible");
+        assert_eq!(backend.remap_count(), 0, "an unkeyed refill remapped");
+        let mut fresh = TransportInstance::new(0, 0);
+        fill_event(&mut fresh, 1);
+        let unkeyed = fresh
+            .solve_min_cost_with_backend(
+                &mut NetworkSimplexBackend::new(),
+                &mut FlowWorkspace::new(),
+            )
+            .expect("feasible");
+        assert_bitwise_equal(&refilled, &unkeyed);
+    }
+
+    #[test]
+    #[should_panic(expected = "one key per bin")]
+    fn stable_keys_need_one_key_per_bin() {
+        let mut t = TransportInstance::new(1, 2);
+        t.set_stable_keys([1], [10]);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Scratch-reuse invariants on the production min-cost path.
 //!
 //! The warm-start machinery rests on one contract: a solve that *reuses*
-//! scratch (a long-lived backend, the shared [`FlowWorkspace`], a
-//! [`TransportArena`] the network is rebuilt into) must return exactly what
-//! a from-scratch solve returns.  These tests drive repeated
-//! [`TransportInstance::solve_min_cost_in`] calls — the call the scheduling
-//! layer's System-(2) arena makes at every event — through capacity
-//! schedules (growing, shrinking, zeroing) and compare every step against a
-//! fresh `solve_min_cost`.
+//! scratch (a long-lived backend, the shared [`FlowWorkspace`]) must return
+//! exactly what a from-scratch solve returns.  These tests drive repeated
+//! [`TransportInstance::solve_min_cost_with_backend`] calls — the call the
+//! scheduling layer's System-(2) arena makes at every event — through
+//! capacity schedules (growing, shrinking, zeroing) and compare every step
+//! against a fresh `solve_min_cost`.
 
-use stretch_flow::{BackendKind, FlowWorkspace, MinCostBackend, TransportArena, TransportInstance};
+use stretch_flow::{BackendKind, FlowWorkspace, MinCostBackend, TransportInstance};
 
 const DEMANDS: [f64; 3] = [2.0, 3.0, 1.5];
 const ROUTES: [(usize, usize); 6] = [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2)];
@@ -54,9 +53,8 @@ fn reference_solve(caps: &[f64]) -> Option<(f64, Vec<f64>)> {
 fn run_schedule_with_shared_state(kind: BackendKind) {
     let mut backend = kind.instantiate();
     let mut workspace = FlowWorkspace::new();
-    let mut arena = TransportArena::new();
     for (step, caps) in SCHEDULES.iter().enumerate() {
-        let shared = instance(caps).solve_min_cost_in(backend.as_mut(), &mut workspace, &mut arena);
+        let shared = instance(caps).solve_min_cost_with_backend(backend.as_mut(), &mut workspace);
         let fresh = reference_solve(caps);
         match (&shared, &fresh) {
             (Some(r), Some((cost, shipped))) => {
@@ -99,19 +97,18 @@ fn network_simplex_reuse_matches_fresh_solves() {
 
 #[test]
 fn one_workspace_shared_across_backends_stays_consistent() {
-    // A single FlowWorkspace and TransportArena threaded alternately
-    // through both backends (the differential harness shares a workspace
-    // the same way) must not leak state between them.
+    // A single FlowWorkspace threaded alternately through both backends
+    // (the differential harness shares a workspace the same way) must not
+    // leak state between them.
     let caps = [3.0, 2.5, 4.0];
     let (expected_cost, _) = reference_solve(&caps).expect("feasible");
     let mut workspace = FlowWorkspace::new();
-    let mut arena = TransportArena::new();
     let mut backends: Vec<Box<dyn MinCostBackend + Send>> =
         BackendKind::ALL.iter().map(|k| k.instantiate()).collect();
     for round in 0..3 {
         for backend in backends.iter_mut() {
             let r = instance(&caps)
-                .solve_min_cost_in(backend.as_mut(), &mut workspace, &mut arena)
+                .solve_min_cost_with_backend(backend.as_mut(), &mut workspace)
                 .expect("feasible");
             assert!(
                 (r.cost - expected_cost).abs() < 1e-6 * (1.0 + expected_cost),
