@@ -10,7 +10,6 @@
 //! (The companion SODA'02 algorithm, `Bender02`, is a simple pseudo-stretch
 //! priority rule and lives in [`crate::list`] as [`crate::list::ListRule::Bender02`].)
 
-use crate::config::SolverConfig;
 use crate::deadline::{DeadlineProblem, PendingJob};
 use crate::online::{decision_points, fold_execution, pending_jobs, EVENT_TOL};
 use crate::parametric::ParametricDeadlineSolver;
@@ -20,22 +19,18 @@ use crate::sites::SiteView;
 use stretch_workload::Instance;
 
 /// The Bender et al. 1998 guaranteed on-line algorithm.
+///
+/// It has no knobs.  The per-arrival optimisation is the flow engine's
+/// min-stretch search, whose max-flow probes involve no min-cost backend,
+/// and the EDF plan runs no solve, so no
+/// [`SolverConfig`](crate::SolverConfig) applies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Bender98Scheduler {
-    config: SolverConfig,
-}
+pub struct Bender98Scheduler;
 
 impl Bender98Scheduler {
-    /// Creates the scheduler with the default [`SolverConfig`].
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the scheduler with an explicit solver configuration (the
-    /// per-arrival optimisation is a pure feasibility search, so the
-    /// min-cost backend is only exercised indirectly; kept for uniformity).
-    pub fn with_config(config: SolverConfig) -> Self {
-        Bender98Scheduler { config }
+        Bender98Scheduler
     }
 }
 
@@ -52,7 +47,7 @@ impl Scheduler for Bender98Scheduler {
 
         let events = decision_points(instance);
         // One parametric engine across the per-arrival re-optimisations.
-        let mut solver = ParametricDeadlineSolver::with_config(self.config);
+        let mut solver = ParametricDeadlineSolver::new();
 
         for (e, &now) in events.iter().enumerate() {
             let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);

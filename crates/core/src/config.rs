@@ -6,11 +6,11 @@
 //! [`MinCostBackend`].  A [`SolverConfig`]
 //! names the backend and decides whether solver state may be **carried
 //! across events** (the network simplex's basis, remapped by the stable
-//! keys each System-(2) instance carries); it is carried by the schedulers
-//! that solve System (2) ([`crate::OnlineScheduler::with_config`],
-//! [`crate::Bender98Scheduler::with_config`]) and by the reusable
-//! [`crate::ParametricDeadlineSolver`].  [`crate::OfflineScheduler`] runs
-//! no min-cost solve and takes no configuration.
+//! keys each System-(2) instance carries); it is carried by the scheduler
+//! that solves System (2) ([`crate::OnlineScheduler::with_config`]) and by
+//! the reusable [`crate::ParametricDeadlineSolver`].
+//! [`crate::OfflineScheduler`] and [`crate::Bender98Scheduler`] run no
+//! min-cost solve and take no configuration.
 //!
 //! # The default is a constant
 //!

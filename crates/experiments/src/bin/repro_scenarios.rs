@@ -12,9 +12,8 @@
 //! (the generator preserves expected job count and total work), so ranking
 //! differences between tables are attributable to flow shape, not load.
 
-use stretch_experiments::{
-    run_campaign_streaming, scenario_families, scenario_grid, CampaignSettings,
-};
+use stretch_experiments::tables::build_table;
+use stretch_experiments::{run_campaign, scenario_families, scenario_grid, CampaignSettings};
 
 fn main() {
     let settings = CampaignSettings::from_env();
@@ -26,19 +25,21 @@ fn main() {
         settings.instances_per_config,
         settings.target_jobs
     );
-    let summary = run_campaign_streaming(&grid, settings);
+    let start = std::time::Instant::now();
+    let result = run_campaign(&grid, settings);
+    let elapsed = start.elapsed().as_secs_f64();
 
     for family in scenario_families() {
-        let table = summary.table(
+        let table = build_table(
             &format!("Scenario `{}`: degradation statistics", family.label()),
-            |c| c.scenario == family,
+            &result.filtered(|c| c.scenario == family),
         );
         println!("{table}");
     }
+    let jobs: usize = result.observations.iter().map(|o| o.num_jobs).sum();
     println!(
-        "{} instances, {:.0} jobs, {:.1} jobs/sec",
-        summary.instances(),
-        summary.total_jobs(),
-        summary.jobs_per_second(),
+        "{} instances, {jobs} jobs, {:.1} jobs/sec",
+        result.len(),
+        jobs as f64 / elapsed.max(1e-12),
     );
 }

@@ -1,30 +1,21 @@
 //! Running a full campaign over the experimental grid, in parallel.
 //!
-//! Campaigns come in two shapes:
+//! [`run_campaign`] is the one campaign engine: it retains every
+//! [`InstanceObservation`], which the golden tests and the table builders
+//! of [`crate::tables`] consume directly.  Retaining them is cheap even at
+//! the paper's scale: an observation takes 96 B inline plus 352 B of
+//! heuristic results, so 162 configurations × 200 instances hold 14.5 MB.
 //!
-//! * [`run_campaign`] — the batch engine: every
-//!   [`InstanceObservation`] is retained, which the golden tests and the
-//!   partitioned-table builders consume directly.  Fine up to a few
-//!   thousand observations.
-//! * [`run_campaign_streaming`] — the paper-scale engine: observations are
-//!   produced in parallel, folded chunk-by-chunk into **streaming**
-//!   accumulators ([`stretch_metrics::streaming`]) in deterministic order,
-//!   then dropped.  Memory stays bounded by the chunk size whatever the
-//!   campaign size, and the resulting [`CampaignSummary`] builds the same
-//!   tables.
-//!
-//! Both engines fan out over the real thread pool of the vendored `rayon`
-//! (`STRETCH_THREADS` workers, indexed collect), and both derive instance
+//! The engine fans out over the real thread pool of the vendored `rayon`
+//! (`STRETCH_THREADS` workers, indexed collect), and derives instance
 //! seeds with [`instance_seed`], a splitmix64 hash of `(base_seed, config,
 //! instance)` — collision-free across the paper grid, uncorrelated between
 //! neighbouring configurations.
 
 use crate::config::ExperimentConfig;
 use crate::runner::{run_instance_scaled_with, InstanceObservation, InstanceScale};
-use crate::tables::degradation_values;
 use rayon::prelude::*;
 use stretch_core::SolverConfig;
-use stretch_metrics::{MetricsTable, P2Quantile, StreamingDegradation, StreamingStats};
 
 /// Settings of a campaign run.
 ///
@@ -78,9 +69,7 @@ impl CampaignSettings {
 
     /// The paper's §5 scale: 200 instances per configuration, fixed
     /// 15-minute arrival windows (thousands of jobs on the larger
-    /// platforms).  Pair with [`run_campaign_streaming`] — retaining every
-    /// observation at this scale is exactly what the streaming engine
-    /// exists to avoid.
+    /// platforms).
     pub fn paper() -> Self {
         CampaignSettings {
             instances_per_config: 200,
@@ -237,8 +226,6 @@ pub fn instance_seed(base_seed: u64, config: usize, instance: usize) -> u64 {
 pub struct CampaignResult {
     /// One entry per (configuration, instance) pair.
     pub observations: Vec<InstanceObservation>,
-    /// The settings the campaign was run with.
-    pub settings: Option<CampaignSettings>,
 }
 
 impl CampaignResult {
@@ -263,6 +250,18 @@ impl CampaignResult {
     pub fn is_empty(&self) -> bool {
         self.observations.is_empty()
     }
+
+    /// The nearest-rank `p`-quantile of the per-instance job counts (the
+    /// smallest count with at least a `p` share of the instances at or
+    /// below it; `p = 0` gives the smallest), or `None` for an empty
+    /// campaign.
+    pub fn job_count_quantile(&self, p: f64) -> Option<usize> {
+        assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
+        let mut counts: Vec<usize> = self.observations.iter().map(|o| o.num_jobs).collect();
+        counts.sort_unstable();
+        let rank = ((p * counts.len() as f64).ceil() as usize).max(1);
+        counts.get(rank - 1).copied()
+    }
 }
 
 /// Runs the battery over every configuration of `grid`, in parallel over
@@ -278,162 +277,7 @@ pub fn run_campaign(grid: &[ExperimentConfig], settings: CampaignSettings) -> Ca
             run_instance_scaled_with(&grid[c], settings.scale(), seed, settings.solver)
         })
         .collect();
-    CampaignResult {
-        observations,
-        settings: Some(settings),
-    }
-}
-
-/// Streaming aggregates of one configuration.
-#[derive(Clone, Debug)]
-pub struct ConfigSummary {
-    /// The configuration these aggregates describe.
-    pub config: ExperimentConfig,
-    /// Max-stretch degradation per heuristic (vs the off-line optimum).
-    pub max_stretch: StreamingDegradation,
-    /// Sum-stretch degradation per heuristic (vs the best heuristic).
-    pub sum_stretch: StreamingDegradation,
-    /// Job counts of the instances drawn from this configuration.
-    pub jobs: StreamingStats,
-    /// Arrival-event counts of those instances.
-    pub events: StreamingStats,
-}
-
-/// Bounded-memory result of a paper-scale campaign: per-configuration
-/// streaming aggregates instead of per-instance observations.
-#[derive(Clone, Debug)]
-pub struct CampaignSummary {
-    /// One summary per grid configuration, in grid order.
-    pub per_config: Vec<ConfigSummary>,
-    /// P² sketch of the per-instance job counts across the whole campaign
-    /// (median): at paper scale the fixed window makes instance sizes vary
-    /// by platform and scenario, and the median is what "thousands of jobs"
-    /// claims are checked against.
-    pub jobs_p50: P2Quantile,
-    /// P² sketch of the per-instance job counts (99th percentile): the
-    /// largest instances the engine had to absorb, the number that bounds
-    /// worst-case memory and per-event latency.
-    pub jobs_p99: P2Quantile,
-    /// The settings the campaign was run with.
-    pub settings: CampaignSettings,
-    /// Wall-clock spent producing and folding the observations, seconds.
-    pub elapsed_seconds: f64,
-}
-
-impl CampaignSummary {
-    /// Total instances aggregated.
-    pub fn instances(&self) -> usize {
-        self.per_config.iter().map(|c| c.jobs.count()).sum()
-    }
-
-    /// Total jobs scheduled across the whole campaign (each instance's jobs
-    /// are scheduled once per heuristic; this counts them once).
-    pub fn total_jobs(&self) -> f64 {
-        self.per_config
-            .iter()
-            .map(|c| c.jobs.mean() * c.jobs.count() as f64)
-            .sum()
-    }
-
-    /// Aggregate throughput of the campaign: jobs folded per wall-clock
-    /// second (the scaling-trajectory metric of `BENCH_scale.json`).
-    pub fn jobs_per_second(&self) -> f64 {
-        self.total_jobs() / self.elapsed_seconds.max(1e-12)
-    }
-
-    /// Builds one paper-style table over the configurations matching
-    /// `predicate` (exact merge of the per-configuration streams).
-    pub fn table(
-        &self,
-        caption: &str,
-        predicate: impl Fn(&ExperimentConfig) -> bool,
-    ) -> MetricsTable {
-        let names: Vec<&str> = crate::heuristics::TABLE1_ORDER
-            .iter()
-            .map(|k| k.name())
-            .collect();
-        let mut max_acc = StreamingDegradation::new(&names);
-        let mut sum_acc = StreamingDegradation::new(&names);
-        for summary in self.per_config.iter().filter(|s| predicate(&s.config)) {
-            max_acc.merge(&summary.max_stretch);
-            sum_acc.merge(&summary.sum_stretch);
-        }
-        let mut table = MetricsTable::new(caption);
-        for (k, kind) in crate::heuristics::TABLE1_ORDER.iter().enumerate() {
-            table.push_row(kind.name(), max_acc.stats(k), sum_acc.stats(k));
-        }
-        table
-    }
-
-    /// Table 1 over every configuration of the campaign.
-    pub fn table1(&self) -> MetricsTable {
-        self.table(
-            "Table 1: aggregate statistics over all platform/application configurations",
-            |_| true,
-        )
-    }
-}
-
-/// Number of observations each streaming chunk holds in memory (a few
-/// thread-pool rounds; at most this many `InstanceObservation`s are alive
-/// at once however large the campaign).
-pub const STREAM_CHUNK: usize = 64;
-
-/// Runs the battery over every configuration of `grid` with streaming
-/// aggregation: observations are produced in parallel chunk by chunk,
-/// folded into per-configuration accumulators **in sequential order** (so
-/// the aggregates are independent of the thread count), then dropped.
-pub fn run_campaign_streaming(
-    grid: &[ExperimentConfig],
-    settings: CampaignSettings,
-) -> CampaignSummary {
-    let names: Vec<&str> = crate::heuristics::TABLE1_ORDER
-        .iter()
-        .map(|k| k.name())
-        .collect();
-    let start = std::time::Instant::now();
-    let mut per_config: Vec<ConfigSummary> = grid
-        .iter()
-        .map(|&config| ConfigSummary {
-            config,
-            max_stretch: StreamingDegradation::new(&names),
-            sum_stretch: StreamingDegradation::new(&names),
-            jobs: StreamingStats::new(),
-            events: StreamingStats::new(),
-        })
-        .collect();
-
-    let mut jobs_p50 = P2Quantile::new(0.5);
-    let mut jobs_p99 = P2Quantile::new(0.99);
-    let work: Vec<(usize, usize)> = (0..grid.len())
-        .flat_map(|c| (0..settings.instances_per_config).map(move |i| (c, i)))
-        .collect();
-    for chunk in work.chunks(STREAM_CHUNK) {
-        let observations: Vec<InstanceObservation> = chunk
-            .par_iter()
-            .map(|&(c, i)| {
-                let seed = instance_seed(settings.base_seed, c, i);
-                run_instance_scaled_with(&grid[c], settings.scale(), seed, settings.solver)
-            })
-            .collect();
-        for (&(c, _), obs) in chunk.iter().zip(&observations) {
-            let summary = &mut per_config[c];
-            let (max_values, sum_values, reference) = degradation_values(obs);
-            summary.max_stretch.record(&max_values, reference);
-            summary.sum_stretch.record(&sum_values, None);
-            summary.jobs.observe(obs.num_jobs as f64);
-            summary.events.observe(obs.num_events as f64);
-            jobs_p50.observe(obs.num_jobs as f64);
-            jobs_p99.observe(obs.num_jobs as f64);
-        }
-    }
-    CampaignSummary {
-        per_config,
-        jobs_p50,
-        jobs_p99,
-        settings,
-        elapsed_seconds: start.elapsed().as_secs_f64(),
-    }
+    CampaignResult { observations }
 }
 
 #[cfg(test)]
@@ -452,6 +296,30 @@ mod tests {
         let only3 = result.filtered(|c| c.sites == 3);
         assert!(only3.iter().all(|o| o.config.sites == 3));
         assert!(!only3.is_empty());
+    }
+
+    #[test]
+    fn job_count_quantile_is_the_nearest_rank_count() {
+        let config = reduced_grid()[0];
+        let counts = [40, 263, 7, 55, 61, 12, 127, 90, 33, 55, 18, 101];
+        let result = CampaignResult {
+            observations: counts
+                .iter()
+                .map(|&num_jobs| InstanceObservation {
+                    config,
+                    num_jobs,
+                    num_events: num_jobs,
+                    observations: Vec::new(),
+                })
+                .collect(),
+        };
+        // Sorted: 7 12 18 33 40 55 55 61 90 101 127 263.  The p50 is the
+        // 6th smallest; the p99 of 12 instances is the largest instance
+        // itself, not an estimate below it.
+        assert_eq!(result.job_count_quantile(0.5), Some(55));
+        assert_eq!(result.job_count_quantile(0.99), Some(263));
+        assert_eq!(result.job_count_quantile(0.0), Some(7));
+        assert_eq!(CampaignResult::default().job_count_quantile(0.5), None);
     }
 
     #[test]
@@ -537,47 +405,5 @@ mod tests {
             CampaignSettings::default().scale(),
             InstanceScale::TargetJobs(30)
         );
-    }
-
-    #[test]
-    fn streaming_summary_matches_the_batch_tables() {
-        let grid = reduced_grid();
-        let settings = CampaignSettings {
-            instances_per_config: 2,
-            target_jobs: 8,
-            ..CampaignSettings::smoke()
-        };
-        let batch = run_campaign(&grid, settings);
-        let summary = run_campaign_streaming(&grid, settings);
-        assert_eq!(summary.instances(), batch.len());
-        let batch_table = crate::tables::table1(&batch.observations);
-        let stream_table = summary.table1();
-        for (b, s) in batch_table.rows.iter().zip(&stream_table.rows) {
-            assert_eq!(b.name, s.name);
-            for (bs, ss) in [
-                (&b.max_stretch, &s.max_stretch),
-                (&b.sum_stretch, &s.sum_stretch),
-            ] {
-                match (bs, ss) {
-                    (None, None) => {}
-                    (Some(bs), Some(ss)) => {
-                        assert!((bs.mean - ss.mean).abs() < 1e-9, "{}", b.name);
-                        assert!((bs.sd - ss.sd).abs() < 1e-9, "{}", b.name);
-                        assert_eq!(bs.max, ss.max, "{}", b.name);
-                        assert_eq!(bs.count, ss.count, "{}", b.name);
-                    }
-                    other => panic!("presence mismatch for {}: {other:?}", b.name),
-                }
-            }
-        }
-        // Throughput bookkeeping is sane.
-        assert!(summary.total_jobs() > 0.0);
-        assert!(summary.jobs_per_second() > 0.0);
-        // The job-count sketches saw every instance; the p99 never sits
-        // below the median.
-        assert_eq!(summary.jobs_p50.count(), batch.len());
-        let p50 = summary.jobs_p50.value().unwrap();
-        let p99 = summary.jobs_p99.value().unwrap();
-        assert!(p50 > 0.0 && p99 >= p50, "p50 {p50} vs p99 {p99}");
     }
 }

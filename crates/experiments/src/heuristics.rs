@@ -72,9 +72,9 @@ impl HeuristicKind {
     }
 
     /// Builds the corresponding scheduler on an explicit solver
-    /// configuration (min-cost backend selection for the on-line and
-    /// Bender98 heuristics; `Offline`, which runs no min-cost solve, and
-    /// the list and greedy rules ignore it).
+    /// configuration (min-cost backend selection for the on-line
+    /// heuristics; `Offline` and `Bender98`, which run no min-cost solve,
+    /// and the list and greedy rules ignore it).
     pub fn scheduler_with(&self, config: SolverConfig) -> Box<dyn Scheduler + Send + Sync> {
         match self {
             HeuristicKind::Offline => Box::new(OfflineScheduler::new()),
@@ -89,7 +89,7 @@ impl HeuristicKind {
                 OnlineVariant::OnlineEgdf,
                 config,
             )),
-            HeuristicKind::Bender98 => Box::new(Bender98Scheduler::with_config(config)),
+            HeuristicKind::Bender98 => Box::new(Bender98Scheduler::new()),
             HeuristicKind::Swrpt => Box::new(ListScheduler::swrpt()),
             HeuristicKind::Srpt => Box::new(ListScheduler::srpt()),
             HeuristicKind::Spt => Box::new(ListScheduler::spt()),

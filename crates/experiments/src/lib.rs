@@ -24,10 +24,7 @@ pub mod runner;
 pub mod scale;
 pub mod tables;
 
-pub use campaign::{
-    instance_seed, run_campaign, run_campaign_streaming, CampaignResult, CampaignSettings,
-    CampaignSummary,
-};
+pub use campaign::{instance_seed, run_campaign, CampaignResult, CampaignSettings};
 pub use config::{
     adversary_budget, full_grid, reduced_grid, scenario_families, scenario_grid, ExperimentConfig,
 };

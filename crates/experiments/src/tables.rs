@@ -13,11 +13,11 @@ use crate::runner::InstanceObservation;
 use stretch_metrics::{DegradationAccumulator, MetricsTable};
 use stretch_platform::reference;
 
-/// The per-instance degradation inputs shared by the batch and streaming
-/// accumulators: max-stretch values, sum-stretch values (both `INFINITY`
-/// for skipped heuristics) and the max-stretch reference (the off-line
-/// optimum of the instance, when it ran).
-pub fn degradation_values(obs: &InstanceObservation) -> (Vec<f64>, Vec<f64>, Option<f64>) {
+/// The per-instance degradation inputs of one observation: max-stretch
+/// values, sum-stretch values (both `INFINITY` for skipped heuristics) and
+/// the max-stretch reference (the off-line optimum of the instance, when
+/// it ran).
+fn degradation_values(obs: &InstanceObservation) -> (Vec<f64>, Vec<f64>, Option<f64>) {
     let max_values: Vec<f64> = obs
         .observations
         .iter()

@@ -30,8 +30,9 @@ fn test_step_runs_every_target() {
 fn build_and_test_gates_are_pinned() {
     // The gates of the one build cell besides the test step: lints with
     // warnings denied, formatting, warning-free rustdoc, and the
-    // paper-scale streaming smoke.  Dropping any of them would let lint,
-    // format or doc debt, or a broken paper preset, land with CI green.
+    // paper-scale and scenario-family smokes.  Dropping any of them would
+    // let lint, format or doc debt, or a broken paper preset or scenario
+    // study, land with CI green.
     let yml = ci_yml();
     assert!(
         yml.contains("\n  build-and-test:"),
@@ -43,6 +44,8 @@ fn build_and_test_gates_are_pinned() {
         "run: RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps\n",
         "STRETCH_INSTANCES=1 STRETCH_WINDOW=30 STRETCH_PAPER_CONFIGS=2\n          \
          cargo run --release -p stretch-experiments --bin repro_paper",
+        "STRETCH_INSTANCES=1 STRETCH_JOBS=8\n          \
+         cargo run --release -p stretch-experiments --bin repro_scenarios",
     ] {
         assert!(
             yml.contains(needle),

@@ -12,10 +12,6 @@ pub struct MinCostResult {
     pub flow: f64,
     /// Total cost `Σ flow(e) · cost(e)` of the pushed flow.
     pub cost: f64,
-    /// Number of augmenting paths pushed (diagnostic).
-    pub augmentations: usize,
-    /// Number of primal-dual phases (one Dijkstra each; diagnostic).
-    pub phases: usize,
 }
 
 /// Computes a maximum flow of minimum cost from `source` to `sink`.
@@ -110,8 +106,6 @@ pub fn min_cost_flow_up_to(
 
     let mut total_flow = 0.0;
     let mut total_cost = 0.0;
-    let mut augmentations = 0usize;
-    let mut phases = 0usize;
 
     // Hungarian-style primal-dual: instead of one Dijkstra per phase, grow
     // the set `R` of nodes reachable from the source through *admissible*
@@ -134,7 +128,6 @@ pub fn min_cost_flow_up_to(
         .fold(0.0f64, |m, &p| m.max(p.abs()));
 
     while total_flow < target {
-        phases += 1;
         let adm_eps = 1e-9 * (1.0 + 2.0 * max_potential);
         // R := admissible reachability from the source (level doubles as
         // the membership flag).  Non-admissible frontier edges are recorded
@@ -184,7 +177,6 @@ pub fn min_cost_flow_up_to(
                 }
                 total_flow += pushed;
                 progressed = true;
-                augmentations += 1;
             }
             if !progressed {
                 // Numerical guard: reachability and the DFS disagreed on an
@@ -220,8 +212,6 @@ pub fn min_cost_flow_up_to(
     MinCostResult {
         flow: total_flow,
         cost: total_cost,
-        augmentations,
-        phases,
     }
 }
 

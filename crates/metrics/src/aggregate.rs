@@ -48,11 +48,6 @@ impl DegradationAccumulator {
         }
     }
 
-    /// Heuristic names, in column order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Records one instance: `values[k]` is the metric achieved by heuristic
     /// `k`.  Each heuristic's sample becomes `value / reference` where
     /// `reference` is either the supplied baseline (e.g. the optimal) or, if
@@ -92,27 +87,6 @@ impl DegradationAccumulator {
             Some(AggregateStats::from_samples(&self.samples[k]))
         }
     }
-
-    /// All per-heuristic statistics, in column order.
-    pub fn all_stats(&self) -> Vec<(String, Option<AggregateStats>)> {
-        self.names
-            .iter()
-            .cloned()
-            .zip((0..self.samples.len()).map(|k| self.stats(k)))
-            .collect()
-    }
-
-    /// Merges another accumulator (same heuristics, e.g. from a parallel
-    /// worker) into this one.
-    pub fn merge(&mut self, other: &DegradationAccumulator) {
-        assert_eq!(
-            self.names, other.names,
-            "accumulators must share heuristics"
-        );
-        for (mine, theirs) in self.samples.iter_mut().zip(&other.samples) {
-            mine.extend_from_slice(theirs);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,23 +123,15 @@ mod tests {
 
     #[test]
     fn non_finite_values_are_skipped() {
-        let mut acc = DegradationAccumulator::new(&["a", "b"]);
-        acc.record(&[f64::INFINITY, 2.0], None);
+        let mut acc = DegradationAccumulator::new(&["a", "b", "c"]);
+        acc.record(&[f64::INFINITY, 2.0, f64::NAN], None);
         assert_eq!(acc.count(0), 0);
         assert_eq!(acc.count(1), 1);
+        assert_eq!(acc.count(2), 0);
         assert!(acc.stats(0).is_none());
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = DegradationAccumulator::new(&["h"]);
-        a.record(&[2.0], Some(1.0));
-        let mut b = DegradationAccumulator::new(&["h"]);
-        b.record(&[4.0], Some(1.0));
-        a.merge(&b);
-        let s = a.stats(0).unwrap();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 3.0).abs() < 1e-12);
+        assert!(acc.stats(2).is_none());
+        // Neither skipped value became the reference.
+        assert_eq!(acc.stats(1).unwrap().mean, 1.0);
     }
 
     #[test]

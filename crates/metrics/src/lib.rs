@@ -9,7 +9,9 @@
 //! used throughout the evaluation section: each heuristic's metric is divided
 //! by the best (or optimal) value observed on the same instance, then
 //! aggregated as mean / standard deviation / max over many instances —
-//! exactly the columns of Tables 1–16.
+//! exactly the columns of Tables 1–16.  The one bounded-memory statistic,
+//! the [`P2Quantile`] sketch, serves the serve layer's solve-latency
+//! quantiles.
 
 pub mod aggregate;
 pub mod baseline;
@@ -21,5 +23,5 @@ pub mod table;
 pub use aggregate::{AggregateStats, DegradationAccumulator};
 pub use objectives::ScheduleMetrics;
 pub use outcome::JobOutcome;
-pub use streaming::{P2Quantile, StreamingDegradation, StreamingStats};
+pub use streaming::P2Quantile;
 pub use table::{MetricsTable, TableRow};

@@ -1,130 +1,8 @@
-//! Bounded-memory (streaming) aggregation for paper-scale campaigns.
+//! Bounded-memory quantile estimation.
 //!
-//! The batch accumulator ([`crate::DegradationAccumulator`]) retains every
-//! sample so it can compute exact statistics at the end; at paper scale
-//! (hundreds of instances per configuration, thousands of jobs each) that
-//! means holding the whole campaign in memory.  This module provides the
-//! streaming counterparts used by `run_campaign_streaming`:
-//!
-//! * [`StreamingStats`] — Welford's online mean/variance plus min/max/count,
-//!   numerically stable, **exactly mergeable** (Chan et al.'s pairwise
-//!   update), producing the same [`AggregateStats`] the tables print;
-//! * [`P2Quantile`] — the P² algorithm of Jain & Chlamtac: a five-marker
-//!   quantile sketch in O(1) memory, used by the campaign summary for the
-//!   p50/p99 of per-instance job counts (an exact quantile would need the
-//!   full sample the streaming engine exists to avoid retaining);
-//! * [`StreamingDegradation`] — a drop-in for the degradation-table shape of
-//!   [`crate::DegradationAccumulator`], holding one [`StreamingStats`] per
-//!   heuristic instead of one `Vec<f64>` per heuristic.
-
-use crate::aggregate::AggregateStats;
-
-/// Welford online summary: count, mean, variance, min, max — O(1) memory,
-/// exact merge.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StreamingStats {
-    count: usize,
-    mean: f64,
-    /// Sum of squared deviations from the running mean (Welford's `M2`).
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for StreamingStats {
-    /// Same as [`StreamingStats::new`] (the min/max sentinels must be the
-    /// infinities, never zeros, or the first observations get clipped).
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamingStats {
-    /// An empty summary.
-    pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Folds one sample in (Welford's update).
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples folded in.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Running mean (0 for an empty summary).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population standard deviation (0 for fewer than two samples).
-    pub fn sd(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Largest sample seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Smallest sample seen.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Merges another summary in (Chan et al. parallel update); exact, so
-    /// per-configuration summaries can be combined into partition tables.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The table-facing summary, or `None` when no sample was folded in.
-    pub fn stats(&self) -> Option<AggregateStats> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(AggregateStats {
-                mean: self.mean,
-                sd: self.sd(),
-                max: self.max,
-                count: self.count,
-            })
-        }
-    }
-}
+//! [`P2Quantile`] is the P² algorithm of Jain & Chlamtac: a five-marker
+//! quantile sketch in O(1) memory, with which the serve layer tracks its
+//! solve-latency p50/p99 over an unbounded stream of decisions.
 
 /// P² (piecewise-parabolic) single-quantile sketch: five markers, O(1)
 /// memory, no sorting.  Estimates converge as samples accumulate; for five
@@ -255,139 +133,9 @@ impl P2Quantile {
     }
 }
 
-/// Streaming counterpart of [`crate::DegradationAccumulator`]: per-heuristic
-/// degradation ratios aggregated online, O(heuristics) memory however many
-/// instances are folded in.
-#[derive(Clone, Debug)]
-pub struct StreamingDegradation {
-    names: Vec<String>,
-    summaries: Vec<StreamingStats>,
-}
-
-impl StreamingDegradation {
-    /// Creates an accumulator for the given heuristic names.
-    pub fn new(names: &[&str]) -> Self {
-        StreamingDegradation {
-            names: names.iter().map(|s| s.to_string()).collect(),
-            summaries: vec![StreamingStats::new(); names.len()],
-        }
-    }
-
-    /// Heuristic names, in column order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Records one instance; same semantics as
-    /// [`crate::DegradationAccumulator::record`]: each heuristic's sample is
-    /// `value / reference`, the reference defaulting to the best finite
-    /// value among the heuristics; non-finite values are skipped.
-    pub fn record(&mut self, values: &[f64], reference: Option<f64>) {
-        assert_eq!(values.len(), self.names.len(), "one value per heuristic");
-        let finite_min = values
-            .iter()
-            .copied()
-            .filter(|v| v.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        let reference = reference.unwrap_or(finite_min);
-        if !reference.is_finite() || reference <= 0.0 {
-            return;
-        }
-        for (k, &v) in values.iter().enumerate() {
-            if v.is_finite() {
-                self.summaries[k].observe(v / reference);
-            }
-        }
-    }
-
-    /// Number of instances recorded for heuristic `k`.
-    pub fn count(&self, k: usize) -> usize {
-        self.summaries[k].count()
-    }
-
-    /// Aggregate statistics for heuristic `k`, or `None` when it never
-    /// produced a finite value.
-    pub fn stats(&self, k: usize) -> Option<AggregateStats> {
-        self.summaries[k].stats()
-    }
-
-    /// All per-heuristic statistics, in column order.
-    pub fn all_stats(&self) -> Vec<(String, Option<AggregateStats>)> {
-        self.names
-            .iter()
-            .cloned()
-            .zip(self.summaries.iter().map(|s| s.stats()))
-            .collect()
-    }
-
-    /// Merges another accumulator (same heuristics, e.g. another
-    /// configuration of the same partition) into this one; exact.
-    pub fn merge(&mut self, other: &StreamingDegradation) {
-        assert_eq!(
-            self.names, other.names,
-            "accumulators must share heuristics"
-        );
-        for (mine, theirs) in self.summaries.iter_mut().zip(&other.summaries) {
-            mine.merge(theirs);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::DegradationAccumulator;
-
-    #[test]
-    fn streaming_stats_match_the_batch_formulas() {
-        let samples = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut s = StreamingStats::new();
-        for &x in &samples {
-            s.observe(x);
-        }
-        let batch = AggregateStats::from_samples(&samples);
-        let streamed = s.stats().unwrap();
-        assert!((streamed.mean - batch.mean).abs() < 1e-12);
-        assert!((streamed.sd - batch.sd).abs() < 1e-12);
-        assert_eq!(streamed.max, batch.max);
-        assert_eq!(streamed.count, batch.count);
-        assert_eq!(s.min(), 1.0);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() + 2.0).collect();
-        let mut whole = StreamingStats::new();
-        xs.iter().for_each(|&x| whole.observe(x));
-        let mut left = StreamingStats::new();
-        let mut right = StreamingStats::new();
-        xs[..37].iter().for_each(|&x| left.observe(x));
-        xs[37..].iter().for_each(|&x| right.observe(x));
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.sd() - whole.sd()).abs() < 1e-12);
-        assert_eq!(left.count(), whole.count());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn empty_and_singleton_edge_cases() {
-        let s = StreamingStats::new();
-        assert!(s.stats().is_none());
-        let mut t = StreamingStats::new();
-        t.observe(2.5);
-        let stats = t.stats().unwrap();
-        assert_eq!(stats.mean, 2.5);
-        assert_eq!(stats.sd, 0.0);
-        assert_eq!(stats.count, 1);
-        // Merging empty in either direction is the identity.
-        let mut u = t;
-        u.merge(&StreamingStats::new());
-        assert_eq!(u, t);
-        let mut v = StreamingStats::new();
-        v.merge(&t);
-        assert_eq!(v, t);
-    }
 
     #[test]
     fn p2_median_converges_on_uniform_ramp() {
@@ -462,48 +210,5 @@ mod tests {
             sketch.observe(f64::from(i) / 100.0);
         }
         assert!(sketch.value().unwrap().is_finite());
-    }
-
-    #[test]
-    fn streaming_degradation_matches_batch_accumulator() {
-        let names = ["a", "b", "c"];
-        let mut batch = DegradationAccumulator::new(&names);
-        let mut stream = StreamingDegradation::new(&names);
-        let rows = [
-            ([2.0, 4.0, f64::INFINITY], None),
-            ([3.0, 3.0, 6.0], None),
-            ([5.0, 10.0, 2.5], Some(2.0)),
-            ([f64::NAN, 1.0, 2.0], None),
-        ];
-        for (values, reference) in rows {
-            batch.record(&values, reference);
-            stream.record(&values, reference);
-        }
-        for k in 0..names.len() {
-            match (batch.stats(k), stream.stats(k)) {
-                (None, None) => {}
-                (Some(b), Some(s)) => {
-                    assert!((b.mean - s.mean).abs() < 1e-12, "heuristic {k}");
-                    assert!((b.sd - s.sd).abs() < 1e-12, "heuristic {k}");
-                    assert_eq!(b.max, s.max);
-                    assert_eq!(b.count, s.count);
-                }
-                (b, s) => panic!("presence mismatch for {k}: {b:?} vs {s:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_degradation_merge_combines_configurations() {
-        let names = ["h"];
-        let mut a = StreamingDegradation::new(&names);
-        a.record(&[2.0], Some(1.0));
-        let mut b = StreamingDegradation::new(&names);
-        b.record(&[4.0], Some(1.0));
-        a.merge(&b);
-        let s = a.stats(0).unwrap();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-        assert_eq!(s.max, 4.0);
     }
 }

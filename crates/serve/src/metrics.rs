@@ -6,7 +6,7 @@
 //! quantiles reuse the streaming [`P2Quantile`] sketch from
 //! `stretch-metrics` — constant memory, no sample buffer.
 
-use stretch_metrics::{P2Quantile, StreamingStats};
+use stretch_metrics::P2Quantile;
 
 use crate::event::SolveTier;
 
@@ -36,7 +36,6 @@ pub struct ServeMetrics {
     pub replayed_records: u64,
     /// Bytes of torn tail truncated during recovery.
     pub torn_bytes_truncated: u64,
-    solve_seconds: StreamingStats,
     solve_p50: P2Quantile,
     solve_p99: P2Quantile,
 }
@@ -56,7 +55,6 @@ impl ServeMetrics {
             shed_decisions: 0,
             replayed_records: 0,
             torn_bytes_truncated: 0,
-            solve_seconds: StreamingStats::new(),
             solve_p50: P2Quantile::new(0.5),
             solve_p99: P2Quantile::new(0.99),
         }
@@ -66,7 +64,6 @@ impl ServeMetrics {
     pub fn observe_decision(&mut self, tier: SolveTier, solve_seconds: f64) {
         self.decisions += 1;
         self.decisions_by_tier[tier.code() as usize] += 1;
-        self.solve_seconds.observe(solve_seconds);
         self.solve_p50.observe(solve_seconds);
         self.solve_p99.observe(solve_seconds);
     }
