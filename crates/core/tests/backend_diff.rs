@@ -641,7 +641,8 @@ fn online_schedulers_complete_identical_workloads_on_both_backends() {
 /// remapped basis of the solve before — the repeated one included: if a
 /// keying or re-priming change ever makes the remap decline on this
 /// stream, the warm path silently degrades into cold solves, and this test
-/// makes that loud.
+/// makes that loud.  The warm backend's pivot totals are pinned exactly,
+/// and its primary pivots must stay below the fresh cold solves' sum.
 #[test]
 fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
     use stretch_core::refstream::{capture_system2_events_with, reference_instance};
@@ -666,6 +667,7 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
         .collect();
     let mut warm = NetworkSimplexBackend::new();
     let mut warm_ws = FlowWorkspace::new();
+    let mut cold_pivots = (0, 0);
     for (problem, slack) in solves.iter().copied() {
         let now = problem.now;
         let warm_plan = problem
@@ -675,6 +677,8 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
         let cold_plan = problem
             .system2_allocation_with_backend(*slack, &mut cold, &mut FlowWorkspace::new())
             .expect("feasible");
+        let (primary, lexicographic) = cold.pivot_counts();
+        cold_pivots = (cold_pivots.0 + primary, cold_pivots.1 + lexicographic);
         assert_eq!(
             warm_plan.pieces.len(),
             cold_plan.pieces.len(),
@@ -697,7 +701,21 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
     }
     assert_eq!(solves.len(), captured.len() + 1);
     assert_eq!(warm.remap_count(), solves.len() - 1);
+    assert_eq!(warm.rejected_remap_count(), 0);
     assert_eq!(warm.fallback_count(), 0);
+    // Count gate: the pivots are a function of the stream, so a change
+    // that lengthens the warm path shows here however noisy the host.
+    // Re-bless on purpose only, with the reason in CHANGES.md.
+    assert_eq!(
+        warm.pivot_counts(),
+        (838, 356),
+        "warm pivots (primary, lexicographic) over the reference stream changed"
+    );
+    assert!(
+        warm.pivot_counts().0 < cold_pivots.0,
+        "warm starts took {:?} pivots against {cold_pivots:?} for fresh cold solves",
+        warm.pivot_counts()
+    );
 }
 
 /// The reference backend must also agree with the `stretch-lp` simplex on

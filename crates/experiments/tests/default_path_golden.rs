@@ -15,14 +15,18 @@
 //! ```text
 //! STRETCH_BLESS=1 cargo test -p stretch-experiments --test default_path_golden
 //! ```
+//!
+//! An ignored test scans every entry of the three pools, warm and cold;
+//! see [`scan_every_pool_entry_warm_and_cold`].
 
 use std::path::PathBuf;
+use std::time::Instant;
 use stretch_core::online::run_online_with;
-use stretch_core::{OnlineVariant, SolverConfig};
+use stretch_core::{OnlineVariant, ScheduleError, SolverConfig};
 use stretch_experiments::campaign::instance_seed;
 use stretch_experiments::runner::{draw_instance_scaled, InstanceScale};
 use stretch_experiments::ExperimentConfig;
-use stretch_workload::Scenario;
+use stretch_workload::{Instance, Scenario};
 
 /// Base seed of the benchmark pools.
 const POOL_SEED: u64 = 2006;
@@ -67,6 +71,33 @@ const POOLS: [Pool; 2] = [
     },
 ];
 
+/// The `serve-light` shape of the benchmark (`perfbench/src/serve.rs`): one
+/// ~20 000-job stream per entry.  Only the pool scan draws it.
+const LIGHT: Pool = Pool {
+    name: "serve-light",
+    config: ExperimentConfig {
+        sites: 3,
+        databanks: 3,
+        availability: 0.6,
+        density: 0.1,
+        scenario: Scenario::Steady,
+    },
+    jobs: 20_000,
+    config_index: 2,
+    entries: &[],
+};
+
+impl Pool {
+    /// Pool entry `entry`, drawn as the benchmark draws it.
+    fn draw(&self, entry: usize) -> Instance {
+        draw_instance_scaled(
+            &self.config,
+            InstanceScale::TargetJobs(self.jobs),
+            instance_seed(POOL_SEED, self.config_index, entry),
+        )
+    }
+}
+
 /// FNV-1a 64 over the little-endian bits of every completion time.
 fn digest(completions: &[f64]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -82,14 +113,12 @@ fn render() -> String {
     let mut out = String::new();
     for pool in &POOLS {
         for &entry in pool.entries {
-            let instance = draw_instance_scaled(
-                &pool.config,
-                InstanceScale::TargetJobs(pool.jobs),
-                instance_seed(POOL_SEED, pool.config_index, entry),
-            );
-            let completions =
-                run_online_with(&instance, OnlineVariant::Online, SolverConfig::default())
-                    .unwrap_or_else(|e| panic!("{} entry {entry}: {e:?}", pool.name));
+            let completions = run_online_with(
+                &pool.draw(entry),
+                OnlineVariant::Online,
+                SolverConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("{} entry {entry}: {e:?}", pool.name));
             out.push_str(&format!(
                 "{} {entry} {:016x}\n",
                 pool.name,
@@ -120,4 +149,66 @@ fn default_path_completions_match_the_golden_digests() {
          If intentional, re-bless with STRETCH_BLESS=1; otherwise a solver\n\
          change moved the System-(2) optimum or the schedule built from it."
     );
+}
+
+/// Scans every entry the benchmark's pool files list (read from
+/// `perfbench/pools/` at run time), on the default path warm and cold
+/// (`with_warm_start(false)`).  Prints one line per entry,
+/// `pool entry warm-digest cold-digest seconds` (the warm run's wall time;
+/// `failed` in place of a digest when the run returned an error), then per
+/// pool the entries where warm and cold differ, and fails if any run
+/// failed.  Diff the entry lines of two checkouts to see whether a change
+/// keeps the default path bit for bit.  About 9 minutes in a release build
+/// on a 2-vCPU host:
+///
+/// ```text
+/// cargo test --release -p stretch-experiments --test default_path_golden -- --ignored --nocapture
+/// ```
+#[test]
+#[ignore = "scans all 4022 pool entries twice; minutes in a release build"]
+fn scan_every_pool_entry_warm_and_cold() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../perfbench/pools");
+    let show = |run: &Result<Vec<f64>, ScheduleError>| match run {
+        Ok(completions) => format!("{:016x}", digest(completions)),
+        Err(_) => "failed".to_string(),
+    };
+    let mut failed = Vec::new();
+    for pool in POOLS.iter().chain([&LIGHT]) {
+        let path = dir.join(format!("{}.txt", pool.name));
+        let list = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read pool file {}: {e}", path.display()));
+        let (mut diverged, mut warm_seconds, mut cold_seconds) = (Vec::new(), 0.0, 0.0);
+        for entry in list.split_whitespace() {
+            let entry: usize = entry.parse().expect("pool files list entry indices");
+            let instance = pool.draw(entry);
+            let start = Instant::now();
+            let warm = run_online_with(&instance, OnlineVariant::Online, SolverConfig::default());
+            let seconds = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            let cold = run_online_with(
+                &instance,
+                OnlineVariant::Online,
+                SolverConfig::default().with_warm_start(false),
+            );
+            cold_seconds += start.elapsed().as_secs_f64();
+            warm_seconds += seconds;
+            println!(
+                "{} {entry} {} {} {seconds:.3}",
+                pool.name,
+                show(&warm),
+                show(&cold)
+            );
+            match (&warm, &cold) {
+                (Ok(w), Ok(c)) if digest(w) != digest(c) => diverged.push(entry),
+                (Ok(_), Ok(_)) => {}
+                _ => failed.push(format!("{} {entry}", pool.name)),
+            }
+        }
+        println!(
+            "{}: warm != cold at {} entries {diverged:?} (warm {warm_seconds:.1} s, cold {cold_seconds:.1} s)",
+            pool.name,
+            diverged.len()
+        );
+    }
+    assert!(failed.is_empty(), "the default path failed on {failed:?}");
 }

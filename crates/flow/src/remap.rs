@@ -10,7 +10,15 @@
 //! exactly this — consecutive instances differ by a handful of jobs.
 //!
 //! A [`BasisRemap`] carries the previous solve's basis across such a shape
-//! change.  Identity is established by **stable node keys**, which the
+//! change: the basis the simplex's pivot loop stopped at, an optimal
+//! vertex's own tree and bound arcs, not the canonical basis its output is
+//! re-derived from (that one hangs every free-forest component off an
+//! artificial root arc, which the remap drops, so the next solve would
+//! re-hang those nodes off the root at ±BIG potentials and pivot the
+//! artificial arcs back out).  The
+//! memory therefore depends on the pivot path that reached the optimum,
+//! while the output does not wherever warm and cold solves agree.
+//! Identity is established by **stable node keys**, which the
 //! transportation instance carries
 //! ([`crate::TransportInstance::set_stable_keys`]; the scheduling layer
 //! keys jobs by their instance-wide job id and bins by `(site, interval
@@ -47,7 +55,8 @@ const KEY_ROOT: u64 = u64::MAX;
 /// network.
 ///
 /// Owned by a [`crate::simplex::NetworkSimplexBackend`]; one remap per
-/// backend, refreshed after every solve of a keyed instance.  The struct
+/// backend, refreshed after every solve of a keyed instance with the basis
+/// its pivot loop stopped at.  The struct
 /// itself is allocation-reusing: the key map is cleared and refilled, never
 /// rebuilt.
 ///

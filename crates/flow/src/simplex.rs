@@ -47,16 +47,23 @@
 //!   them, of its index otherwise; exact in `f64`), pricing compares reduced
 //!   costs lexicographically (phase 2 of [`NetworkSimplexBackend`]'s pivot
 //!   loop), and the solve only stops at the unique lexicographic optimum.
-//!   Keying the tie-break by stable identities also makes the canonical
-//!   vertex *stable across events*, which is what keeps the phase-2 face
-//!   walk short for remapped warm starts.  The final basis is then
-//!   *canonicalised*: flows are re-derived from the vertex itself, not from
-//!   the pivot history, so any two pivot paths reaching the optimum produce
-//!   identical bytes.
-//! * **Warm starts.**  Two start paths.  When the instance carries stable
-//!   keys ([`TransportInstance::set_stable_keys`]) and the backend
-//!   remembers the basis of an earlier keyed solve, the solve starts from
-//!   that basis **remapped** onto the new network
+//!   Keying the tie-break by stable identities also makes that optimum
+//!   *stable across events*: the basis a warm start resumes from (below)
+//!   sits at the previous event's optimum, most of which the next event's
+//!   optimum keeps, so the phase-2 face walk stays short.  The emitted
+//!   flows are then *canonicalised*: re-derived from the vertex itself,
+//!   not from the pivot history, so any two pivot paths reaching the
+//!   optimum produce identical bytes.
+//! * **Warm starts.**  Two start paths.  After every keyed solve the
+//!   backend remembers the basis its pivot loop stopped at — the optimal
+//!   vertex's own tree and bound arcs, degenerate real tree arcs included,
+//!   artificial root arcs dropped — not the canonical basis the output is
+//!   re-derived from, whose completion hangs every free-forest component
+//!   off an artificial root arc for the next solve to pivot back out.  So
+//!   the memory depends on the pivot path; the output does not, wherever
+//!   warm≡cold holds.  When the instance carries stable keys
+//!   ([`TransportInstance::set_stable_keys`]) and the backend holds such a
+//!   basis, the solve starts from it **remapped** onto the new network
 //!   ([`crate::remap::BasisRemap`]; the cross-*event* case of the on-line
 //!   schedulers: jobs complete, intervals move, most of the network
 //!   persists): surviving arcs keep their basis state, departed arcs are
@@ -125,12 +132,12 @@ fn tie_cost(a: usize) -> f64 {
 /// Secondary cost of an arc identified by its endpoints' **stable keys**.
 ///
 /// Same uniqueness properties as [`tie_cost`], with one decisive extra:
-/// the value is *stable across events*.  The canonical (lexicographically
-/// optimal) vertex of one event then restricts to almost the canonical
-/// vertex of the next, so a warm start remapped from the previous canonical
-/// basis begins phase 2 already at — or a few pivots from — its target,
-/// while an index-keyed tie-break would re-randomise the target at every
-/// event and send warm starts on a long face walk.
+/// the value is *stable across events*.  The lexicographically optimal
+/// vertex of one event then restricts to almost the optimal vertex of the
+/// next, so a warm start remapped from the previous optimum's basis begins
+/// phase 2 already at — or a few pivots from — its target, while an
+/// index-keyed tie-break would re-randomise the target at every event and
+/// send warm starts on a long face walk.
 fn keyed_tie_cost(key_from: u64, key_to: u64) -> f64 {
     (mix64(mix64(key_from) ^ key_to.rotate_left(32)) >> 34) as f64
 }
@@ -200,6 +207,12 @@ pub struct NetworkSimplexBackend {
     fallbacks: usize,
     /// Solves that started from the remapped basis; diagnostic.
     remapped_solves: usize,
+    /// Solves whose remap the re-priming rejected (each then crashed a
+    /// fresh basis); diagnostic.
+    rejected_remaps: usize,
+    /// `pivot` calls so far, primary phase then lexicographic phase;
+    /// diagnostic.
+    pivots: [usize; 2],
 }
 
 impl Default for NetworkSimplexBackend {
@@ -254,6 +267,8 @@ impl NetworkSimplexBackend {
             block_pos: 0,
             fallbacks: 0,
             remapped_solves: 0,
+            rejected_remaps: 0,
+            pivots: [0; 2],
         }
     }
 
@@ -267,6 +282,21 @@ impl NetworkSimplexBackend {
     /// other solve started cold.  Diagnostic for tests and benches.
     pub fn remap_count(&self) -> usize {
         self.remapped_solves
+    }
+
+    /// How many solves had a remembered basis to remap but found the remap
+    /// rejected by the re-priming, and so crashed a fresh basis.
+    /// Diagnostic: `remap_count()` counts only the accepted remaps.
+    pub fn rejected_remap_count(&self) -> usize {
+        self.rejected_remaps
+    }
+
+    /// Cumulative pivots, `(primary, lexicographic)`: one per basis
+    /// exchange or bound flip, split by the phase of the pivot loop that
+    /// made it (the primary-only phase, then the lexicographic face walk
+    /// of the module docs).  Diagnostic for tests and benches.
+    pub fn pivot_counts(&self) -> (usize, usize) {
+        (self.pivots[0], self.pivots[1])
     }
 
     /// Loads `instance` into the arc arrays (see the module docs for the
@@ -910,6 +940,7 @@ impl NetworkSimplexBackend {
                 match self.find_entering(eps_cost, lex) {
                     Some((e, dir)) => {
                         self.pivot(e, dir);
+                        self.pivots[usize::from(lex)] += 1;
                         #[cfg(feature = "invariant-audit")]
                         self.audit_basis("pivot");
                     }
@@ -933,8 +964,7 @@ impl NetworkSimplexBackend {
     ///    [`Self::warm_basis`]'s deterministic conservation pass.
     ///
     /// Two pivot paths reaching the same optimum — a warm-started and a cold
-    /// solve, say — thereby produce bit-identical flows, and the basis
-    /// remembered for the next event is canonical too.  If re-derivation
+    /// solve, say — thereby produce bit-identical flows.  If re-derivation
     /// fails (pathological numerics), the incremental result is restored:
     /// canonicalisation is a determinism device, never a correctness risk.
     fn canonicalize(&mut self, eps_flow: f64) {
@@ -1156,17 +1186,17 @@ impl MinCostBackend for NetworkSimplexBackend {
         let keyed = self.load(instance);
         let (eps_flow, eps_cost) = self.tolerances();
 
-        let warmed = self.warm_start
-            && keyed
-            && self.remap.is_valid()
-            && self.apply_remap()
-            && self.warm_basis(eps_flow, true);
+        let remapping = self.warm_start && keyed && self.remap.is_valid();
+        let warmed = remapping && self.apply_remap() && self.warm_basis(eps_flow, true);
         if warmed {
             // Counted only once the re-priming accepted the basis: a
             // rejected remap runs cold and must not show up in the
             // diagnostic the vacuity guards assert on.
             self.remapped_solves += 1;
         } else {
+            if remapping {
+                self.rejected_remaps += 1;
+            }
             self.crash_basis();
         }
         #[cfg(feature = "invariant-audit")]
@@ -1184,9 +1214,9 @@ impl MinCostBackend for NetworkSimplexBackend {
             self.remap.invalidate();
             return PrimalDualBackend.solve(instance, workspace);
         }
-        self.canonicalize(eps_flow);
-        #[cfg(feature = "invariant-audit")]
-        self.audit_basis("canonicalize");
+        // Remembered before `canonicalize` re-completes the basis with
+        // artificial root arcs, which the remap drops and the next solve
+        // would have to pivot back out (module docs, *Warm starts*).
         if keyed && self.warm_start {
             self.remap
                 .remember(&self.keys, &self.from, &self.to, &self.state);
@@ -1195,6 +1225,9 @@ impl MinCostBackend for NetworkSimplexBackend {
             // no stable identity to key a cross-event remap by.
             self.remap.invalidate();
         }
+        self.canonicalize(eps_flow);
+        #[cfg(feature = "invariant-audit")]
+        self.audit_basis("canonicalize");
         self.shipment(instance, demand)
     }
 }

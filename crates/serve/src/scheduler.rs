@@ -16,8 +16,15 @@
 //! Replaying the same transition sequence therefore reproduces the exact
 //! state of the live run, bit for bit — the property the whole serve layer
 //! leans on, pinned by the differential and kill-and-recover tests.  The
-//! warm/cold identity contract of PRs 4–5 makes the solver caches irrelevant
-//! to outputs, so a recovered (cold) process matches a long-lived (warm) one.
+//! warm/cold identity contract makes the solver caches irrelevant to
+//! outputs, so a recovered (cold) process matches a long-lived (warm) one —
+//! but only through that contract holding at *every* later decision: the
+//! simplex remembers the basis its last pivot path stopped at, so a
+//! cold-restarted solver's memory does not re-converge to the live one's
+//! after one solve, and the two may pivot differently for the rest of the
+//! stream.  They agree on outputs exactly where warm and cold solves agree
+//! (ARCHITECTURE.md, *The determinism contract*, lists the benchmark pool
+//! entries where those differ).
 
 use stretch_core::deadline::{DeadlineProblem, PendingJob};
 use stretch_core::online::{fold_execution, pending_job};
@@ -455,9 +462,13 @@ pub struct ActiveDecisionState {
 /// snapshot layer encodes it to bytes).
 ///
 /// Solver engines and their warm-start carryover (bases, remapping keys) are
-/// deliberately **absent**: the warm/cold identity contract of PRs 4–5 makes
-/// them performance-only, so a scheduler restored from this state restarts
-/// cold and still replays bit-identically.
+/// deliberately **absent**: the warm/cold identity contract makes them
+/// performance-only, so a scheduler restored from this state restarts cold
+/// and still replays bit-identically.  It does so only as long as warm and
+/// cold solves agree at every later decision: the remembered basis is the
+/// one the previous solve's pivot path stopped at, so the restored solver's
+/// memory never re-converges to the live solver's, and no later solve
+/// re-synchronises them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SchedulerState {
     /// Jobs staged so far, in arrival order.
