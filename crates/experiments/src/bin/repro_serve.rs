@@ -7,7 +7,9 @@
 //! * unset or `verify` — feed the reference stream (plus deliberately
 //!   malformed submissions) through the event bus, drain, and check the
 //!   completions are bit-identical to `run_online_with` on the same
-//!   instance; prints the live counters and the dead-letter reasons.
+//!   instance, and that the journal synced once per accepted submission
+//!   plus once for the drain (group commit); prints the live counters, the
+//!   journal syncs and the dead-letter reasons.
 //! * `crash` — create a service on `STRETCH_SERVE_JOURNAL`, touch
 //!   `STRETCH_SERVE_MARKER`, then submit the stream with a small delay per
 //!   submission (`STRETCH_SERVE_SUBMIT_DELAY_US`, default 2000) and hang
@@ -138,6 +140,7 @@ fn verify_mode() {
     });
     let serve = StretchServe::create(&journal, instance.platform.clone(), config())
         .expect("create journal");
+    let syncs_at_create = serve.journal_syncs();
     let (handle, consumer) = spawn_service(serve, 64);
     for (i, job) in instance.jobs.iter().enumerate() {
         // Interleave garbage with the real stream: it must all dead-letter
@@ -164,7 +167,11 @@ fn verify_mode() {
         .expect("serve loop");
 
     let metrics = serve.metrics();
-    println!("repro_serve verify: {}", metrics.render(handle.depth()));
+    let syncs = serve.journal_syncs() - syncs_at_create;
+    println!(
+        "repro_serve verify: {} journal_syncs={syncs}",
+        metrics.render(handle.depth())
+    );
     for letter in serve.dlq().letters().take(6) {
         println!("  dead-letter: {}", letter.reason);
     }
@@ -172,6 +179,16 @@ fn verify_mode() {
     assert_eq!(
         metrics.dead_lettered as usize,
         3 * instance.jobs.len().div_ceil(5)
+    );
+    // One durability point per acknowledged call: each accepted submission
+    // syncs once (the decision it forces commits with it), a dead letter
+    // never, the drain once.  A rotation adds its seal and snapshot syncs,
+    // so the count is exact only while the journal stays in segment 0.
+    let rotated = journal::scan_dir(&journal).expect("scan journal dir").open != Some(0);
+    assert!(
+        rotated || syncs == metrics.accepted + 1,
+        "journal synced {syncs} times for {} accepted submissions and one drain",
+        metrics.accepted
     );
     assert_eq!(
         bits(serve.completions()),

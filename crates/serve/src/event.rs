@@ -198,7 +198,8 @@ impl SolveTier {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JournalEvent {
     /// An accepted submission, staged into the scheduler *after* this record
-    /// is durable (write-ahead).
+    /// is written (write-ahead) and acknowledged only after the journal sync
+    /// that makes it durable.
     Submitted {
         /// Monotone per-journal sequence number (detects splices).
         seq: u64,
@@ -211,7 +212,8 @@ pub enum JournalEvent {
     },
     /// The intent record of a scheduling decision: which tier the ladder
     /// settled on.  Written *before* the decision is installed, so a crash
-    /// between the two replays to the identical decision (exactly-once).
+    /// between the two replays to the identical decision (exactly-once); it
+    /// becomes durable with the sync of the call that forced it.
     Decision {
         /// The tier that produced the decision.
         tier: SolveTier,

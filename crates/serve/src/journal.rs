@@ -1,7 +1,16 @@
 //! The durable event journal: an append-only, length-prefixed and
 //! checksummed record log, written *before* the scheduler consumes each
-//! event (write-ahead) — rotated into numbered **segments** so recovery
-//! work and disk usage stay bounded however long the stream runs.
+//! event (write-ahead) and made durable by one sync per acknowledged call
+//! (group commit) — rotated into numbered **segments** so recovery work and
+//! disk usage stay bounded however long the stream runs.
+//!
+//! An append writes its frame with one `write_all` and no sync; the caller
+//! issues [`SegmentedJournal::sync`] once it has written every frame of a
+//! call and before it acknowledges that call.  A crash of the process alone
+//! keeps every written frame (the kernel holds them); a power loss can drop
+//! frames written since the last sync, and recovery then reads a prefix of
+//! them, possibly none.  Either way only the call not yet acknowledged loses
+//! frames.
 //!
 //! A journal is a *directory* containing
 //!
@@ -25,10 +34,11 @@
 //! payload, or a payload whose checksum no longer matches; [`load`] stops at
 //! the first such record and reports where the valid prefix ends, and
 //! [`JournalWriter::append_at`] truncates the file there before appending
-//! again.  Torn tails are *data loss of at most the in-flight record*, never
-//! corruption of the prefix — and they can only occur in the **last** segment
-//! of the chain: sealing fsyncs the data before the atomic rename, so a torn
-//! sealed segment mid-chain is disk corruption, not a crash artefact.
+//! again.  Torn tails are *data loss of at most the frames of the one
+//! unacknowledged call*, never corruption of the prefix — and they can only
+//! occur in the **last** segment of the chain: sealing fsyncs the data
+//! before the atomic rename, so a torn sealed segment mid-chain is disk
+//! corruption, not a crash artefact.
 //!
 //! [`SegmentedJournal`] owns rotation: when the active segment exceeds the
 //! [`RotationPolicy`] record/byte threshold it is sealed
@@ -243,13 +253,16 @@ pub fn load(path: &Path) -> Result<(Vec<JournalRecord>, TailStatus), JournalErro
 
 /// Append handle on a journal file.
 ///
-/// Every append writes the full frame with a single `write_all` and then
-/// `sync_data`s, so the record is durable before the scheduler consumes the
-/// event (the write-ahead contract).
+/// Every append writes the full frame with a single `write_all` and does
+/// not sync: the frame is written before the scheduler consumes the event,
+/// and [`JournalWriter::sync`] makes every frame written so far durable.
+/// Whoever acknowledges an append syncs first (the write-ahead contract).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     path: PathBuf,
+    /// `sync_data` calls this handle has issued.
+    syncs: u64,
 }
 
 impl JournalWriter {
@@ -264,34 +277,41 @@ impl JournalWriter {
             .map_err(|e| io_err("create", path, e))?;
         file.write_all(&MAGIC)
             .map_err(|e| io_err("write-magic", path, e))?;
-        file.sync_data().map_err(|e| io_err("sync", path, e))?;
-        Ok(JournalWriter {
+        let mut writer = JournalWriter {
             file,
             path: path.to_path_buf(),
-        })
+            syncs: 0,
+        };
+        writer.sync()?;
+        Ok(writer)
     }
 
     /// Reopens an existing journal for appending, first truncating it to
     /// `valid_bytes` (the prefix [`load`] validated) so a torn tail can never
     /// shadow future appends.
     pub fn append_at(path: &Path, valid_bytes: u64) -> Result<Self, JournalError> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(|e| io_err("open", path, e))?;
         file.set_len(valid_bytes)
             .map_err(|e| io_err("truncate", path, e))?;
-        file.sync_data().map_err(|e| io_err("sync", path, e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", path, e))?;
-        Ok(JournalWriter {
+        let mut writer = JournalWriter {
             file,
             path: path.to_path_buf(),
-        })
+            syncs: 0,
+        };
+        writer.sync()?;
+        writer
+            .file
+            .seek(SeekFrom::End(0))
+            .map_err(|e| io_err("seek", path, e))?;
+        Ok(writer)
     }
 
-    /// Appends one record durably (frame write + `sync_data`).  Returns the
-    /// frame length in bytes, which rotation accounting sums.
+    /// Writes one record's frame with a single `write_all`, without a sync:
+    /// the record is durable once [`JournalWriter::sync`] returns.  Returns
+    /// the frame length in bytes, which rotation accounting sums.
     pub fn append(&mut self, record: &JournalRecord) -> Result<u64, JournalError> {
         let payload = encode_payload(record);
         let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
@@ -301,18 +321,17 @@ impl JournalWriter {
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", &self.path, e))?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("sync", &self.path, e))?;
         Ok(frame.len() as u64)
     }
 
-    /// Forces an explicit flush (appends already sync; this is for
-    /// close-time belt and braces).
-    pub fn sync(&self) -> Result<(), JournalError> {
+    /// Makes every frame appended so far durable (`sync_data`): the commit
+    /// point of the appends before it.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
         self.file
             .sync_data()
-            .map_err(|e| io_err("sync", &self.path, e))
+            .map_err(|e| io_err("sync", &self.path, e))?;
+        self.syncs += 1;
+        Ok(())
     }
 
     /// The journal path.
@@ -451,11 +470,14 @@ pub fn scan_dir(dir: &Path) -> Result<SegmentScan, JournalError> {
 }
 
 /// Durably fsyncs a directory so a just-renamed/created file name survives a
-/// crash (the file *data* is synced separately, before the rename).
-fn sync_dir(dir: &Path) -> Result<(), JournalError> {
+/// crash (the file *data* is synced separately, before the rename), and
+/// counts the sync in `syncs`.
+fn sync_dir(dir: &Path, syncs: &mut u64) -> Result<(), JournalError> {
     File::open(dir)
         .and_then(|d| d.sync_all())
-        .map_err(|e| io_err("sync-dir", dir, e))
+        .map_err(|e| io_err("sync-dir", dir, e))?;
+    *syncs += 1;
+    Ok(())
 }
 
 /// When the record/byte threshold rotates the active segment.
@@ -528,6 +550,10 @@ pub struct SegmentedJournal {
     /// Records across every segment ever written (sealed + active), i.e. the
     /// journal's logical length.
     total_records: u64,
+    /// Syncs this handle issued other than the active writer's own:
+    /// directory syncs, snapshot-file syncs and the writers of segments it
+    /// sealed.
+    syncs: u64,
 }
 
 impl SegmentedJournal {
@@ -555,7 +581,8 @@ impl SegmentedJournal {
             }
         }
         let writer = JournalWriter::create(&segment_path(dir, 0, false))?;
-        sync_dir(dir)?;
+        let mut syncs = 0;
+        sync_dir(dir, &mut syncs)?;
         Ok(SegmentedJournal {
             dir: dir.to_path_buf(),
             policy,
@@ -564,6 +591,7 @@ impl SegmentedJournal {
             segment_records: 0,
             segment_bytes: 0,
             total_records: 0,
+            syncs,
         })
     }
 
@@ -584,6 +612,7 @@ impl SegmentedJournal {
         records_in_last: u64,
         total_records: u64,
     ) -> Result<Self, JournalError> {
+        let mut syncs = 0;
         let (index, writer, segment_records, segment_bytes) = match last_segment {
             Some((index, false)) => {
                 let path = segment_path(dir, index, false);
@@ -600,7 +629,7 @@ impl SegmentedJournal {
             }
             Some((index, true)) => {
                 let writer = JournalWriter::create(&segment_path(dir, index + 1, false))?;
-                sync_dir(dir)?;
+                sync_dir(dir, &mut syncs)?;
                 (index + 1, writer, 0, 0)
             }
             None => {
@@ -608,7 +637,7 @@ impl SegmentedJournal {
                 // newest one (`total_records` already counts its records).
                 let index = scan_dir(dir)?.snapshots.last().map_or(0, |&s| s + 1);
                 let writer = JournalWriter::create(&segment_path(dir, index, false))?;
-                sync_dir(dir)?;
+                sync_dir(dir, &mut syncs)?;
                 (index, writer, 0, 0)
             }
         };
@@ -620,6 +649,7 @@ impl SegmentedJournal {
             segment_records,
             segment_bytes,
             total_records,
+            syncs,
         })
     }
 
@@ -639,12 +669,25 @@ impl SegmentedJournal {
         self.total_records
     }
 
-    /// Forces an explicit flush of the active segment.
-    pub fn sync(&self) -> Result<(), JournalError> {
+    /// Makes every record appended so far durable: the one commit point of
+    /// each call that appends (group commit).  Nothing appended may be
+    /// acknowledged before this returns.
+    pub fn sync(&mut self) -> Result<(), JournalError> {
         self.writer.sync()
     }
 
-    /// Appends one record durably to the active segment.
+    /// Syncs this handle has issued since it was created or reopened:
+    /// segment `sync_data`, directory `sync_all` and snapshot-file syncs.  A
+    /// pure count with no clock.
+    pub fn syncs(&self) -> u64 {
+        self.syncs + self.writer.syncs
+    }
+
+    /// Writes one record's frame to the active segment, before the caller
+    /// applies it, without a sync: it is durable once [`sync`] or a rotation
+    /// returns.
+    ///
+    /// [`sync`]: SegmentedJournal::sync
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         let frame_bytes = self.writer.append(record)?;
         self.segment_records += 1;
@@ -666,8 +709,10 @@ impl SegmentedJournal {
     ///
     /// The sequence — each step durable before the next — is
     ///
-    /// 1. fsync the active segment, rename `.open` → `.strj` (atomic),
-    ///    fsync the directory: the seal either happened or it did not;
+    /// 1. fsync the active segment (committing any record appended since
+    ///    the last [`sync`], so no seal or snapshot covers an unsynced
+    ///    record), rename `.open` → `.strj` (atomic), fsync the directory:
+    ///    the seal either happened or it did not;
     /// 2. if `snapshot` bytes were supplied: write them to
     ///    `snapshot-NNNNNN.tmp`, fsync, rename to `.strsnp`, fsync the
     ///    directory — a crash mid-write leaves only an ignored `.tmp`;
@@ -678,6 +723,8 @@ impl SegmentedJournal {
     ///
     /// `chaos` aborts the process at the named point — the deterministic
     /// stand-in for a crash landing inside the rotation window.
+    ///
+    /// [`sync`]: SegmentedJournal::sync
     pub fn rotate(
         &mut self,
         snapshot: Option<&[u8]>,
@@ -689,7 +736,7 @@ impl SegmentedJournal {
         let sealed_path = segment_path(&self.dir, sealed, true);
         self.writer.sync()?;
         std::fs::rename(&open_path, &sealed_path).map_err(|e| io_err("seal", &open_path, e))?;
-        sync_dir(&self.dir)?;
+        sync_dir(&self.dir, &mut self.syncs)?;
         if chaos == Some(RotationCrashPoint::AfterSeal) {
             std::process::abort();
         }
@@ -707,12 +754,13 @@ impl SegmentedJournal {
                 .map_err(|e| io_err("snapshot-write", &tmp, e))?;
             file.sync_data()
                 .map_err(|e| io_err("snapshot-sync", &tmp, e))?;
+            self.syncs += 1;
             drop(file);
             if chaos == Some(RotationCrashPoint::AfterSnapshotTemp) {
                 std::process::abort();
             }
             std::fs::rename(&tmp, &publish).map_err(|e| io_err("snapshot-publish", &tmp, e))?;
-            sync_dir(&self.dir)?;
+            sync_dir(&self.dir, &mut self.syncs)?;
             if chaos == Some(RotationCrashPoint::AfterSnapshotRename) {
                 std::process::abort();
             }
@@ -724,8 +772,9 @@ impl SegmentedJournal {
         let (gc_segments, gc_snapshots) = gc(&self.dir, retain_snapshots)?;
 
         self.index = sealed + 1;
-        self.writer = JournalWriter::create(&segment_path(&self.dir, self.index, false))?;
-        sync_dir(&self.dir)?;
+        let next = JournalWriter::create(&segment_path(&self.dir, self.index, false))?;
+        self.syncs += std::mem::replace(&mut self.writer, next).syncs;
+        sync_dir(&self.dir, &mut self.syncs)?;
         self.segment_records = 0;
         self.segment_bytes = 0;
         Ok(RotationOutcome {
@@ -802,6 +851,7 @@ pub fn rewrite_zeroed(src: &Path, dst: &Path) -> Result<usize, JournalError> {
                 event: record.event,
             })?;
         }
+        writer.sync()?;
         total += records.len();
     }
     for &upto in &scan.snapshots {

@@ -7,11 +7,13 @@
 //!
 //! The design follows the execution-journal pattern: an append-only,
 //! length-prefixed and checksummed [`journal`] is the *only* source of
-//! truth, written before the scheduler consumes each event (write-ahead);
-//! scheduler state is a pure function of the record sequence, so crash
-//! recovery is replay ([`StretchServe::recover`]), tolerating torn tails by
-//! truncating at the first bad checksum.  Wall-clock timestamps are stamped
-//! into records for debugging but **never** consulted on replay.
+//! truth, written before the scheduler consumes each event (write-ahead)
+//! and made durable by one sync per acknowledged call (group commit: a
+//! submission's forced decision commits with it); scheduler state is a pure
+//! function of the record sequence, so crash recovery is replay
+//! ([`StretchServe::recover`]), tolerating torn tails by truncating at the
+//! first bad checksum.  Wall-clock timestamps are stamped into records for
+//! debugging but **never** consulted on replay.
 //!
 //! Replay is *bounded*: the journal is a directory of rotated segments
 //! ([`journal::SegmentedJournal`]) interleaved with self-verifying scheduler

@@ -308,7 +308,8 @@ impl ServeScheduler {
     }
 
     /// Commits a prepared decision at the frontier.  The matching journal
-    /// record must already be durable (write-ahead).
+    /// record must already be written (write-ahead); the caller makes it
+    /// durable before it acknowledges the call that forced the decision.
     pub fn install(&mut self, decision: PreparedDecision) {
         if let Some(s) = decision.stretch {
             self.last_stretch = s;

@@ -4,16 +4,27 @@
 //!
 //! ## The write-ahead contract
 //!
-//! Every state transition of the [`ServeScheduler`] is journaled *before* it
-//! is applied:
+//! Every state transition of the [`ServeScheduler`] is *written* to the
+//! journal before it is applied, and is *durable* before the public call
+//! that caused it returns:
 //!
-//! * a decision is journaled as [`JournalEvent::Decision`] (the tier the
+//! * a decision is written as [`JournalEvent::Decision`] (the tier the
 //!   ladder settled on) before [`ServeScheduler::install`];
-//! * an accepted submission is journaled as [`JournalEvent::Submitted`]
+//! * an accepted submission is written as [`JournalEvent::Submitted`]
 //!   before [`ServeScheduler::stage`] — and any decision/advance *caused* by
 //!   the submission (the frontier moving to its release date) happens, and
-//!   is journaled, first, so the journal order is exactly the transition
-//!   order.
+//!   is written, first, so the journal order is exactly the transition
+//!   order;
+//! * each public call that appends has exactly one durability point (group
+//!   commit): [`StretchServe::submit`] syncs once after its `Submitted`
+//!   frame, which also commits the forced `Decision` frame before it, and
+//!   [`StretchServe::finish`] syncs once after the drain decision.  A
+//!   rotation syncs the active segment before it seals it.
+//!
+//! A crash of the process keeps every written frame.  A power loss inside a
+//! call keeps some prefix of that call's frames, possibly none; either way
+//! only the unacknowledged call is lost, and recovery replays whatever byte
+//! prefix survived.
 //!
 //! Replay applies the same transitions in the same order, so a recovered
 //! process reaches bit-identical scheduler state.  Timing, fallbacks and
@@ -842,10 +853,13 @@ impl StretchServe {
 
     /// Offers a submission to the service.
     ///
-    /// Malformed, infeasible or out-of-order submissions are dead-lettered
-    /// (that is the `Ok(Rejected)` arm — never a panic, never an `Err`);
-    /// `Err` is reserved for journal I/O failures, after which the service
-    /// should be abandoned and recovered from the journal.
+    /// An accepted submission is durable when this returns: the call writes
+    /// the decision it forces (if any) and its `Submitted` record, then
+    /// syncs the journal once.  Malformed, infeasible or out-of-order
+    /// submissions are dead-lettered without touching the journal (that is
+    /// the `Ok(Rejected)` arm — never a panic, never an `Err`); `Err` is
+    /// reserved for journal I/O failures, after which the service should be
+    /// abandoned and recovered from the journal.
     pub fn submit(&mut self, submission: Submission) -> Result<SubmitOutcome, JournalError> {
         self.metrics.submitted += 1;
         if self.finished {
@@ -890,6 +904,9 @@ impl StretchServe {
                 databank: submission.databank as u64,
             },
         })?;
+        // The call's one durability point: it also commits the `Decision`
+        // frame, if `decide` wrote one above.
+        self.journal.sync()?;
         self.seq += 1;
         let id = self
             .scheduler
@@ -900,7 +917,10 @@ impl StretchServe {
     }
 
     /// Runs the degradation ladder for the decision due at the frontier,
-    /// journals the winning tier (write-ahead) and installs the decision.
+    /// writes the winning tier to the journal (write-ahead) and installs the
+    /// decision.  It does not sync: the public call that forced the decision
+    /// ([`StretchServe::submit`] or [`StretchServe::finish`]) commits the
+    /// record with its own sync before it returns.
     fn decide(&mut self) -> Result<(), JournalError> {
         let decision_index = self.scheduler.decisions();
         let shedding = self.breaker_open_cooldown > 0;
@@ -994,7 +1014,9 @@ impl StretchServe {
     }
 
     /// Drains the service: takes the final decision if one is due, executes
-    /// to completion (infinite horizon) and closes the stream.  Idempotent.
+    /// to completion (infinite horizon), syncs the journal once (committing
+    /// the drain decision) and closes the stream.  Idempotent: a second call
+    /// neither decides nor syncs.
     pub fn finish(&mut self) -> Result<(), JournalError> {
         if !self.finished {
             if self.scheduler.needs_decision() {
@@ -1046,5 +1068,16 @@ impl StretchServe {
     /// The journal directory.
     pub fn journal_path(&self) -> PathBuf {
         self.journal.dir().to_path_buf()
+    }
+
+    /// Syncs the journal has issued since this service created or recovered
+    /// it: segment `sync_data`, directory `sync_all` and snapshot-file
+    /// syncs.  Each accepted [`submit`](StretchServe::submit) adds one, a
+    /// dead-lettered one none, [`finish`](StretchServe::finish) one, and a
+    /// rotation its seal and snapshot syncs.  A pure count with no clock;
+    /// it is not a [`ServeMetrics`] counter, because snapshots persist
+    /// those and this count belongs to one process.
+    pub fn journal_syncs(&self) -> u64 {
+        self.journal.syncs()
     }
 }

@@ -14,6 +14,8 @@
 //!   the full pipeline deterministically — bit-identical warm vs. cold on
 //!   every backend, and bit-identical to the sealed recording under the
 //!   recording backend.
+//! * **Group commit**: each acknowledged call syncs the journal exactly
+//!   once, a submission and the decision it forces together.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -485,4 +487,57 @@ fn recovery_mid_stream_continues_to_the_uninterrupted_result() {
         std::fs::remove_dir_all(&path).unwrap();
     }
     std::fs::remove_dir_all(&full_path).unwrap();
+}
+
+#[test]
+fn each_acknowledged_call_issues_exactly_one_journal_sync() {
+    // Group commit: a submission that moves the frontier writes the
+    // decision it forces and its own record, then syncs once; a dead-lettered
+    // submission touches no journal; `finish` syncs once.  The default
+    // rotation policy never seals a 12-job stream, so no seal or snapshot
+    // sync enters the count.
+    let instance = reference_instance(3, 3, 12, 7);
+    let path = tmp("sync-count");
+    let mut serve =
+        StretchServe::create(&path, instance.platform.clone(), ServeConfig::default()).unwrap();
+    let mut forcing = 0;
+    for (i, job) in instance.jobs.iter().enumerate() {
+        let syncs = serve.journal_syncs();
+        let garbage = serve
+            .submit(Submission::new(job.release, -1.0, job.databank))
+            .unwrap();
+        assert!(!garbage.is_accepted(), "job {i}: garbage accepted");
+        assert_eq!(
+            serve.journal_syncs(),
+            syncs,
+            "job {i}: a dead-lettered submission synced"
+        );
+        let decisions = serve.metrics().decisions;
+        let outcome = serve
+            .submit(Submission::new(job.release, job.work, job.databank))
+            .unwrap();
+        assert!(outcome.is_accepted(), "job {i}: {outcome:?}");
+        let forced = serve.metrics().decisions > decisions;
+        forcing += usize::from(forced);
+        assert_eq!(
+            serve.journal_syncs(),
+            syncs + 1,
+            "job {i}: an accepted submission (forced a decision: {forced}) must sync once"
+        );
+    }
+    assert!(
+        forcing >= 3,
+        "only {forcing} submissions forced a decision: the gate saw no group commit"
+    );
+    let syncs = serve.journal_syncs();
+    serve.finish().unwrap();
+    assert_eq!(serve.journal_syncs(), syncs + 1, "finish must sync once");
+    serve.finish().unwrap();
+    assert_eq!(serve.journal_syncs(), syncs + 1, "a second finish synced");
+    assert_eq!(
+        journal::scan_dir(&path).unwrap().open,
+        Some(0),
+        "the stream rotated"
+    );
+    std::fs::remove_dir_all(&path).unwrap();
 }

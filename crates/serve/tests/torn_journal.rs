@@ -4,8 +4,12 @@
 //! error — it never panics and never silently diverges.
 //!
 //! The truncation sweep is exhaustive (every byte offset of the segment
-//! file); the proptest adds random byte corruption on top.  Both operate on
-//! an unrotated journal — a single active segment, the layout every journal
+//! file); the proptest adds random byte corruption on top.  A third test
+//! cuts the journal right after each decision record — the state a crash
+//! leaves between the decision a submission forces and the submission's own
+//! record, which share one sync — and requires the re-submitted
+//! continuation to land on the uninterrupted run.  All three operate on an
+//! unrotated journal — a single active segment, the layout every journal
 //! starts in; the rotated-chain and snapshot corruption sweeps live in
 //! `rotation.rs`.
 
@@ -15,7 +19,7 @@ use proptest::prelude::*;
 use stretch_platform::fixtures::small_platform;
 use stretch_platform::Platform;
 use stretch_serve::journal::{self, JournalWriter};
-use stretch_serve::{RecoverError, ServeConfig, StretchServe, Submission};
+use stretch_serve::{JournalEvent, RecoverError, ServeConfig, StretchServe, Submission};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,28 +27,37 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Records a reference journal: six jobs over five distinct events on the
-/// small fixture platform, drained to completion — submissions, decisions
-/// and the final drain decision all present.  The default rotation policy
-/// never triggers on a stream this short, so the journal directory holds
-/// exactly one active segment.
-fn record_reference_journal(path: &Path) {
-    let mut serve = StretchServe::create(path, small_platform(), ServeConfig::default()).unwrap();
-    let stream = [
-        (0.0, 300.0, 0),
-        (0.0, 60.0, 1),
-        (2.5, 120.0, 0),
-        (4.0, 30.0, 1),
-        (6.0, 90.0, 0),
-        (7.5, 45.0, 1),
-    ];
-    for (release, work, databank) in stream {
+/// The reference stream: six jobs `(release, work, databank)` over five
+/// distinct events on the small fixture platform.
+const REFERENCE_STREAM: [(f64, f64, usize); 6] = [
+    (0.0, 300.0, 0),
+    (0.0, 60.0, 1),
+    (2.5, 120.0, 0),
+    (4.0, 30.0, 1),
+    (6.0, 90.0, 0),
+    (7.5, 45.0, 1),
+];
+
+/// Submits `stream` to `serve`, requiring every job to be accepted.
+fn submit_all(serve: &mut StretchServe, stream: &[(f64, f64, usize)]) {
+    for &(release, work, databank) in stream {
         assert!(serve
             .submit(Submission::new(release, work, databank))
             .unwrap()
             .is_accepted());
     }
+}
+
+/// Records a reference journal: [`REFERENCE_STREAM`] drained to completion
+/// — submissions, decisions and the final drain decision all present — and
+/// returns the drained service.  The default rotation policy never triggers
+/// on a stream this short, so the journal directory holds exactly one
+/// active segment.
+fn record_reference_journal(path: &Path) -> StretchServe {
+    let mut serve = StretchServe::create(path, small_platform(), ServeConfig::default()).unwrap();
+    submit_all(&mut serve, &REFERENCE_STREAM);
     serve.finish().unwrap();
+    serve
 }
 
 /// Bytes of the single active segment of an unrotated journal directory.
@@ -129,6 +142,57 @@ fn recovery_from_every_truncation_offset_is_prefix_exact() {
             Err(e) => panic!("cut {cut}: unexpected recovery error {e}"),
         }
     }
+    std::fs::remove_dir_all(&case_path).unwrap();
+}
+
+#[test]
+fn recovery_from_a_journal_ending_in_a_decision_converges_to_the_uninterrupted_run() {
+    // A submission that moves the frontier writes the decision it forces,
+    // then its own record, and syncs once for both: a crash between the two
+    // writes leaves a journal whose last frame is that decision.  Cut the
+    // journal right after every decision frame, recover, re-submit the
+    // stream from the first submission the journal lost and drain.
+    let journal_path = tmp("decision-cut");
+    let live = record_reference_journal(&journal_path);
+    let bytes = sole_segment_bytes(&journal_path);
+    std::fs::remove_dir_all(&journal_path).unwrap();
+    let (records, tail) = journal::parse(&bytes, &journal_path).unwrap();
+    assert_eq!(tail, journal::TailStatus::Clean);
+
+    let case_path = tmp("decision-cut-case");
+    let mut frame_end = journal::MAGIC.len();
+    let mut submitted = 0;
+    let mut cuts = 0;
+    for (k, record) in records.iter().enumerate() {
+        let len = u32::from_le_bytes(bytes[frame_end..frame_end + 4].try_into().unwrap());
+        frame_end += journal::RECORD_HEADER_LEN + len as usize;
+        match record.event {
+            JournalEvent::Submitted { .. } => {
+                submitted += 1;
+                continue;
+            }
+            JournalEvent::Decision { .. } => cuts += 1,
+        }
+        write_sole_segment(&case_path, &bytes[..frame_end]);
+        let (mut serve, report) =
+            StretchServe::recover(&case_path, small_platform(), ServeConfig::default()).unwrap();
+        assert_eq!(report.records, k + 1, "decision {k}: records lost");
+        assert_eq!(report.torn, None, "decision {k}: torn tail at a frame end");
+        assert_eq!(report.submissions, submitted as u64);
+        submit_all(&mut serve, &REFERENCE_STREAM[submitted..]);
+        serve.finish().unwrap();
+        assert_eq!(
+            serve.state_digest(),
+            live.state_digest(),
+            "cut after decision record {k}: continuation diverged"
+        );
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(serve.completions()), bits(live.completions()));
+    }
+    // Each of the four later events forces a decision, and the drain takes
+    // one.
+    assert_eq!(cuts, 5, "decision records in the reference journal");
+    assert_eq!(frame_end, bytes.len());
     std::fs::remove_dir_all(&case_path).unwrap();
 }
 
