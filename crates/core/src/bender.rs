@@ -11,7 +11,7 @@
 //! priority rule and lives in [`crate::list`] as [`crate::list::ListRule::Bender02`].)
 
 use crate::deadline::{DeadlineProblem, PendingJob};
-use crate::online::{decision_points, fold_execution, pending_jobs, EVENT_TOL};
+use crate::online::{decision_points, fold_execution, pending_jobs, PendingIndex, EVENT_TOL};
 use crate::parametric::ParametricDeadlineSolver;
 use crate::plan::execute_list_order;
 use crate::scheduler::{ScheduleError, ScheduleResult, Scheduler};
@@ -48,9 +48,11 @@ impl Scheduler for Bender98Scheduler {
         let events = decision_points(instance);
         // One parametric engine across the per-arrival re-optimisations.
         let mut solver = ParametricDeadlineSolver::new();
+        let mut index = PendingIndex::new();
 
         for (e, &now) in events.iter().enumerate() {
             let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);
+            index.admit_released(instance, &remaining, now);
             let arrived: Vec<&stretch_workload::Job> = instance
                 .jobs
                 .iter()
@@ -86,7 +88,7 @@ impl Scheduler for Bender98Scheduler {
             let target = optimal * alpha;
 
             // EDF over the pending jobs with the expanded deadlines.
-            let pending = pending_jobs(instance, &remaining, now);
+            let pending = pending_jobs(instance, &index, &remaining, now);
             if pending.is_empty() {
                 continue;
             }
@@ -98,7 +100,13 @@ impl Scheduler for Bender98Scheduler {
                 da.total_cmp(&db)
             });
             let execution = execute_list_order(&problem, &order, &sites, now, horizon);
-            fold_execution(&problem, &execution, &mut remaining, &mut completions);
+            fold_execution(
+                &problem,
+                &execution,
+                &mut remaining,
+                &mut completions,
+                &mut index,
+            );
         }
 
         if completions.iter().any(|c| c.is_nan()) {

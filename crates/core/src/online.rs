@@ -35,9 +35,13 @@
 //!   [`EVENT_TOL`]) while more than [`PENDING_REMAINING_EPS`] of its work
 //!   remains, and its remaining work may start right away
 //!   ([`pending_job`]);
+//! * the pending jobs are read, in ascending job index, from a
+//!   [`PendingIndex`]: a job enters it once released and leaves it when a
+//!   fold leaves it at most [`PENDING_REMAINING_EPS`] of work, so a
+//!   decision costs O(pending), not O(jobs seen so far);
 //! * after a decision executes, each pending job's executed work is
-//!   subtracted from its remaining work, clamped at zero, and completions
-//!   are recorded ([`fold_execution`]).
+//!   subtracted from its remaining work, clamped at zero, completions are
+//!   recorded and finished jobs leave the index ([`fold_execution`]).
 //!
 //! The serve layer must drain bit-identical to [`run_online_with`], which
 //! is why it calls these instead of restating them.
@@ -78,7 +82,7 @@ pub fn pending_job(
     remaining: f64,
     now: f64,
 ) -> Option<PendingJob> {
-    (release <= now + EVENT_TOL && remaining > PENDING_REMAINING_EPS).then_some(PendingJob {
+    (released(release, now) && remaining > PENDING_REMAINING_EPS).then_some(PendingJob {
         job_id,
         release,
         ready: now,
@@ -88,25 +92,132 @@ pub fn pending_job(
     })
 }
 
-/// The pending jobs of `instance` at decision point `now`, in instance
-/// order, given each job's remaining work (indexed by job id).
-pub(crate) fn pending_jobs(instance: &Instance, remaining: &[f64], now: f64) -> Vec<PendingJob> {
-    instance
-        .jobs
+/// `true` when a job released at `release` has arrived by decision point
+/// `now`.
+fn released(release: f64, now: f64) -> bool {
+    release <= now + EVENT_TOL
+}
+
+/// The jobs of an on-line run that are released and unfinished, in
+/// ascending job index — the pending set of the next decision, kept
+/// across decisions instead of re-scanned from every job seen so far.
+///
+/// Jobs are offered to [`PendingIndex::admit`] once each, in job order,
+/// when released; a job enters with more than [`PENDING_REMAINING_EPS`]
+/// of work left and leaves when [`fold_execution`] leaves it at most that.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PendingIndex {
+    /// Jobs offered so far: ids `0..offered`.
+    offered: usize,
+    /// The unfinished ones among them, ascending.
+    ids: Vec<usize>,
+}
+
+impl PendingIndex {
+    /// An index no job has been offered to.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Offers job `job_id`, released at the current decision point with
+    /// `remaining` work left; it enters the index unless that work is at
+    /// most [`PENDING_REMAINING_EPS`].  Jobs must be offered in job order,
+    /// starting at 0, which keeps the index ascending.
+    pub fn admit(&mut self, job_id: usize, remaining: f64) {
+        assert_eq!(job_id, self.offered, "jobs are offered in job order");
+        self.offered += 1;
+        if remaining > PENDING_REMAINING_EPS {
+            self.ids.push(job_id);
+        }
+    }
+
+    /// Offers every job of `instance` released by `now` and not offered
+    /// yet.  `instance.jobs` is sorted by release, so they are the next
+    /// ones in job order.
+    pub(crate) fn admit_released(&mut self, instance: &Instance, remaining: &[f64], now: f64) {
+        while let Some(job) = instance.jobs.get(self.offered) {
+            if !released(job.release, now) {
+                break;
+            }
+            self.admit(job.id, remaining[job.id]);
+        }
+    }
+
+    /// The unfinished jobs, ascending.
+    pub fn ids(&self) -> &[usize] {
+        &self.ids
+    }
+
+    /// Number of unfinished jobs.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// `true` when no job is unfinished.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Audit (feature `invariant-audit`): the index must list exactly the
+    /// jobs a full scan finds pending at `now` — released (within
+    /// [`EVENT_TOL`]), more than [`PENDING_REMAINING_EPS`] of work left —
+    /// in ascending job index.  `releases` and `remaining` are indexed by
+    /// job id.
+    #[cfg(feature = "invariant-audit")]
+    pub fn audit(
+        &self,
+        context: &str,
+        releases: impl Iterator<Item = f64>,
+        remaining: &[f64],
+        now: f64,
+    ) {
+        let scan: Vec<usize> = releases
+            .zip(remaining)
+            .enumerate()
+            .filter(|&(_, (release, &left))| released(release, now) && left > PENDING_REMAINING_EPS)
+            .map(|(id, _)| id)
+            .collect();
+        if scan != self.ids {
+            stretch_flow::audit::fail(
+                "pending-index",
+                &format!(
+                    "{context}: the index lists {:?} but a full scan at {now} finds {scan:?}",
+                    self.ids
+                ),
+            );
+        }
+    }
+}
+
+/// The pending jobs of `instance` at decision point `now`, in ascending
+/// job index, given each job's remaining work (indexed by job id).
+pub(crate) fn pending_jobs(
+    instance: &Instance,
+    index: &PendingIndex,
+    remaining: &[f64],
+    now: f64,
+) -> Vec<PendingJob> {
+    index
+        .ids()
         .iter()
-        .filter_map(|j| pending_job(j.id, j.release, j.work, j.databank, remaining[j.id], now))
+        .filter_map(|&id| {
+            let j = &instance.jobs[id];
+            pending_job(id, j.release, j.work, j.databank, remaining[id], now)
+        })
         .collect()
 }
 
 /// Folds an executed decision on `problem` back into the per-job state
 /// (indexed by job id): each pending job's executed work is subtracted
 /// from its remaining work, clamped at zero, and a completed job gets its
-/// completion time and no remaining work.
+/// completion time and no remaining work.  Jobs left with at most
+/// [`PENDING_REMAINING_EPS`] of work leave `index`.
 pub fn fold_execution(
     problem: &DeadlineProblem,
     execution: &PlanExecution,
     remaining: &mut [f64],
     completions: &mut [f64],
+    index: &mut PendingIndex,
 ) {
     for (pending_idx, job) in problem.jobs.iter().enumerate() {
         remaining[job.job_id] = (remaining[job.job_id] - execution.executed[pending_idx]).max(0.0);
@@ -115,6 +226,9 @@ pub fn fold_execution(
             completions[job.job_id] = c;
         }
     }
+    index
+        .ids
+        .retain(|&id| remaining[id] > PENDING_REMAINING_EPS);
 }
 
 /// The serialisation variants of the on-line heuristic.
@@ -238,11 +352,20 @@ pub(crate) fn run_online_observed(
     // scratch buffers — and the configured min-cost backend, which may carry
     // a warm-startable basis — instead of reallocating them at each arrival.
     let mut solver = ParametricDeadlineSolver::with_config(config);
+    let mut index = PendingIndex::new();
 
     let events = decision_points(instance);
     for (e, &now) in events.iter().enumerate() {
         let horizon = events.get(e + 1).copied().unwrap_or(f64::INFINITY);
-        let pending = pending_jobs(instance, &remaining, now);
+        index.admit_released(instance, &remaining, now);
+        #[cfg(feature = "invariant-audit")]
+        index.audit(
+            "run_online",
+            instance.jobs.iter().map(|j| j.release),
+            &remaining,
+            now,
+        );
+        let pending = pending_jobs(instance, &index, &remaining, now);
         if pending.is_empty() {
             continue;
         }
@@ -310,7 +433,13 @@ pub(crate) fn run_online_observed(
                 execute_sequences(&problem, &sequences, now, horizon)
             }
         };
-        fold_execution(&problem, &execution, &mut remaining, &mut completions);
+        fold_execution(
+            &problem,
+            &execution,
+            &mut remaining,
+            &mut completions,
+            &mut index,
+        );
     }
     Ok(completions)
 }

@@ -15,7 +15,10 @@
 //!   reduced cost on tree arcs in both lexicographic channels);
 //! * **scheduler state-digest consistency** at every serve transition
 //!   (hooks in `stretch-serve` — an export/rebuild round-trip must
-//!   reproduce the digest).
+//!   reproduce the digest);
+//! * **pending-index exactness** at every `run_online_with` event and
+//!   every serve transition (`PendingIndex::audit` in `stretch-core` — the
+//!   index must equal a full scan of the jobs seen so far).
 //!
 //! Audits are pure checks: enabling the feature never changes a single
 //! output bit, it only turns latent contract violations into immediate

@@ -27,7 +27,7 @@
 //! entries where those differ).
 
 use stretch_core::deadline::{DeadlineProblem, PendingJob};
-use stretch_core::online::{fold_execution, pending_job};
+use stretch_core::online::{fold_execution, pending_job, PendingIndex};
 use stretch_core::plan::{
     execute_list_order, execute_sequences, site_sequences, PieceOrdering, PlanExecution,
 };
@@ -116,6 +116,9 @@ pub struct ServeScheduler {
     jobs: Vec<AcceptedJob>,
     remaining: Vec<f64>,
     completions: Vec<f64>,
+    /// The unfinished jobs: derived from `jobs` and `remaining`, so it is
+    /// neither exported nor digested.
+    unfinished: PendingIndex,
     /// `false` until the first job is staged (the frontier is meaningless
     /// before that).
     started: bool,
@@ -145,6 +148,7 @@ impl ServeScheduler {
             jobs: Vec::new(),
             remaining: Vec::new(),
             completions: Vec::new(),
+            unfinished: PendingIndex::new(),
             started: false,
             stage_time: 0.0,
             active: None,
@@ -156,12 +160,17 @@ impl ServeScheduler {
 
     /// Stages an accepted job at the frontier.  The caller (service or
     /// replay) guarantees `release >= stage_time - EVENT_TOL` and that any
-    /// due decision/advance has already happened.
+    /// due decision/advance has already happened, so the job is released
+    /// at the frontier.
     pub fn stage(&mut self, release: f64, work: f64, databank: usize) -> usize {
         if !self.started {
             self.started = true;
             self.stage_time = release;
         }
+        debug_assert!(
+            release <= self.stage_time + EVENT_TOL,
+            "the frontier must reach a job's release before it is staged"
+        );
         let id = self.jobs.len();
         self.jobs.push(AcceptedJob {
             release,
@@ -170,8 +179,9 @@ impl ServeScheduler {
         });
         self.remaining.push(work);
         self.completions.push(f64::NAN);
+        self.unfinished.admit(id, work);
         #[cfg(feature = "invariant-audit")]
-        self.audit_digest_round_trip("stage");
+        self.audit_transition("stage");
         id
     }
 
@@ -220,27 +230,28 @@ impl ServeScheduler {
         &self.completions
     }
 
-    /// Number of jobs whose remaining work is above the pending threshold.
+    /// Number of jobs whose remaining work is above the pending threshold
+    /// (every staged job is released at the frontier, so these are the
+    /// pending jobs).
     pub fn backlog(&self) -> usize {
-        self.remaining
-            .iter()
-            .filter(|&&r| r > PENDING_REMAINING_EPS)
-            .count()
+        self.unfinished.len()
     }
 
     /// `true` when the frontier has pending jobs and no installed decision —
     /// i.e. a decision is due before the frontier may move.
     pub fn needs_decision(&self) -> bool {
-        self.started && self.active.is_none() && !self.pending().is_empty()
+        self.started && self.active.is_none() && !self.unfinished.is_empty()
     }
 
     /// Pending jobs at the frontier, by the rule `run_online_with` uses
-    /// ([`pending_job`]): released (within [`EVENT_TOL`]) and not completed.
+    /// ([`pending_job`]): released (within [`EVENT_TOL`]) and not completed,
+    /// read from the pending index in ascending job index.
     fn pending(&self) -> Vec<PendingJob> {
-        self.jobs
+        self.unfinished
+            .ids()
             .iter()
-            .enumerate()
-            .filter_map(|(id, j)| {
+            .filter_map(|&id| {
+                let j = &self.jobs[id];
                 pending_job(
                     id,
                     j.release,
@@ -317,7 +328,7 @@ impl ServeScheduler {
         self.decisions += 1;
         self.active = Some(decision);
         #[cfg(feature = "invariant-audit")]
-        self.audit_digest_round_trip("install");
+        self.audit_transition("install");
     }
 
     /// Moves the frontier to `t` (the next event time, or `f64::INFINITY` to
@@ -343,23 +354,34 @@ impl ServeScheduler {
                 &execution,
                 &mut self.remaining,
                 &mut self.completions,
+                &mut self.unfinished,
             );
         }
         if t.is_finite() {
             self.stage_time = t;
         }
         #[cfg(feature = "invariant-audit")]
-        self.audit_digest_round_trip("advance");
+        self.audit_transition("advance");
     }
 
-    /// Digest-consistency audit at a serve transition (feature
-    /// `invariant-audit`): exporting the state and rebuilding a scheduler
-    /// from it must reproduce the digest bit-for-bit.  This is exactly the
-    /// crash-recovery contract — a snapshot taken here and replayed later
-    /// must land on this state — checked continuously instead of only in
-    /// the recovery tests.
+    /// Audits at a serve transition (feature `invariant-audit`):
+    ///
+    /// * the pending index lists exactly the jobs a full scan finds
+    ///   pending at the frontier, and a scheduler rebuilt from the
+    ///   exported state rebuilds the same index;
+    /// * exporting the state and rebuilding a scheduler from it reproduces
+    ///   the digest bit-for-bit.  This is exactly the crash-recovery
+    ///   contract — a snapshot taken here and replayed later must land on
+    ///   this state — checked continuously instead of only in the recovery
+    ///   tests.
     #[cfg(feature = "invariant-audit")]
-    fn audit_digest_round_trip(&self, context: &str) {
+    fn audit_transition(&self, context: &str) {
+        self.unfinished.audit(
+            context,
+            self.jobs.iter().map(|j| j.release),
+            &self.remaining,
+            self.stage_time,
+        );
         let digest = self.state_digest();
         let restored = Self::from_state(
             self.sites.clone(),
@@ -367,6 +389,12 @@ impl ServeScheduler {
             self.incremental,
             self.export_state(),
         );
+        if restored.unfinished != self.unfinished {
+            stretch_flow::audit::fail(
+                "pending-index",
+                &format!("{context}: the rebuilt index differs from the live one"),
+            );
+        }
         let round_trip = restored.state_digest();
         if digest != round_trip {
             stretch_flow::audit::fail(
@@ -544,6 +572,12 @@ impl ServeScheduler {
             },
             stretch: d.stretch,
         });
+        // Every staged job is released at the frontier, so each is offered
+        // to the index.
+        let mut unfinished = PendingIndex::new();
+        for (id, &left) in state.remaining.iter().enumerate() {
+            unfinished.admit(id, left);
+        }
         ServeScheduler {
             sites,
             warm_start,
@@ -551,6 +585,7 @@ impl ServeScheduler {
             jobs: state.jobs,
             remaining: state.remaining,
             completions: state.completions,
+            unfinished,
             started: state.started,
             stage_time: state.stage_time,
             active,
