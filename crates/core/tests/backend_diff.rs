@@ -711,6 +711,14 @@ fn warm_simplex_starts_every_later_event_from_the_remapped_basis() {
         (838, 356),
         "warm pivots (primary, lexicographic) over the reference stream changed"
     );
+    // The arcs those pivots' pricing evaluated: equal pivots with a
+    // different count would mean a loop pricing other blocks than the
+    // per-arc walk did.  Same re-bless rule.
+    assert_eq!(
+        warm.priced_arcs(),
+        69021,
+        "arcs priced by the warm backend over the reference stream changed"
+    );
     assert!(
         warm.pivot_counts().0 < cold_pivots.0,
         "warm starts took {:?} pivots against {cold_pivots:?} for fresh cold solves",

@@ -37,6 +37,34 @@
 //!   per-solve rolling start position — the standard compromise between
 //!   Dantzig pricing and round-robin.  The start position resets at every
 //!   solve so a solve is a pure function of its instance and start basis.
+//!   A block is `[pos, pos + block)` modulo the arc count, scanned as at
+//!   most two contiguous index ranges (two only when it wraps past the last
+//!   arc), so the walk takes no division per arc.  Tree arcs are not
+//!   branched on first: their state sign is zero, so phase 1's
+//!   eligibility filter drops them with every other ineligible arc, and
+//!   only the few arcs that pass it (in phase 2, primary ties too) are
+//!   checked for being basic or capacity-less.
+//! * **Tree.**  The spanning tree is kept as `parent`/`pred`/`depth`
+//!   arrays plus sibling-linked child lists (`first_child`,
+//!   `next_sibling`, `prev_sibling`).  A pivot re-hangs the tree path
+//!   between the entering and the leaving arc by unlinking and relinking
+//!   each node in O(1), then refreshes the re-hung subtree's depths and
+//!   potentials in a preorder walk over the links, without a stack; the
+//!   warm re-priming walks the whole tree the same way.  The order of
+//!   siblings carries no meaning: every depth and potential is computed
+//!   from the node's parent, whatever order the walk visits siblings in.
+//! * **Same pivots whatever the loop's constant factors.**  The block
+//!   sequence, the eligibility and comparison expressions of the pricing,
+//!   the ratio-test tie-break, the bound-snap, leaf-elimination and repair
+//!   orders, and the potentials — each recomputed from its parent's, never
+//!   shifted by a pivot's reduced cost, which would round differently —
+//!   fix the pivot path, the vertex reached and the bytes emitted.  A
+//!   speed-up of these loops must keep every one of them: no
+//!   delta-shifted potentials, and no reordering of the scan or of the
+//!   ratio test.  The per-arc `% m` walk the block ranges replaced is kept
+//!   as a unit-test oracle of [`NetworkSimplexBackend`]'s pricing, and
+//!   `priced_arcs()` counts the arcs priced, which the reference-stream
+//!   pin in `stretch-core`'s `backend_diff` test fixes exactly.
 //! * **Deterministic optimum (lexicographic tie-break).**  The System-(2)
 //!   costs are massively tied — a job's work costs the same in a given
 //!   interval on *every* site hosting its databank — so the optimal face
@@ -102,6 +130,9 @@ pub const STATE_TREE: i8 = 0;
 /// Nonbasic arc at its upper bound (flow = capacity).
 pub const STATE_UPPER: i8 = -1;
 
+/// No node: the parent of the root, the end of a child list.
+const NONE: usize = usize::MAX;
+
 /// One splitmix64 finalisation round.
 fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -129,7 +160,9 @@ fn tie_cost(a: usize) -> f64 {
     (mix64(a as u64) >> 34) as f64
 }
 
-/// Secondary cost of an arc identified by its endpoints' **stable keys**.
+/// Secondary cost of an arc identified by its endpoints' **stable keys**,
+/// `mix64(mix64(key_from) ^ key_to.rotate_left(32)) >> 34`, from the
+/// endpoints' [`KeyHalves`] (each node's key mixed once, not once per arc).
 ///
 /// Same uniqueness properties as [`tie_cost`], with one decisive extra:
 /// the value is *stable across events*.  The lexicographically optimal
@@ -138,8 +171,26 @@ fn tie_cost(a: usize) -> f64 {
 /// phase 2 already at — or a few pivots from — its target, while an
 /// index-keyed tie-break would re-randomise the target at every event and
 /// send warm starts on a long face walk.
-fn keyed_tie_cost(key_from: u64, key_to: u64) -> f64 {
-    (mix64(mix64(key_from) ^ key_to.rotate_left(32)) >> 34) as f64
+fn keyed_tie_cost(from: KeyHalves, to: KeyHalves) -> f64 {
+    (mix64(from.mixed ^ to.rotated) >> 34) as f64
+}
+
+/// The two per-node halves of [`keyed_tie_cost`].
+#[derive(Clone, Copy)]
+struct KeyHalves {
+    /// `mix64(key)`, the half of an arc's *tail*.
+    mixed: u64,
+    /// `key.rotate_left(32)`, the half of an arc's *head*.
+    rotated: u64,
+}
+
+impl KeyHalves {
+    fn of(key: u64) -> Self {
+        KeyHalves {
+            mixed: mix64(key),
+            rotated: key.rotate_left(32),
+        }
+    }
 }
 
 /// Which side of the entering arc's cycle a blocking arc was found on.
@@ -166,11 +217,19 @@ pub struct NetworkSimplexBackend {
     cost2: Vec<f64>,
     flow: Vec<f64>,
     state: Vec<i8>,
-    // --- spanning tree ---
+    /// Largest finite capacity of the arcs loaded so far (kept by
+    /// [`Self::push_arc`]; `eps_flow` scales with it).
+    max_cap: f64,
+    /// Largest |cost| of the arcs loaded so far (kept by
+    /// [`Self::push_arc`]; `BIG` and `eps_cost` scale with it).
+    max_cost: f64,
+    // --- spanning tree (see the module docs, *Tree*) ---
     parent: Vec<usize>,
     pred: Vec<usize>,
     depth: Vec<usize>,
-    children: Vec<Vec<usize>>,
+    first_child: Vec<usize>,
+    next_sibling: Vec<usize>,
+    prev_sibling: Vec<usize>,
     pi: Vec<f64>,
     /// Secondary potentials (exact integers, paired with `cost2`).
     pi2: Vec<f64>,
@@ -193,11 +252,14 @@ pub struct NetworkSimplexBackend {
     state_backup: Vec<i8>,
     flow_backup: Vec<f64>,
     uf: Vec<usize>,
-    tree_adj: Vec<Vec<(usize, usize)>>,
+    key_halves: Vec<KeyHalves>,
+    /// Tree adjacency in CSR form: node `u`'s `(neighbour, arc)` entries
+    /// are `tree_adj[tree_adj_start[u]..tree_adj_start[u + 1]]`.
+    tree_adj_start: Vec<usize>,
+    tree_adj: Vec<(usize, usize)>,
     visited: Vec<bool>,
+    depth_count: Vec<usize>,
     elim_order: Vec<usize>,
-    path_nodes: Vec<usize>,
-    path_preds: Vec<usize>,
     dfs_stack: Vec<usize>,
     excess: Vec<f64>,
     /// Rolling start position of the pricing block (reset per solve).
@@ -213,6 +275,8 @@ pub struct NetworkSimplexBackend {
     /// `pivot` calls so far, primary phase then lexicographic phase;
     /// diagnostic.
     pivots: [usize; 2],
+    /// Arcs priced by `find_entering` so far; diagnostic.
+    priced: usize,
 }
 
 impl Default for NetworkSimplexBackend {
@@ -242,10 +306,14 @@ impl NetworkSimplexBackend {
             cost2: Vec::new(),
             flow: Vec::new(),
             state: Vec::new(),
+            max_cap: 0.0,
+            max_cost: 0.0,
             parent: Vec::new(),
             pred: Vec::new(),
             depth: Vec::new(),
-            children: Vec::new(),
+            first_child: Vec::new(),
+            next_sibling: Vec::new(),
+            prev_sibling: Vec::new(),
             pi: Vec::new(),
             pi2: Vec::new(),
             num_nodes: 0,
@@ -257,11 +325,12 @@ impl NetworkSimplexBackend {
             state_backup: Vec::new(),
             flow_backup: Vec::new(),
             uf: Vec::new(),
+            key_halves: Vec::new(),
+            tree_adj_start: Vec::new(),
             tree_adj: Vec::new(),
             visited: Vec::new(),
+            depth_count: Vec::new(),
             elim_order: Vec::new(),
-            path_nodes: Vec::new(),
-            path_preds: Vec::new(),
             dfs_stack: Vec::new(),
             excess: Vec::new(),
             block_pos: 0,
@@ -269,6 +338,7 @@ impl NetworkSimplexBackend {
             remapped_solves: 0,
             rejected_remaps: 0,
             pivots: [0; 2],
+            priced: 0,
         }
     }
 
@@ -299,10 +369,23 @@ impl NetworkSimplexBackend {
         (self.pivots[0], self.pivots[1])
     }
 
+    /// Cumulative arcs the pricing evaluated: every arc position a block
+    /// scan visited, basic arcs included, over all solves.  A pure count,
+    /// fixed by the block sequence, so a rewrite of the pricing loop that
+    /// prices a different set of arcs shows here.  Diagnostic for tests
+    /// and benches.
+    pub fn priced_arcs(&self) -> usize {
+        self.priced
+    }
+
     /// Loads `instance` into the arc arrays (see the module docs for the
     /// layout) and its stable keys, if any, into the node keys.  Returns
-    /// `true` when the instance is keyed.
-    fn load(&mut self, instance: &TransportInstance) -> bool {
+    /// whether the instance is keyed, and the scale-aware comparison
+    /// tolerances `(eps_flow, eps_cost)` of the loaded arcs:
+    /// `1e-9 · (1 + max finite capacity)` and `1e-11 · (1 + max |cost|)`,
+    /// both maxima over every arc, artificial ones included, taken as the
+    /// arcs are pushed.
+    fn load(&mut self, instance: &TransportInstance) -> (bool, f64, f64) {
         let ns = instance.num_sources();
         let nb = instance.num_bins();
         let n = ns + nb + 2;
@@ -312,6 +395,8 @@ impl NetworkSimplexBackend {
         self.to.clear();
         self.cap.clear();
         self.cost.clear();
+        self.max_cap = 0.0;
+        self.max_cost = 0.0;
         let mut source_out = 0.0f64;
         for j in 0..ns {
             let d = instance.demand(j);
@@ -335,9 +420,9 @@ impl NetworkSimplexBackend {
 
         // `BIG` must dominate the cost of any simple path so that the return
         // arc (a) makes every augmenting s→t path a negative cycle and
-        // (b) is never worth reducing once the flow is maximum.
-        let max_cost = self.cost.iter().fold(0.0f64, |m, &c| m.max(c.abs()));
-        let big = (max_cost + 1.0) * (n as f64 + 2.0);
+        // (b) is never worth reducing once the flow is maximum.  Only real
+        // arcs are loaded so far, so `max_cost` is their largest |cost|.
+        let big = (self.max_cost + 1.0) * (n as f64 + 2.0);
 
         // Return arc sink → source.
         self.push_arc(sink, source, source_out, -big);
@@ -372,13 +457,20 @@ impl NetworkSimplexBackend {
         let keyed = !self.keys.is_empty();
         self.cost2.clear();
         if keyed {
-            let keys = &self.keys;
-            let key_of = |v: usize| if v < n { keys[v] } else { u64::MAX };
+            // The artificial root (node `n`) is keyed `u64::MAX`.
+            self.key_halves.clear();
+            self.key_halves.extend(
+                self.keys
+                    .iter()
+                    .chain([&u64::MAX])
+                    .map(|&k| KeyHalves::of(k)),
+            );
+            let halves = &self.key_halves;
             self.cost2.extend(
                 self.from
                     .iter()
                     .zip(&self.to)
-                    .map(|(&u, &v)| keyed_tie_cost(key_of(u), key_of(v))),
+                    .map(|(&u, &v)| keyed_tie_cost(halves[u], halves[v])),
             );
         } else {
             self.cost2.extend((0..num_arcs).map(tie_cost));
@@ -387,15 +479,22 @@ impl NetworkSimplexBackend {
         debug_assert_eq!(self.from.len(), num_arcs);
         self.flow.resize(num_arcs, 0.0);
         self.num_nodes = n;
-        keyed
+        let eps_flow = 1e-9 * (1.0 + self.max_cap);
+        let eps_cost = 1e-11 * (1.0 + self.max_cost);
+        (keyed, eps_flow, eps_cost)
     }
 
-    /// Appends the arc `from → to` to the arc arrays.
+    /// Appends the arc `from → to` to the arc arrays and folds its
+    /// capacity (if finite) and |cost| into the running maxima.
     fn push_arc(&mut self, from: usize, to: usize, cap: f64, cost: f64) {
         self.from.push(from);
         self.to.push(to);
         self.cap.push(cap);
         self.cost.push(cost);
+        if cap.is_finite() {
+            self.max_cap = self.max_cap.max(cap);
+        }
+        self.max_cost = self.max_cost.max(cost.abs());
     }
 
     /// Installs the crash basis: every real arc nonbasic at its lower bound,
@@ -418,10 +517,16 @@ impl NetworkSimplexBackend {
         self.pi.resize(n + 1, 0.0);
         self.pi2.clear();
         self.pi2.resize(n + 1, 0.0);
-        self.children.resize_with(n + 1, Vec::new);
-        for c in self.children.iter_mut() {
-            c.clear();
-        }
+        // The star: the root's child list is 0, 1, …, n − 1 (n ≥ 2: the
+        // super-source and super-sink are always there).
+        self.first_child.clear();
+        self.first_child.resize(n + 1, NONE);
+        self.first_child[root] = 0;
+        self.next_sibling.clear();
+        self.next_sibling.extend((1..n).chain([NONE, NONE]));
+        self.prev_sibling.clear();
+        self.prev_sibling
+            .extend([NONE].into_iter().chain(0..n - 1).chain([NONE]));
         for v in 0..n {
             let arc = m_real + 1 + v;
             self.state[arc] = STATE_TREE;
@@ -431,38 +536,56 @@ impl NetworkSimplexBackend {
             // rc(v→root) = cost + pi[v] - pi[root] = 0 (both channels).
             self.pi[v] = -self.cost[arc];
             self.pi2[v] = -self.cost2[arc];
-            self.children[root].push(v);
         }
     }
 
-    /// Rebuilds the tree arrays (`parent`/`pred`/`depth`/`children`) from the
-    /// arcs currently marked [`STATE_TREE`], by a deterministic depth-first
-    /// walk from the artificial root (tree arcs visited in index order).
+    /// Rebuilds the tree arrays (`parent`/`pred`/`depth` and the child
+    /// lists) from the arcs currently marked [`STATE_TREE`], by a
+    /// deterministic depth-first walk from the artificial root over a CSR
+    /// adjacency of the marked arcs (each node's arcs in index order).
     /// Returns `false` when the marked arcs do not span all nodes.
     fn rebuild_tree_from_states(&mut self) -> bool {
         let n = self.num_nodes;
         let root = n;
-        if self.tree_adj.len() < n + 1 {
-            self.tree_adj.resize_with(n + 1, Vec::new);
+        // Degrees land at `start[u + 2]`; the prefix sum turns
+        // `start[u + 1]` into the start of `u`'s range, and the fill then
+        // advances it to the end of `u`'s range, which is `u + 1`'s start.
+        let start = &mut self.tree_adj_start;
+        start.clear();
+        start.resize(n + 3, 0);
+        for (a, &s) in self.state.iter().enumerate() {
+            if s == STATE_TREE {
+                start[self.from[a] + 2] += 1;
+                start[self.to[a] + 2] += 1;
+            }
         }
-        for l in self.tree_adj[..n + 1].iter_mut() {
-            l.clear();
+        for u in 2..n + 3 {
+            start[u] += start[u - 1];
         }
-        for a in 0..self.from.len() {
-            if self.state[a] == STATE_TREE {
-                self.tree_adj[self.from[a]].push((self.to[a], a));
-                self.tree_adj[self.to[a]].push((self.from[a], a));
+        self.tree_adj.clear();
+        self.tree_adj.resize(start[n + 2], (NONE, NONE));
+        for (a, &s) in self.state.iter().enumerate() {
+            if s == STATE_TREE {
+                let (u, v) = (self.from[a], self.to[a]);
+                self.tree_adj[start[u + 1]] = (v, a);
+                start[u + 1] += 1;
+                self.tree_adj[start[v + 1]] = (u, a);
+                start[v + 1] += 1;
             }
         }
         self.parent.clear();
-        self.parent.resize(n + 1, usize::MAX);
+        self.parent.resize(n + 1, NONE);
         self.pred.clear();
-        self.pred.resize(n + 1, usize::MAX);
+        self.pred.resize(n + 1, NONE);
         self.depth.clear();
         self.depth.resize(n + 1, 0);
-        self.children.resize_with(n + 1, Vec::new);
-        for c in self.children.iter_mut() {
-            c.clear();
+        for links in [
+            &mut self.first_child,
+            &mut self.next_sibling,
+            &mut self.prev_sibling,
+        ] {
+            links.clear();
+            links.resize(n + 1, NONE);
         }
         self.visited.clear();
         self.visited.resize(n + 1, false);
@@ -471,21 +594,92 @@ impl NetworkSimplexBackend {
         self.dfs_stack.push(root);
         let mut reached = 1usize;
         while let Some(u) = self.dfs_stack.pop() {
-            for i in 0..self.tree_adj[u].len() {
-                let (v, arc) = self.tree_adj[u][i];
+            for i in self.tree_adj_start[u]..self.tree_adj_start[u + 1] {
+                let (v, arc) = self.tree_adj[i];
                 if self.visited[v] {
                     continue;
                 }
                 self.visited[v] = true;
-                self.parent[v] = u;
+                self.link(u, v);
                 self.pred[v] = arc;
                 self.depth[v] = self.depth[u] + 1;
-                self.children[u].push(v);
                 self.dfs_stack.push(v);
                 reached += 1;
             }
         }
         reached == n + 1
+    }
+
+    /// Hangs `v` under `p`: sets its parent and makes it the head of `p`'s
+    /// child list.  `v` must not be in any child list.
+    fn link(&mut self, p: usize, v: usize) {
+        let head = self.first_child[p];
+        self.prev_sibling[v] = NONE;
+        self.next_sibling[v] = head;
+        if head != NONE {
+            self.prev_sibling[head] = v;
+        }
+        self.first_child[p] = v;
+        self.parent[v] = p;
+    }
+
+    /// Takes `v` out of its parent's child list, in O(1); its parent
+    /// pointer is left for the caller to overwrite.
+    fn unlink(&mut self, v: usize) {
+        let (prev, next) = (self.prev_sibling[v], self.next_sibling[v]);
+        if prev == NONE {
+            self.first_child[self.parent[v]] = next;
+        } else {
+            self.next_sibling[prev] = next;
+        }
+        if next != NONE {
+            self.prev_sibling[next] = prev;
+        }
+    }
+
+    /// The node after `u` in a preorder walk of the subtree rooted at
+    /// `top`, or [`NONE`] once the walk is done: `u`'s first child, else
+    /// the next sibling of the nearest of `u` and its ancestors below `top`
+    /// that has one.  Walks the links alone, without a stack.
+    fn preorder_next(&self, mut u: usize, top: usize) -> usize {
+        let child = self.first_child[u];
+        if child != NONE {
+            return child;
+        }
+        while u != top {
+            let next = self.next_sibling[u];
+            if next != NONE {
+                return next;
+            }
+            u = self.parent[u];
+        }
+        NONE
+    }
+
+    /// Recomputes `u`'s depth and potentials (both channels) from its
+    /// parent's, through its tree arc (reduced cost zero).
+    fn hang(&mut self, u: usize) {
+        let p = self.parent[u];
+        let arc = self.pred[u];
+        self.depth[u] = self.depth[p] + 1;
+        if self.from[arc] == u {
+            // rc = cost + pi[u] - pi[p] = 0
+            self.pi[u] = self.pi[p] - self.cost[arc];
+            self.pi2[u] = self.pi2[p] - self.cost2[arc];
+        } else {
+            self.pi[u] = self.pi[p] + self.cost[arc];
+            self.pi2[u] = self.pi2[p] + self.cost2[arc];
+        }
+    }
+
+    /// Recomputes the depths and potentials of the subtree rooted at
+    /// `top` (not `top` itself), parents before children.
+    fn hang_below(&mut self, top: usize) {
+        let mut u = self.preorder_next(top, top);
+        while u != NONE {
+            self.hang(u);
+            u = self.preorder_next(u, top);
+        }
     }
 
     /// Maps the remembered cross-event basis onto the freshly loaded arc
@@ -557,14 +751,7 @@ impl NetworkSimplexBackend {
         }
         // Leaf elimination in canonical order: the tree arc of each node
         // absorbs the node's residual imbalance.
-        self.elim_order.clear();
-        self.elim_order.extend(0..n);
-        {
-            let depth = &self.depth;
-            self.elim_order
-                .sort_unstable_by_key(|&v| (std::cmp::Reverse(depth[v]), v));
-        }
-        let mut rehung = false;
+        self.sort_by_decreasing_depth();
         for i in 0..self.elim_order.len() {
             let v = self.elim_order[i];
             let arc = self.pred[v];
@@ -608,16 +795,9 @@ impl NetworkSimplexBackend {
                 };
                 self.state[art] = STATE_TREE;
                 self.flow[art] = leftover.abs();
-                if up != usize::MAX {
-                    let list = &mut self.children[up];
-                    if let Some(pos) = list.iter().position(|&c| c == v) {
-                        list.swap_remove(pos);
-                    }
-                }
-                self.parent[v] = root;
+                self.unlink(v);
+                self.link(root, v);
                 self.pred[v] = art;
-                self.children[root].push(v);
-                rehung = true;
                 // The clamped flow still reaches the old parent; the
                 // artificial's flow cancels at the root by construction.
                 if self.from[arc] == v {
@@ -642,43 +822,41 @@ impl NetworkSimplexBackend {
         if self.excess[root].abs() > eps_flow.max(1e-6) {
             return false;
         }
-        if rehung {
-            // Depths of re-hung subtrees are stale; recompute all of them
-            // from the (children-consistent) tree in one walk.
-            self.depth[root] = 0;
-            self.dfs_stack.clear();
-            self.dfs_stack.push(root);
-            while let Some(u) = self.dfs_stack.pop() {
-                for i in 0..self.children[u].len() {
-                    let v = self.children[u][i];
-                    self.depth[v] = self.depth[u] + 1;
-                    self.dfs_stack.push(v);
-                }
-            }
-        }
-        // Potentials from the tree (costs may have changed).
+        // Depths (stale below any re-hung node) and potentials (costs may
+        // have changed) from the tree, in one preorder walk.
         self.pi.resize(n + 1, 0.0);
         self.pi2.resize(n + 1, 0.0);
+        self.depth[root] = 0;
         self.pi[root] = 0.0;
         self.pi2[root] = 0.0;
-        self.dfs_stack.clear();
-        self.dfs_stack.push(root);
-        while let Some(u) = self.dfs_stack.pop() {
-            for i in 0..self.children[u].len() {
-                let v = self.children[u][i];
-                let arc = self.pred[v];
-                if self.from[arc] == v {
-                    // rc = cost + pi[v] - pi[u] = 0
-                    self.pi[v] = self.pi[u] - self.cost[arc];
-                    self.pi2[v] = self.pi2[u] - self.cost2[arc];
-                } else {
-                    self.pi[v] = self.pi[u] + self.cost[arc];
-                    self.pi2[v] = self.pi2[u] + self.cost2[arc];
-                }
-                self.dfs_stack.push(v);
-            }
-        }
+        self.hang_below(root);
         true
+    }
+
+    /// Fills `elim_order` with the real nodes by decreasing depth, ties by
+    /// increasing index: the order a sort on `(Reverse(depth), node)`
+    /// gives, by one counting pass over the depths.
+    fn sort_by_decreasing_depth(&mut self) {
+        let n = self.num_nodes;
+        let depth = &self.depth[..n];
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let slot = &mut self.depth_count;
+        slot.clear();
+        slot.resize(max_depth + 1, 0);
+        for &d in depth {
+            slot[d] += 1;
+        }
+        // Each depth's first slot, the deepest nodes first.
+        let mut next = 0;
+        for count in slot.iter_mut().rev() {
+            (*count, next) = (next, next + *count);
+        }
+        self.elim_order.clear();
+        self.elim_order.resize(n, 0);
+        for (v, &d) in depth.iter().enumerate() {
+            self.elim_order[slot[d]] = v;
+            slot[d] += 1;
+        }
     }
 
     /// Block pricing: the most violating reduced cost in the first block
@@ -693,6 +871,11 @@ impl NetworkSimplexBackend {
     /// proportional to the tie structure, not to the arc count.  Returns the
     /// entering arc and the push direction (+1: along the arc, -1: against
     /// it).
+    ///
+    /// The block starting at `pos` is `[pos, pos + block)` modulo the arc
+    /// count: one contiguous range, or two when it wraps past the last
+    /// arc, priced in that order — the arc order of a per-arc
+    /// `pos = (pos + 1) % m` walk, without its division.
     fn find_entering(&mut self, eps_cost: f64, lex: bool) -> Option<(usize, i8)> {
         let m = self.from.len();
         if m == 0 {
@@ -704,50 +887,78 @@ impl NetworkSimplexBackend {
         let mut scanned = 0;
         while scanned < m {
             let chunk = block.min(m - scanned);
-            for _ in 0..chunk {
-                let a = pos;
-                pos = (pos + 1) % m;
-                scanned += 1;
-                let s = self.state[a];
-                if s == STATE_TREE || self.cap[a] <= 0.0 {
-                    continue;
-                }
-                let rc = self.cost[a] + self.pi[self.from[a]] - self.pi[self.to[a]];
-                // An arc at lower bound is eligible when rc < -eps, one at
-                // upper bound when rc > eps: uniformly, -state·rc > eps.
-                let v1 = -(s as f64) * rc;
-                let eligible_primary = v1 > eps_cost;
-                if !eligible_primary && (!lex || v1 <= -eps_cost) {
-                    continue;
-                }
-                // The secondary channel is only computed for arcs that
-                // survived the primary filter — in phase 1 that is a
-                // handful per block, so steering *candidate selection* by
-                // it (which nudges phase 1 towards the canonical vertex and
-                // keeps the phase-2 walk short) costs almost nothing.  On a
-                // primary tie (|v1| ≤ eps, phase 2 only) it also decides
-                // eligibility: integer arithmetic, a true violation is ≥ 1.
-                let v2 =
-                    -(s as f64) * (self.cost2[a] + self.pi2[self.from[a]] - self.pi2[self.to[a]]);
-                if !eligible_primary && v2 <= 0.5 {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, b1, b2)) => v1 > b1 + eps_cost || (v1 > b1 - eps_cost && v2 > b2),
-                };
-                if better {
-                    best = Some((a, v1, v2));
-                }
+            let end = pos + chunk;
+            if end <= m {
+                self.price_range(pos..end, eps_cost, lex, &mut best);
+                pos = if end == m { 0 } else { end };
+            } else {
+                self.price_range(pos..m, eps_cost, lex, &mut best);
+                self.price_range(0..end - m, eps_cost, lex, &mut best);
+                pos = end - m;
             }
+            scanned += chunk;
             if best.is_some() {
                 break;
             }
         }
+        self.priced += scanned;
         self.block_pos = pos;
         // The push direction equals the state sign: from the lower bound the
         // flow increases along the arc, from the upper bound it decreases.
         best.map(|(a, _, _)| (a, self.state[a]))
+    }
+
+    /// Prices the arcs of `range` in index order into `best`, the
+    /// candidate of [`Self::find_entering`] as `(arc, v1, v2)`.
+    #[inline(always)]
+    fn price_range(
+        &self,
+        range: std::ops::Range<usize>,
+        eps_cost: f64,
+        lex: bool,
+        best: &mut Option<(usize, f64, f64)>,
+    ) {
+        let lo = range.start;
+        let arcs = self.state[range.clone()]
+            .iter()
+            .zip(&self.cost[range.clone()])
+            .zip(self.from[range.clone()].iter().zip(&self.to[range]));
+        for (i, ((&s, &cost), (&u, &v))) in arcs.enumerate() {
+            let rc = cost + self.pi[u] - self.pi[v];
+            // An arc at lower bound is eligible when rc < -eps, one at
+            // upper bound when rc > eps: uniformly, -state·rc > eps.  A
+            // tree arc's state is zero, so its v1 is zero: phase 1 drops it
+            // here without a branch of its own, and phase 2, where it
+            // passes as a primary tie, drops it at the basic check below,
+            // which only the few arcs passing this filter reach.
+            let v1 = -(s as f64) * rc;
+            let eligible_primary = v1 > eps_cost;
+            if !eligible_primary && (!lex || v1 <= -eps_cost) {
+                continue;
+            }
+            let a = lo + i;
+            if s == STATE_TREE || self.cap[a] <= 0.0 {
+                continue;
+            }
+            // The secondary channel is only computed for arcs that
+            // survived the primary filter — in phase 1 that is a handful
+            // per block, so steering *candidate selection* by it (which
+            // nudges phase 1 towards the canonical vertex and keeps the
+            // phase-2 walk short) costs almost nothing.  On a primary tie
+            // (|v1| ≤ eps, phase 2 only) it also decides eligibility:
+            // integer arithmetic, a true violation is ≥ 1.
+            let v2 = -(s as f64) * (self.cost2[a] + self.pi2[u] - self.pi2[v]);
+            if !eligible_primary && v2 <= 0.5 {
+                continue;
+            }
+            let better = match *best {
+                None => true,
+                Some((_, b1, b2)) => v1 > b1 + eps_cost || (v1 > b1 - eps_cost && v2 > b2),
+            };
+            if better {
+                *best = Some((a, v1, v2));
+            }
+        }
     }
 
     /// Lowest common ancestor of `a` and `b` under the current tree.
@@ -866,56 +1077,26 @@ impl NetworkSimplexBackend {
         };
 
         // Reverse the parent pointers on the path z → x_out, attaching z
-        // under w via the entering arc.
-        self.path_nodes.clear();
-        self.path_preds.clear();
+        // under w via the entering arc: each path node in turn leaves its
+        // old parent's child list (the next path node's, but for x_out's)
+        // and hangs under the node before it, through that node's old arc.
         let mut x = z;
+        let mut new_parent = w;
+        let mut new_pred = e;
         loop {
-            self.path_nodes.push(x);
-            self.path_preds.push(self.pred[x]);
+            let (old_parent, old_pred) = (self.parent[x], self.pred[x]);
+            self.unlink(x);
+            self.link(new_parent, x);
+            self.pred[x] = new_pred;
             if x == x_out {
                 break;
             }
-            x = self.parent[x];
-        }
-        let mut new_parent = w;
-        let mut new_pred = e;
-        for i in 0..self.path_nodes.len() {
-            let node = self.path_nodes[i];
-            let old_parent = self.parent[node];
-            // Detach from the old parent's child list.
-            if old_parent != usize::MAX {
-                let list = &mut self.children[old_parent];
-                if let Some(pos) = list.iter().position(|&c| c == node) {
-                    list.swap_remove(pos);
-                }
-            }
-            self.parent[node] = new_parent;
-            self.pred[node] = new_pred;
-            self.children[new_parent].push(node);
-            new_parent = node;
-            new_pred = self.path_preds[i];
+            (x, new_parent, new_pred) = (old_parent, x, old_pred);
         }
 
         // Depths and potentials of the re-hung subtree (and only it).
-        self.dfs_stack.clear();
-        self.dfs_stack.push(z);
-        while let Some(u) = self.dfs_stack.pop() {
-            let p = self.parent[u];
-            let arc = self.pred[u];
-            self.depth[u] = self.depth[p] + 1;
-            if self.from[arc] == u {
-                self.pi[u] = self.pi[p] - self.cost[arc];
-                self.pi2[u] = self.pi2[p] - self.cost2[arc];
-            } else {
-                self.pi[u] = self.pi[p] + self.cost[arc];
-                self.pi2[u] = self.pi2[p] + self.cost2[arc];
-            }
-            for i in 0..self.children[u].len() {
-                let c = self.children[u][i];
-                self.dfs_stack.push(c);
-            }
-        }
+        self.hang(z);
+        self.hang_below(z);
     }
 
     /// Runs the pivot loop to lexicographic optimality: phase 1 prices the
@@ -927,7 +1108,13 @@ impl NetworkSimplexBackend {
     /// is still picked up; splitting merely keeps the secondary pricing off
     /// the hot part of the solve.  Returns `false` when the pivot budget
     /// blows up (caller falls back to the reference kernel).
-    fn optimize(&mut self, eps_cost: f64) -> bool {
+    ///
+    /// `price` picks the entering arc: [`Self::find_entering`], which the
+    /// unit tests wrap to check it against the per-arc oracle at every call.
+    fn optimize<P>(&mut self, eps_cost: f64, price: &mut P) -> bool
+    where
+        P: FnMut(&mut Self, f64, bool) -> Option<(usize, i8)>,
+    {
         let m = self.from.len();
         let budget = 200 * m + 2_000;
         let mut spent = 0usize;
@@ -937,7 +1124,7 @@ impl NetworkSimplexBackend {
                     return false;
                 }
                 spent += 1;
-                match self.find_entering(eps_cost, lex) {
+                match price(self, eps_cost, lex) {
                     Some((e, dir)) => {
                         self.pivot(e, dir);
                         self.pivots[usize::from(lex)] += 1;
@@ -1009,27 +1196,17 @@ impl NetworkSimplexBackend {
         }
     }
 
-    /// Scale-aware comparison tolerances of the loaded instance.
-    fn tolerances(&self) -> (f64, f64) {
-        let max_cap = self
-            .cap
-            .iter()
-            .filter(|c| c.is_finite())
-            .fold(0.0f64, |m, &c| m.max(c));
-        let eps_flow = 1e-9 * (1.0 + max_cap);
-        let max_cost = self.cost.iter().fold(0.0f64, |m, &c| m.max(c.abs()));
-        let eps_cost = 1e-11 * (1.0 + max_cost);
-        (eps_flow, eps_cost)
-    }
-
     /// Full well-formedness audit of the current spanning-tree basis
     /// (feature `invariant-audit`): exactly `n` tree arcs spanning the
-    /// `n + 1` nodes, consistent `parent`/`pred`/`depth` arrays, every
-    /// nonbasic arc at the bound its state claims, tree flows within
-    /// bounds, and zero reduced cost on tree arcs in both lexicographic
-    /// channels.  Tolerances are looser than the pivot tolerances so the
-    /// audit can never fire on benign rounding — only on a structurally
-    /// broken basis, which would silently break the bit-identity contract.
+    /// `n + 1` nodes, consistent `parent`/`pred`/`depth` arrays, child
+    /// lists holding every node but the root exactly once, in its parent's
+    /// list, with back links that match, a preorder walk over the links
+    /// from the root reaching all `n + 1` nodes once each, every nonbasic
+    /// arc at the bound its state claims, tree flows within bounds, and
+    /// zero reduced cost on tree arcs in both lexicographic channels.
+    /// Tolerances are looser than the pivot tolerances so the audit can
+    /// never fire on benign rounding — only on a structurally broken
+    /// basis, which would silently break the bit-identity contract.
     #[cfg(feature = "invariant-audit")]
     fn audit_basis(&self, context: &str) {
         use crate::audit::fail;
@@ -1107,6 +1284,57 @@ impl NetworkSimplexBackend {
                 &format!("{context}: root depth is {}", self.depth[root]),
             );
         }
+        // Child lists.  The parent/depth checks above rule out parent
+        // cycles, so the preorder walk below terminates.
+        let mut listed = vec![0usize; n + 1];
+        for u in 0..=n {
+            let (mut prev, mut c) = (NONE, self.first_child[u]);
+            while c != NONE {
+                if c > n || listed[c] > n {
+                    fail(
+                        "simplex-basis",
+                        &format!("{context}: child list of {u} is malformed at {c}"),
+                    );
+                }
+                if self.parent[c] != u || self.prev_sibling[c] != prev {
+                    fail(
+                        "simplex-basis",
+                        &format!(
+                            "{context}: node {c} in the child list of {u} has parent {} and back link {}",
+                            self.parent[c], self.prev_sibling[c]
+                        ),
+                    );
+                }
+                listed[c] += 1;
+                (prev, c) = (c, self.next_sibling[c]);
+            }
+        }
+        for (v, &times) in listed.iter().enumerate() {
+            if times != usize::from(v != root) {
+                fail(
+                    "simplex-basis",
+                    &format!("{context}: node {v} sits in {times} child lists"),
+                );
+            }
+        }
+        let mut reached = vec![false; n + 1];
+        let mut u = root;
+        while u != NONE {
+            if reached[u] {
+                fail(
+                    "simplex-basis",
+                    &format!("{context}: the preorder walk reaches node {u} twice"),
+                );
+            }
+            reached[u] = true;
+            u = self.preorder_next(u, root);
+        }
+        if let Some(v) = reached.iter().position(|&r| !r) {
+            fail(
+                "simplex-basis",
+                &format!("{context}: the preorder walk from the root misses node {v}"),
+            );
+        }
         for a in 0..m {
             let f = self.flow[a];
             let c = self.cap[a];
@@ -1173,6 +1401,22 @@ impl MinCostBackend for NetworkSimplexBackend {
         instance: &TransportInstance,
         workspace: &mut FlowWorkspace,
     ) -> Option<TransportSolution> {
+        self.solve_priced(instance, workspace, &mut Self::find_entering)
+    }
+}
+
+impl NetworkSimplexBackend {
+    /// [`MinCostBackend::solve`], with `price` picking the entering arcs
+    /// (see [`Self::optimize`]).
+    fn solve_priced<P>(
+        &mut self,
+        instance: &TransportInstance,
+        workspace: &mut FlowWorkspace,
+        price: &mut P,
+    ) -> Option<TransportSolution>
+    where
+        P: FnMut(&mut Self, f64, bool) -> Option<(usize, i8)>,
+    {
         let demand = instance.total_demand();
         if flow_target(demand) <= 0.0 {
             // Nothing to ship: the remembered basis stays for the next
@@ -1183,8 +1427,7 @@ impl MinCostBackend for NetworkSimplexBackend {
                 shipped: 0.0,
             });
         }
-        let keyed = self.load(instance);
-        let (eps_flow, eps_cost) = self.tolerances();
+        let (keyed, eps_flow, eps_cost) = self.load(instance);
 
         let remapping = self.warm_start && keyed && self.remap.is_valid();
         let warmed = remapping && self.apply_remap() && self.warm_basis(eps_flow, true);
@@ -1206,7 +1449,7 @@ impl MinCostBackend for NetworkSimplexBackend {
         // same tail whatever basis the solve started from, which is what
         // makes warm-started and cold solves bit-identical.
         self.block_pos = 0; // stateless pricing: per-solve determinism
-        if !self.optimize(eps_cost) {
+        if !self.optimize(eps_cost, price) {
             // Pathological numerics: certified fallback to the reference
             // backend.  The basis memory is dropped — the reference
             // solution is not a basis this backend could resume.
@@ -1539,6 +1782,151 @@ mod tests {
         let tied = keyed_transport(&demands, &caps, &[(0, 0, 1.0), (0, 1, 1.0)], &[7], &bins);
         assert_warm_solve_matches_cold(&mut shared, &tied);
         assert_eq!(shared.remap_count(), 1);
+    }
+
+    /// The pricing walk the block ranges of
+    /// [`NetworkSimplexBackend::find_entering`] replaced: one arc per step,
+    /// `pos = (pos + 1) % m`.  Kept as its oracle; counts nothing.
+    fn find_entering_by_modulo(
+        ns: &mut NetworkSimplexBackend,
+        eps_cost: f64,
+        lex: bool,
+    ) -> Option<(usize, i8)> {
+        let m = ns.from.len();
+        if m == 0 {
+            return None;
+        }
+        let block = ((m as f64).sqrt() as usize).max(16);
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut pos = ns.block_pos % m;
+        let mut scanned = 0;
+        while scanned < m {
+            let chunk = block.min(m - scanned);
+            for _ in 0..chunk {
+                let a = pos;
+                pos = (pos + 1) % m;
+                scanned += 1;
+                let s = ns.state[a];
+                if s == STATE_TREE || ns.cap[a] <= 0.0 {
+                    continue;
+                }
+                let rc = ns.cost[a] + ns.pi[ns.from[a]] - ns.pi[ns.to[a]];
+                let v1 = -(s as f64) * rc;
+                let eligible_primary = v1 > eps_cost;
+                if !eligible_primary && (!lex || v1 <= -eps_cost) {
+                    continue;
+                }
+                let v2 = -(s as f64) * (ns.cost2[a] + ns.pi2[ns.from[a]] - ns.pi2[ns.to[a]]);
+                if !eligible_primary && v2 <= 0.5 {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((_, b1, b2)) => v1 > b1 + eps_cost || (v1 > b1 - eps_cost && v2 > b2),
+                };
+                if better {
+                    best = Some((a, v1, v2));
+                }
+            }
+            if best.is_some() {
+                break;
+            }
+        }
+        ns.block_pos = pos;
+        best.map(|(a, _, _)| (a, ns.state[a]))
+    }
+
+    #[test]
+    fn block_ranges_price_exactly_as_the_per_arc_modulo_walk() {
+        // A warm backend fed a stream of keyed transport instances shaped
+        // like System (2)'s: jobs arrive and complete (keys persist while
+        // they are pending), bins are (site, interval) pairs, and a job's
+        // cost per unit is tied across the sites of one interval.  At every
+        // pricing call of every solve, in both phases, the block-range loop
+        // must pick the oracle's arc and direction and leave the oracle's
+        // rolling start.
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as f64) / (1u64 << 31) as f64
+        };
+        let mut ns = NetworkSimplexBackend::new();
+        let mut ws = FlowWorkspace::new();
+        let mut pending: Vec<(u64, f64)> = Vec::new();
+        let mut next_job = 0u64;
+        // Pricing calls per phase; of them, those whose first block wraps
+        // past the last arc (a rolling start within one block of the end)
+        // on an arc count that is not a multiple of the block size.
+        let mut calls = [0usize; 2];
+        let mut wrapping_starts = [0usize; 2];
+        let mut price = |ns: &mut NetworkSimplexBackend, eps_cost: f64, lex: bool| {
+            let (m, start) = (ns.from.len(), ns.block_pos);
+            let block = ((m as f64).sqrt() as usize).max(16);
+            let expected = find_entering_by_modulo(ns, eps_cost, lex);
+            let expected_pos = ns.block_pos;
+            ns.block_pos = start;
+            let got = ns.find_entering(eps_cost, lex);
+            assert_eq!(
+                (got, ns.block_pos),
+                (expected, expected_pos),
+                "pricing diverged from the oracle (m = {m}, start = {start}, lex = {lex})"
+            );
+            calls[usize::from(lex)] += 1;
+            if m % block != 0 && m - start % m < block.min(m) {
+                wrapping_starts[usize::from(lex)] += 1;
+            }
+            got
+        };
+        let events = 60;
+        for event in 0..events {
+            // Complete a few jobs, admit a few, then re-draw the work left.
+            pending.retain(|_| next() < 0.8);
+            let arrivals = 1 + (next() * 4.0) as usize;
+            for _ in 0..arrivals {
+                pending.push((next_job, 0.5 + 3.0 * next()));
+                next_job += 1;
+            }
+            let sites = 2 + event % 4;
+            let intervals = 2 + (event * 7) % 9;
+            let jobs = pending.len();
+            let demands: Vec<f64> = pending.iter().map(|&(_, w)| w * next()).collect();
+            let caps: Vec<f64> = (0..sites * intervals).map(|_| 0.5 + 2.0 * next()).collect();
+            let mut routes = Vec::new();
+            for (j, &(_, weight)) in pending.iter().enumerate() {
+                let window = 1 + (next() * intervals as f64) as usize;
+                for s in 0..sites {
+                    if next() < 0.3 {
+                        continue; // site s does not host job j's databank
+                    }
+                    for i in 0..window.min(intervals) {
+                        routes.push((j, s * intervals + i, (i as f64 + 0.5) / weight));
+                    }
+                }
+            }
+            let source_keys: Vec<u64> = pending.iter().map(|&(id, _)| id).collect();
+            let bin_keys: Vec<u64> = (0..sites * intervals)
+                .map(|b| (((b / intervals) as u64) << 32) | (b % intervals) as u64)
+                .collect();
+            let t = keyed_transport(&demands, &caps, &routes, &source_keys, &bin_keys);
+            assert_eq!(t.num_sources(), jobs);
+            let _ = ns.solve_priced(&t, &mut ws, &mut price);
+        }
+        assert!(
+            calls[0] > 0 && calls[1] > 0,
+            "both phases must be priced, got {calls:?}"
+        );
+        assert!(
+            wrapping_starts[0] > 0 && wrapping_starts[1] > 0,
+            "both phases must price a block wrapping past the last arc, got {wrapping_starts:?}"
+        );
+        assert!(
+            ns.remap_count() > events / 2,
+            "the stream must run warm, got {} remaps",
+            ns.remap_count()
+        );
+        assert_eq!(ns.fallback_count(), 0);
     }
 
     #[test]
