@@ -7,9 +7,12 @@
 //! STRETCH_SCALE_SMOKE=1 cargo run --release -p stretch-experiments --bin repro_scale
 //! ```
 //!
+//! Each rung records the median of passes repeated until they add up to
+//! about one second (one pass for rungs longer than that).
 //! `STRETCH_SCALE_SMOKE=1` selects the CI-sized study (seconds, not
-//! minutes) and **does not write the file** — smoke rungs are measured at
-//! tiny sizes and would pollute the recorded trajectory.  The output file
+//! minutes, one pass per rung) and **does not write the file** — smoke
+//! rungs are measured at tiny sizes and would pollute the recorded
+//! trajectory.  The output file
 //! format is the flat `"section/name" → value` map shared with the
 //! baseline, so trajectories diff with the same tooling.
 
@@ -29,8 +32,11 @@ fn main() {
         ScaleSettings::default()
     };
     eprintln!(
-        "Scale study: sizes {:?}, threads {:?}, {} instances per rung",
-        settings.job_sizes, settings.thread_counts, settings.instances_per_point
+        "Scale study: sizes {:?}, threads {:?}, {} instances per rung, median pass over >= {} s",
+        settings.job_sizes,
+        settings.thread_counts,
+        settings.instances_per_point,
+        settings.min_rung_seconds
     );
     let points = run_scale_study(&settings);
     print!("{}", render(&points));

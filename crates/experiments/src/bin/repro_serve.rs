@@ -7,9 +7,11 @@
 //! * unset or `verify` — feed the reference stream (plus deliberately
 //!   malformed submissions) through the event bus, drain, and check the
 //!   completions are bit-identical to `run_online_with` on the same
-//!   instance, and that the journal synced once per accepted submission
-//!   plus once for the drain (group commit); prints the live counters, the
-//!   journal syncs and the dead-letter reasons.
+//!   instance, that the journal synced once per accepted submission plus
+//!   once for the drain (group commit), and that under the default rotation
+//!   policy no append outgrew the active segment's zero tail (so no sync
+//!   committed a file-size change); prints the live counters, the journal
+//!   syncs, the tail growths and the dead-letter reasons.
 //! * `crash` — create a service on `STRETCH_SERVE_JOURNAL`, touch
 //!   `STRETCH_SERVE_MARKER`, then submit the stream with a small delay per
 //!   submission (`STRETCH_SERVE_SUBMIT_DELAY_US`, default 2000) and hang
@@ -46,7 +48,8 @@ use stretch_core::online::run_online_with;
 use stretch_core::refstream::reference_instance;
 use stretch_core::{OnlineVariant, SolverConfig};
 use stretch_serve::{
-    journal, spawn_service, RotationCrashPoint, ServeConfig, StretchServe, Submission,
+    journal, spawn_service, RotationCrashPoint, RotationPolicy, ServeConfig, StretchServe,
+    Submission,
 };
 use stretch_workload::Instance;
 
@@ -138,8 +141,10 @@ fn verify_mode() {
         p.push(format!("repro-serve-verify-{}", std::process::id()));
         p
     });
-    let serve = StretchServe::create(&journal, instance.platform.clone(), config())
-        .expect("create journal");
+    let config = config();
+    let default_rotation = config.rotation == RotationPolicy::default();
+    let serve =
+        StretchServe::create(&journal, instance.platform.clone(), config).expect("create journal");
     let syncs_at_create = serve.journal_syncs();
     let (handle, consumer) = spawn_service(serve, 64);
     for (i, job) in instance.jobs.iter().enumerate() {
@@ -168,8 +173,9 @@ fn verify_mode() {
 
     let metrics = serve.metrics();
     let syncs = serve.journal_syncs() - syncs_at_create;
+    let growths = serve.tail_growths();
     println!(
-        "repro_serve verify: {} journal_syncs={syncs}",
+        "repro_serve verify: {} journal_syncs={syncs} tail_growths={growths}",
         metrics.render(handle.depth())
     );
     for letter in serve.dlq().letters().take(6) {
@@ -189,6 +195,13 @@ fn verify_mode() {
         rotated || syncs == metrics.accepted + 1,
         "journal synced {syncs} times for {} accepted submissions and one drain",
         metrics.accepted
+    );
+    // Every frame overwrote the active segment's zero tail: no sync
+    // committed a file-size change.  Only a custom policy with segments
+    // longer than the tail can grow one.
+    assert!(
+        !default_rotation || growths == 0,
+        "{growths} appends outgrew the zero tail under the default rotation policy"
     );
     assert_eq!(
         bits(serve.completions()),

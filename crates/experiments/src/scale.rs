@@ -16,6 +16,11 @@
 //! * `scale/wall-clock/threads<T>-n<N>/<backend>` — wall-clock for that
 //!   rung.
 //!
+//! Each rung repeats its pass until the passes add up to
+//! [`ScaleSettings::min_rung_seconds`] (at least one pass) and records the
+//! median pass: a rung of a few hundredths of a second timed once swings
+//! by a factor of two from one run to the next.
+//!
 //! The flat `"section/name" → seconds-or-rate` format is the same one
 //! `BENCH_baseline.json` uses ([`stretch_metrics::baseline`]), so the two
 //! trajectories diff with the same tooling.
@@ -38,6 +43,10 @@ pub struct ScaleSettings {
     pub instances_per_point: usize,
     /// Base seed (instances are derived with [`instance_seed`]).
     pub base_seed: u64,
+    /// Wall-clock seconds each rung spends at least: its pass repeats until
+    /// the passes add up to this, and the rung records the median pass.
+    /// Zero times one pass.
+    pub min_rung_seconds: f64,
 }
 
 impl Default for ScaleSettings {
@@ -53,6 +62,7 @@ impl Default for ScaleSettings {
             thread_counts: vec![1, 2, 4],
             instances_per_point: 4,
             base_seed: 2006,
+            min_rung_seconds: 1.0,
         }
     }
 }
@@ -67,6 +77,7 @@ impl ScaleSettings {
             thread_counts: vec![1, 2],
             instances_per_point: 2,
             base_seed: 2006,
+            min_rung_seconds: 0.0,
         }
     }
 }
@@ -116,6 +127,34 @@ fn measure(jobs: usize, instances: usize, base_seed: u64, solver: SolverConfig) 
     (counts.iter().sum(), start.elapsed().as_secs_f64())
 }
 
+/// One rung: [`measure`] repeated until the passes add up to
+/// `settings.min_rung_seconds` (at least once), returning the jobs of one
+/// pass (every pass draws the same instances) and the median pass time.
+fn measure_rung(settings: &ScaleSettings, jobs: usize, solver: SolverConfig) -> (usize, f64) {
+    let mut walls = Vec::new();
+    let mut spent = 0.0;
+    let mut total_jobs = 0;
+    while walls.is_empty() || spent < settings.min_rung_seconds {
+        let (pass_jobs, wall) = measure(
+            jobs,
+            settings.instances_per_point,
+            settings.base_seed,
+            solver,
+        );
+        total_jobs = pass_jobs;
+        spent += wall;
+        walls.push(wall);
+    }
+    walls.sort_by(f64::total_cmp);
+    let mid = walls.len() / 2;
+    let median = if walls.len() % 2 == 1 {
+        walls[mid]
+    } else {
+        (walls[mid - 1] + walls[mid]) / 2.0
+    };
+    (total_jobs, median)
+}
+
 /// Runs the full study: both axes, both backends.
 pub fn run_scale_study(settings: &ScaleSettings) -> Vec<ScalePoint> {
     let widest = settings.thread_counts.iter().copied().max().unwrap_or(1);
@@ -130,8 +169,7 @@ pub fn run_scale_study(settings: &ScaleSettings) -> Vec<ScalePoint> {
     for solver in SolverConfig::all_backends() {
         let backend = solver.backend.name();
         for &n in &settings.job_sizes {
-            let (total_jobs, wall) =
-                measure(n, settings.instances_per_point, settings.base_seed, solver);
+            let (total_jobs, wall) = measure_rung(settings, n, solver);
             points.push(ScalePoint {
                 key: format!("scale/jobs-per-sec/n{n}/{backend}"),
                 value: total_jobs as f64 / wall.max(1e-12),
@@ -143,9 +181,8 @@ pub fn run_scale_study(settings: &ScaleSettings) -> Vec<ScalePoint> {
         }
         let n = *settings.job_sizes.last().expect("at least one size");
         for &threads in &settings.thread_counts {
-            let (total_jobs, wall) = rayon::with_threads(threads, || {
-                measure(n, settings.instances_per_point, settings.base_seed, solver)
-            });
+            let (total_jobs, wall) =
+                rayon::with_threads(threads, || measure_rung(settings, n, solver));
             points.push(ScalePoint {
                 key: format!("scale/jobs-per-sec/threads{threads}-n{n}/{backend}"),
                 value: total_jobs as f64 / wall.max(1e-12),

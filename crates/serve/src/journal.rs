@@ -27,6 +27,7 @@
 //! ```text
 //! [ 8-byte magic "STRJRN01" ]
 //! [ u32 payload_len | u32 crc32(payload) | payload ]*
+//! [ zero bytes ]*          the zero tail: only in the active segment
 //! ```
 //!
 //! All integers little-endian.  The journal is the *only* source of truth:
@@ -40,6 +41,32 @@
 //! occur in the **last** segment of the chain: sealing fsyncs the data
 //! before the atomic rename, so a torn sealed segment mid-chain is disk
 //! corruption, not a crash artefact.
+//!
+//! **The zero tail.**  The active segment carries [`ZERO_TAIL_LEN`] bytes of
+//! written zeros past its last frame, laid down when the segment is created
+//! (or a torn tail is cut on reopen) and made durable by that step's sync.
+//! An append overwrites the tail in place, so the file's length does not
+//! change between syncs and each commit's `sync_data` flushes data blocks
+//! only: `fdatasync` persists the metadata a later read needs, and an
+//! overwrite of blocks already written and synced needs none, so an
+//! acknowledged frame is exactly as durable as an appended one.  The
+//! zeros are real writes, not a sparse `set_len`: a hole would make the
+//! first write allocate its block, which is a metadata commit again.  An
+//! append that would run past the tail first extends it by a fresh tail
+//! (counted by [`SegmentedJournal::tail_growths`]); the largest frame is 49
+//! bytes, so a segment of the default [`RotationPolicy`]'s 1024 records
+//! (at most about 50 KB) never grows.  The parser reads an all-zero
+//! remainder after the last whole frame as a clean end
+//! ([`TailStatus::Clean`] with the frame end): a frame never starts with a
+//! zero byte, since every payload is at least ten bytes long, but a zero
+//! header followed by any non-zero byte is still a torn tail.  Sealing
+//! ([`SegmentedJournal::rotate`]) and draining
+//! ([`SegmentedJournal::finish`]) cut the tail before their sync, so every
+//! file except a live or crashed active segment holds exactly its frames.
+//! A journal written before the tail existed parses as before (no tail is
+//! a clean end too); a padded journal read by a parser that knows no tail
+//! ends in a zero header, which that parser reports as a torn tail at the
+//! frame end, recovering the same records.
 //!
 //! [`SegmentedJournal`] owns rotation: when the active segment exceeds the
 //! [`RotationPolicy`] record/byte threshold it is sealed
@@ -65,6 +92,12 @@ pub const RECORD_HEADER_LEN: usize = 8;
 /// Sanity cap on a single payload: anything larger is torn/garbage, not a
 /// record this crate ever writes.
 pub const MAX_PAYLOAD_LEN: u32 = 1 << 20;
+
+/// Zero bytes the active segment carries past its last frame (64 KiB): more
+/// than the frames of a full segment under the default [`RotationPolicy`]
+/// (1024 records of at most 49 bytes), so its appends never change the
+/// file's length.
+pub const ZERO_TAIL_LEN: u64 = 64 << 10;
 
 /// The reflected CRC-32/IEEE polynomial.
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -219,8 +252,12 @@ impl std::fmt::Display for TornReason {
 /// State of the journal tail after [`load`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TailStatus {
-    /// Every byte of the file parsed as a valid record.
-    Clean,
+    /// Every byte past the last whole record is zero: the active segment's
+    /// zero tail, or nothing at all.
+    Clean {
+        /// The frame end: magic + whole records, where the next frame goes.
+        valid_bytes: u64,
+    },
     /// The file ends in a torn record starting at `valid_bytes`.
     Torn {
         /// Length of the valid prefix (magic + whole records); the file
@@ -232,11 +269,18 @@ pub enum TailStatus {
 }
 
 impl TailStatus {
-    /// Length of the valid prefix in bytes (`file length` when clean is
-    /// resolved by the caller, so clean returns `None`).
+    /// Length of the valid prefix in bytes (magic + whole records), clean
+    /// or torn: never the file length, which counts the zero tail.
+    pub fn valid_bytes(&self) -> u64 {
+        match *self {
+            TailStatus::Clean { valid_bytes } | TailStatus::Torn { valid_bytes, .. } => valid_bytes,
+        }
+    }
+
+    /// Where the torn record starts, or `None` for a clean tail.
     pub fn torn_at(&self) -> Option<u64> {
         match self {
-            TailStatus::Clean => None,
+            TailStatus::Clean { .. } => None,
             TailStatus::Torn { valid_bytes, .. } => Some(*valid_bytes),
         }
     }
@@ -244,6 +288,9 @@ impl TailStatus {
 
 /// Parses journal bytes (already read from disk) into records plus the tail
 /// status.  Pure function of the bytes — the testable core of [`load`].
+///
+/// An all-zero remainder after the last whole record is the zero tail, a
+/// clean end; a remainder holding any non-zero byte is torn at its start.
 pub fn parse(bytes: &[u8], path: &Path) -> Result<(Vec<JournalRecord>, TailStatus), JournalError> {
     if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
         return Err(JournalError::BadMagic {
@@ -256,16 +303,27 @@ pub fn parse(bytes: &[u8], path: &Path) -> Result<(Vec<JournalRecord>, TailStatu
         valid_bytes: offset as u64,
         reason,
     };
+    let clean = |offset: usize| TailStatus::Clean {
+        valid_bytes: offset as u64,
+    };
+    // Asked only at a short remainder or a zero header, after which the
+    // parse ends either way: the scan runs at most once.
+    let zero_tail = |offset: usize| bytes[offset..].iter().all(|&b| b == 0);
     loop {
         let remaining = bytes.len() - offset;
-        if remaining == 0 {
-            return Ok((records, TailStatus::Clean));
-        }
         if remaining < RECORD_HEADER_LEN {
-            return Ok((records, torn(offset, TornReason::TruncatedHeader)));
+            let tail = if zero_tail(offset) {
+                clean(offset)
+            } else {
+                torn(offset, TornReason::TruncatedHeader)
+            };
+            return Ok((records, tail));
         }
         let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap());
         let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+        if len == 0 && crc == 0 && zero_tail(offset) {
+            return Ok((records, clean(offset)));
+        }
         if len > MAX_PAYLOAD_LEN {
             return Ok((records, torn(offset, TornReason::OversizedLength)));
         }
@@ -300,21 +358,28 @@ pub fn load(path: &Path) -> Result<(Vec<JournalRecord>, TailStatus), JournalErro
 
 /// Append handle on a journal file.
 ///
-/// Every append writes the full frame with a single `write_all` and does
-/// not sync: the frame is written before the scheduler consumes the event,
-/// and [`JournalWriter::sync`] makes every frame written so far durable.
-/// Whoever acknowledges an append syncs first (the write-ahead contract).
+/// Every append writes the full frame with a single `write_all` over the
+/// zero tail and does not sync: the frame is written before the scheduler
+/// consumes the event, and [`JournalWriter::sync`] makes every frame written
+/// so far durable.  Whoever acknowledges an append syncs first (the
+/// write-ahead contract).  The file cursor always sits at the frame end.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     path: PathBuf,
+    /// Magic + frames: where the next frame goes.
+    frame_end: u64,
+    /// The file's length: the frame end plus the zero tail.
+    file_len: u64,
     /// `sync_data` calls this handle has issued.
     syncs: u64,
+    /// Appends that ran past the zero tail and extended the file.
+    tail_growths: u64,
 }
 
 impl JournalWriter {
     /// Creates (or truncates) a fresh journal at `path` and writes the magic
-    /// header durably.
+    /// header and the zero tail durably.
     pub fn create(path: &Path) -> Result<Self, JournalError> {
         let mut file = OpenOptions::new()
             .write(true)
@@ -324,51 +389,108 @@ impl JournalWriter {
             .map_err(|e| io_err("create", path, e))?;
         file.write_all(&MAGIC)
             .map_err(|e| io_err("write-magic", path, e))?;
+        let magic_len = MAGIC.len() as u64;
         let mut writer = JournalWriter {
             file,
             path: path.to_path_buf(),
+            frame_end: magic_len,
+            file_len: magic_len,
             syncs: 0,
+            tail_growths: 0,
         };
+        writer.extend_tail(0)?;
         writer.sync()?;
         Ok(writer)
     }
 
-    /// Reopens an existing journal for appending, first truncating it to
-    /// `valid_bytes` (the prefix [`load`] validated) so a torn tail can never
-    /// shadow future appends.
+    /// Reopens an existing journal for appending at `valid_bytes`, the frame
+    /// end [`load`] validated.  A tail past it that is all zero is reused
+    /// as it is; one holding any other byte (a torn frame) is cut and a
+    /// fresh zero tail laid down, so a torn tail can never shadow future
+    /// appends.  Either way it syncs once, which also makes durable any
+    /// frame a crashed writer left unsynced before recovery replayed it.
     pub fn append_at(path: &Path, valid_bytes: u64) -> Result<Self, JournalError> {
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
+            .read(true)
             .write(true)
             .open(path)
             .map_err(|e| io_err("open", path, e))?;
-        file.set_len(valid_bytes)
-            .map_err(|e| io_err("truncate", path, e))?;
+        let mut tail = Vec::new();
+        file.seek(SeekFrom::Start(valid_bytes))
+            .and_then(|_| file.read_to_end(&mut tail))
+            .map_err(|e| io_err("read-tail", path, e))?;
         let mut writer = JournalWriter {
             file,
             path: path.to_path_buf(),
+            frame_end: valid_bytes,
+            file_len: valid_bytes + tail.len() as u64,
             syncs: 0,
+            tail_growths: 0,
         };
+        if tail.iter().any(|&b| b != 0) {
+            writer
+                .file
+                .set_len(valid_bytes)
+                .map_err(|e| io_err("truncate", path, e))?;
+            writer.file_len = valid_bytes;
+            writer.extend_tail(0)?;
+        } else {
+            writer
+                .file
+                .seek(SeekFrom::Start(valid_bytes))
+                .map_err(|e| io_err("seek", path, e))?;
+        }
         writer.sync()?;
-        writer
-            .file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_err("seek", path, e))?;
         Ok(writer)
     }
 
-    /// Writes one record's frame with a single `write_all`, without a sync:
-    /// the record is durable once [`JournalWriter::sync`] returns.  Returns
-    /// the frame length in bytes, which rotation accounting sums.
+    /// Writes zeros from the end of the file up to `need` bytes past the
+    /// frame end plus a fresh [`ZERO_TAIL_LEN`], then puts the cursor back
+    /// at the frame end.  The growth is durable once the next sync returns.
+    fn extend_tail(&mut self, need: u64) -> Result<(), JournalError> {
+        let new_len = self.frame_end + need + ZERO_TAIL_LEN;
+        let zeros = vec![0; (new_len - self.file_len) as usize];
+        self.file
+            .seek(SeekFrom::Start(self.file_len))
+            .and_then(|_| self.file.write_all(&zeros))
+            .and_then(|_| self.file.seek(SeekFrom::Start(self.frame_end)))
+            .map_err(|e| io_err("write-tail", &self.path, e))?;
+        self.file_len = new_len;
+        Ok(())
+    }
+
+    /// Writes one record's frame with a single `write_all` over the zero
+    /// tail, without a sync: the record is durable once
+    /// [`JournalWriter::sync`] returns.  A frame that would run past the
+    /// tail first extends it.  Returns the frame length in bytes, which
+    /// rotation accounting sums.
     pub fn append(&mut self, record: &JournalRecord) -> Result<u64, JournalError> {
         let payload = encode_payload(record);
         let mut frame = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
+        let frame_len = frame.len() as u64;
+        if self.frame_end + frame_len > self.file_len {
+            self.extend_tail(frame_len)?;
+            self.tail_growths += 1;
+        }
         self.file
             .write_all(&frame)
             .map_err(|e| io_err("append", &self.path, e))?;
-        Ok(frame.len() as u64)
+        self.frame_end += frame_len;
+        Ok(frame_len)
+    }
+
+    /// Cuts the zero tail (`set_len` to the frame end), without a sync: the
+    /// file then holds exactly its magic and frames once the next sync
+    /// returns.
+    fn trim(&mut self) -> Result<(), JournalError> {
+        self.file
+            .set_len(self.frame_end)
+            .map_err(|e| io_err("trim", &self.path, e))?;
+        self.file_len = self.frame_end;
+        Ok(())
     }
 
     /// Makes every frame appended so far durable (`sync_data`): the commit
@@ -379,6 +501,11 @@ impl JournalWriter {
             .map_err(|e| io_err("sync", &self.path, e))?;
         self.syncs += 1;
         Ok(())
+    }
+
+    /// The frame end: magic + frames written, where the next frame goes.
+    pub fn frame_end(&self) -> u64 {
+        self.frame_end
     }
 
     /// The journal path.
@@ -601,6 +728,8 @@ pub struct SegmentedJournal {
     /// directory syncs, snapshot-file syncs and the writers of segments it
     /// sealed.
     syncs: u64,
+    /// Tail growths of the writers of segments this handle sealed.
+    tail_growths: u64,
 }
 
 impl SegmentedJournal {
@@ -639,6 +768,7 @@ impl SegmentedJournal {
             segment_bytes: 0,
             total_records: 0,
             syncs,
+            tail_growths: 0,
         })
     }
 
@@ -646,9 +776,12 @@ impl SegmentedJournal {
     ///
     /// `last_segment` is the final segment of the recovered chain (`None`
     /// when every segment was garbage-collected and only a snapshot
-    /// remains); recovery has already truncated its torn tail to
-    /// `valid_bytes` / `records` worth of prefix.  If the last segment is
-    /// sealed (a crash hit between sealing and opening the successor) a
+    /// remains); `valid_bytes` is its frame end as [`load`] parsed it
+    /// (never its file length, which counts the zero tail) and
+    /// `records_in_last` the records before it.  An active last segment is
+    /// reopened at its frame end by [`JournalWriter::append_at`], which
+    /// keeps an intact zero tail and cuts a torn one.  If the last segment
+    /// is sealed (a crash hit between sealing and opening the successor) a
     /// fresh active segment opens after it — sealed segments are never
     /// reopened.
     pub fn open_after_recovery(
@@ -697,6 +830,7 @@ impl SegmentedJournal {
             segment_bytes,
             total_records,
             syncs,
+            tail_growths: 0,
         })
     }
 
@@ -730,6 +864,25 @@ impl SegmentedJournal {
         self.syncs + self.writer.syncs
     }
 
+    /// Appends since this handle was created or reopened that ran past the
+    /// active segment's zero tail and had to extend the file, so that the
+    /// sync committing them also committed a size change.  A pure count
+    /// with no clock.  Under the default [`RotationPolicy`] no segment
+    /// outgrows its tail; only a segment reopened without one (drained, or
+    /// written before the tail existed) counts a growth, at its first
+    /// append.
+    pub fn tail_growths(&self) -> u64 {
+        self.tail_growths + self.writer.tail_growths
+    }
+
+    /// Cuts the active segment's zero tail and syncs once: the durability
+    /// point of a drained stream, after which the segment holds exactly its
+    /// frames.  A later append extends the file again.
+    pub fn finish(&mut self) -> Result<(), JournalError> {
+        self.writer.trim()?;
+        self.writer.sync()
+    }
+
     /// Writes one record's frame to the active segment, before the caller
     /// applies it, without a sync: it is durable once [`sync`] or a rotation
     /// returns.
@@ -756,10 +909,10 @@ impl SegmentedJournal {
     ///
     /// The sequence — each step durable before the next — is
     ///
-    /// 1. fsync the active segment (committing any record appended since
-    ///    the last [`sync`], so no seal or snapshot covers an unsynced
-    ///    record), rename `.open` → `.strj` (atomic), fsync the directory:
-    ///    the seal either happened or it did not;
+    /// 1. cut the active segment's zero tail and fsync it (committing any
+    ///    record appended since the last [`sync`], so no seal or snapshot
+    ///    covers an unsynced record), rename `.open` → `.strj` (atomic),
+    ///    fsync the directory: the seal either happened or it did not;
     /// 2. if `snapshot` bytes were supplied: write them to
     ///    `snapshot-NNNNNN.tmp`, fsync, rename to `.strsnp`, fsync the
     ///    directory — a crash mid-write leaves only an ignored `.tmp`;
@@ -781,6 +934,7 @@ impl SegmentedJournal {
         let sealed = self.index;
         let open_path = segment_path(&self.dir, sealed, false);
         let sealed_path = segment_path(&self.dir, sealed, true);
+        self.writer.trim()?;
         self.writer.sync()?;
         std::fs::rename(&open_path, &sealed_path).map_err(|e| io_err("seal", &open_path, e))?;
         sync_dir(&self.dir, &mut self.syncs)?;
@@ -820,7 +974,9 @@ impl SegmentedJournal {
 
         self.index = sealed + 1;
         let next = JournalWriter::create(&segment_path(&self.dir, self.index, false))?;
-        self.syncs += std::mem::replace(&mut self.writer, next).syncs;
+        let retired = std::mem::replace(&mut self.writer, next);
+        self.syncs += retired.syncs;
+        self.tail_growths += retired.tail_growths;
         sync_dir(&self.dir, &mut self.syncs)?;
         self.segment_records = 0;
         self.segment_bytes = 0;
@@ -873,7 +1029,8 @@ pub fn wall_clock_micros() -> u64 {
 
 /// Copies journal directory `src` to `dst` with every wall-clock stamp in
 /// every segment zeroed — the tool behind the "timestamps never influence
-/// replay" pin.  Snapshot files carry no wall clocks and are copied
+/// replay" pin.  Each copied segment holds exactly its frames (no zero
+/// tail).  Snapshot files carry no wall clocks and are copied
 /// byte-identical.  Fails on a torn segment (the caller should recover
 /// first).
 pub fn rewrite_zeroed(src: &Path, dst: &Path) -> Result<usize, JournalError> {
@@ -884,7 +1041,7 @@ pub fn rewrite_zeroed(src: &Path, dst: &Path) -> Result<usize, JournalError> {
         let sealed = scan.sealed.contains(&index);
         let segment = segment_path(src, index, sealed);
         let (records, tail) = load(&segment)?;
-        if tail != TailStatus::Clean {
+        if tail.torn_at().is_some() {
             return Err(JournalError::Io {
                 op: "rewrite-zeroed",
                 path: segment,
@@ -898,6 +1055,7 @@ pub fn rewrite_zeroed(src: &Path, dst: &Path) -> Result<usize, JournalError> {
                 event: record.event,
             })?;
         }
+        writer.trim()?;
         writer.sync()?;
         total += records.len();
     }
@@ -994,6 +1152,24 @@ mod tests {
         }
     }
 
+    /// The frame of `record` exactly as [`JournalWriter::append`] writes it.
+    fn frame_of(record: &JournalRecord) -> Vec<u8> {
+        let payload = encode_payload(record);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    /// Magic plus the frames of `records`: a segment with no zero tail.
+    fn frames_of(records: &[JournalRecord]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for r in records {
+            bytes.extend_from_slice(&frame_of(r));
+        }
+        bytes
+    }
+
     #[test]
     fn append_then_load_round_trips() {
         let path = tmp("roundtrip");
@@ -1003,8 +1179,236 @@ mod tests {
         }
         let (records, tail) = load(&path).unwrap();
         assert_eq!(records, sample_records());
-        assert_eq!(tail, TailStatus::Clean);
+        assert_eq!(
+            tail,
+            TailStatus::Clean {
+                valid_bytes: frames_of(&sample_records()).len() as u64
+            }
+        );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_live_segment_is_magic_then_frames_then_zeros() {
+        let path = tmp("layout");
+        let mut w = JournalWriter::create(&path).unwrap();
+        let tail_end = MAGIC.len() as u64 + ZERO_TAIL_LEN;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), tail_end);
+        for r in sample_records() {
+            w.append(&r).unwrap();
+            // Appends overwrite the tail: the length a sync would commit
+            // never changes.
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), tail_end);
+        }
+        assert_eq!(w.tail_growths, 0);
+        let frames = frames_of(&sample_records());
+        assert_eq!(w.frame_end(), frames.len() as u64);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[..frames.len()], frames[..]);
+        assert!(bytes[frames.len()..].iter().all(|&b| b == 0));
+        let (records, tail) = load(&path).unwrap();
+        assert_eq!(records, sample_records());
+        assert_eq!(
+            tail,
+            TailStatus::Clean {
+                valid_bytes: frames.len() as u64
+            }
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_zero_header_followed_by_a_non_zero_byte_is_torn_at_that_frame() {
+        let frames = frames_of(&sample_records());
+        let path = Path::new("zero-header");
+        // A zero header, then any non-zero byte anywhere after it.
+        for at in [RECORD_HEADER_LEN, RECORD_HEADER_LEN + 40, 4096] {
+            let mut bytes = frames.clone();
+            bytes.resize(frames.len() + 8192, 0);
+            bytes[frames.len() + at] = 0x01;
+            let (records, tail) = parse(&bytes, path).unwrap();
+            assert_eq!(
+                records,
+                sample_records(),
+                "non-zero byte {at} past the frames"
+            );
+            assert_eq!(
+                tail,
+                TailStatus::Torn {
+                    valid_bytes: frames.len() as u64,
+                    reason: TornReason::MalformedPayload(PayloadError::Empty),
+                },
+                "non-zero byte {at} past the frames"
+            );
+        }
+        // Short remainders: all zero is a clean end, anything else torn.
+        for short in 1..RECORD_HEADER_LEN {
+            let mut bytes = frames.clone();
+            bytes.resize(frames.len() + short, 0);
+            assert_eq!(
+                parse(&bytes, path).unwrap().1,
+                TailStatus::Clean {
+                    valid_bytes: frames.len() as u64
+                }
+            );
+            *bytes.last_mut().unwrap() = 0x80;
+            assert_eq!(
+                parse(&bytes, path).unwrap().1,
+                TailStatus::Torn {
+                    valid_bytes: frames.len() as u64,
+                    reason: TornReason::TruncatedHeader,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_torn_inside_the_tail_is_torn_at_its_start() {
+        // A crash mid-append leaves a prefix of the frame over the zero
+        // tail: every such prefix is torn at the frame's start, never read
+        // as padding.  A prefix whose unwritten rest is zero already is
+        // the whole frame, byte for byte.
+        let records = sample_records();
+        let prefix = frames_of(&records[..2]);
+        let frame = frame_of(&records[2]);
+        let mut torn = 0;
+        for written in 1..frame.len() {
+            let mut bytes = prefix.clone();
+            bytes.extend_from_slice(&frame[..written]);
+            bytes.resize(prefix.len() + ZERO_TAIL_LEN as usize, 0);
+            let (parsed, tail) = parse(&bytes, Path::new("torn-in-tail")).unwrap();
+            if frame[written..].iter().all(|&b| b == 0) {
+                assert_eq!(parsed, records, "{written} bytes written");
+                assert_eq!(
+                    tail,
+                    TailStatus::Clean {
+                        valid_bytes: (prefix.len() + frame.len()) as u64
+                    }
+                );
+                continue;
+            }
+            torn += 1;
+            assert_eq!(parsed, records[..2], "{written} bytes written");
+            assert_eq!(
+                tail.torn_at(),
+                Some(prefix.len() as u64),
+                "{written} bytes written: {tail:?}"
+            );
+        }
+        // The payload ends in the high bytes of `databank: 1`.
+        assert_eq!(torn, 41);
+    }
+
+    #[test]
+    fn rotate_and_finish_leave_exactly_magic_plus_frames() {
+        let dir = tmp("trim");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journal = SegmentedJournal::create(
+            &dir,
+            RotationPolicy {
+                max_records: 2,
+                max_bytes: u64::MAX,
+            },
+        )
+        .unwrap();
+        let records = sample_records();
+        for r in &records {
+            journal.append(r).unwrap();
+            if journal.should_rotate() {
+                journal.rotate(None, usize::MAX, None).unwrap();
+            }
+        }
+        let sealed = std::fs::read(segment_path(&dir, 0, true)).unwrap();
+        assert_eq!(sealed, frames_of(&records[..2]));
+        // The active segment still carries its tail until the drain.
+        let open = segment_path(&dir, 1, false);
+        assert_eq!(
+            std::fs::metadata(&open).unwrap().len(),
+            MAGIC.len() as u64 + ZERO_TAIL_LEN
+        );
+        let syncs = journal.syncs();
+        journal.finish().unwrap();
+        assert_eq!(journal.syncs(), syncs + 1, "finish must sync once");
+        assert_eq!(std::fs::read(&open).unwrap(), frames_of(&records[2..]));
+        assert_eq!(journal.tail_growths(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn default_policy_segments_never_outgrow_the_tail() {
+        // The largest frame is a `Submitted`; a segment holds at most
+        // `max_records` frames, plus one more when a recovery reopens a
+        // full segment before its rotation.
+        let largest = sample_records()
+            .iter()
+            .map(|r| frame_of(r).len() as u64)
+            .max()
+            .unwrap();
+        assert_eq!(largest, 49);
+        let policy = RotationPolicy::default();
+        assert!((policy.max_records + 1) * largest <= ZERO_TAIL_LEN);
+    }
+
+    #[test]
+    fn a_tiny_tail_forces_growth_and_every_record_survives() {
+        // A segment whose zero tail is 16 bytes (shorter than one frame):
+        // the first append extends the file by a fresh tail, the later ones
+        // overwrite it again.
+        let dir = tmp("growth");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 0, false);
+        let records = sample_records();
+        let mut bytes = frames_of(&records[..1]);
+        let frame_end = bytes.len() as u64;
+        bytes.resize(bytes.len() + 16, 0);
+        std::fs::write(&path, &bytes).unwrap();
+        let reopen = |valid_bytes, in_segment| {
+            SegmentedJournal::open_after_recovery(
+                &dir,
+                RotationPolicy::default(),
+                Some((0, false)),
+                valid_bytes,
+                in_segment,
+                in_segment,
+            )
+            .unwrap()
+        };
+        let mut journal = reopen(frame_end, 1);
+        // Reopening kept the intact 16-byte tail.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), frame_end + 16);
+        assert_eq!(journal.tail_growths(), 0);
+        let mut stream = records[..1].to_vec();
+        for r in records[1..].iter().cycle().take(40) {
+            journal.append(r).unwrap();
+            stream.push(*r);
+        }
+        assert_eq!(journal.tail_growths(), 1, "one growth covers the rest");
+        drop(journal); // a crash: no sync, no trim
+        let (loaded, tail) = load(&path).unwrap();
+        assert_eq!(loaded, stream);
+        let frames = frames_of(&stream).len() as u64;
+        assert_eq!(
+            tail,
+            TailStatus::Clean {
+                valid_bytes: frames
+            }
+        );
+        // Recovery reopens at the parsed frame end, not at the file length.
+        let mut journal = reopen(tail.valid_bytes(), stream.len() as u64);
+        journal.append(&records[0]).unwrap();
+        stream.push(records[0]);
+        journal.finish().unwrap();
+        let (loaded, tail) = load(&path).unwrap();
+        assert_eq!(loaded, stream);
+        assert_eq!(
+            tail,
+            TailStatus::Clean {
+                valid_bytes: frames_of(&stream).len() as u64
+            }
+        );
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), tail.valid_bytes());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1015,8 +1419,9 @@ mod tests {
             w.append(&r).unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
-        // Chop mid-way through the last record's payload.
-        let cut = bytes.len() - 5;
+        // Chop mid-way through the last record's payload (the frame end,
+        // not the file end: the file ends in the zero tail).
+        let cut = w.frame_end() as usize - 5;
         std::fs::write(&path, &bytes[..cut]).unwrap();
         let (records, tail) = load(&path).unwrap();
         assert_eq!(records, sample_records()[..2]);
@@ -1027,9 +1432,14 @@ mod tests {
                 w.append(&sample_records()[2]).unwrap();
                 let (records, tail) = load(&path).unwrap();
                 assert_eq!(records, sample_records());
-                assert_eq!(tail, TailStatus::Clean);
+                assert_eq!(
+                    tail,
+                    TailStatus::Clean {
+                        valid_bytes: frames_of(&sample_records()).len() as u64
+                    }
+                );
             }
-            TailStatus::Clean => panic!("expected torn tail"),
+            TailStatus::Clean { .. } => panic!("expected torn tail"),
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1042,7 +1452,8 @@ mod tests {
             w.append(&r).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
-        let flip = bytes.len() - 3;
+        // Three bytes before the frame end: inside the last payload.
+        let flip = w.frame_end() as usize - 3;
         bytes[flip] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let (records, tail) = load(&path).unwrap();
@@ -1094,8 +1505,11 @@ mod tests {
         let mut zeroed = Vec::new();
         for &index in &scan.chain() {
             let sealed = scan.sealed.contains(&index);
-            let (records, tail) = load(&segment_path(&dst, index, sealed)).unwrap();
-            assert_eq!(tail, TailStatus::Clean);
+            let path = segment_path(&dst, index, sealed);
+            let (records, tail) = load(&path).unwrap();
+            // Copies hold exactly their frames.
+            let len = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(tail, TailStatus::Clean { valid_bytes: len });
             zeroed.extend(records);
         }
         for (zeroed, original) in zeroed.iter().zip(sample_records()) {
@@ -1133,10 +1547,15 @@ mod tests {
         assert_eq!(scan.chain(), vec![0, 1, 2, 3]);
         assert!(scan.snapshots.is_empty());
         // Each sealed segment holds exactly one record, torn-free.
-        for &index in &scan.sealed {
+        for (&index, record) in scan.sealed.iter().zip(sample_records()) {
             let (records, tail) = load(&segment_path(&dir, index, true)).unwrap();
             assert_eq!(records.len(), 1);
-            assert_eq!(tail, TailStatus::Clean);
+            assert_eq!(
+                tail,
+                TailStatus::Clean {
+                    valid_bytes: frames_of(&[record]).len() as u64
+                }
+            );
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

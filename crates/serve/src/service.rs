@@ -19,7 +19,9 @@
 //!   commit): [`StretchServe::submit`] syncs once after its `Submitted`
 //!   frame, which also commits the forced `Decision` frame before it, and
 //!   [`StretchServe::finish`] syncs once after the drain decision.  A
-//!   rotation syncs the active segment before it seals it.
+//!   rotation syncs the active segment before it seals it.  The frames
+//!   overwrite the active segment's pre-written zero tail, so these syncs
+//!   flush data only (see [`journal`]).
 //!
 //! A crash of the process keeps every written frame.  A power loss inside a
 //! call keeps some prefix of that call's frames, possibly none; either way
@@ -240,9 +242,11 @@ pub struct RecoveryReport {
     /// Snapshots rejected before the winning candidate, newest first, each
     /// with its typed reason.
     pub rejected_snapshots: Vec<(u64, SnapshotRejectReason)>,
-    /// Why the tail of the last segment was torn, when it was.
+    /// Why the tail of the last segment was torn, when it was.  A zero
+    /// tail past the last whole frame is not torn.
     pub torn: Option<TornReason>,
-    /// Bytes of torn tail truncated before reopening for append.
+    /// Bytes past the valid prefix cut before reopening for append: the
+    /// torn record and any zero tail after it (0 when the tail is clean).
     pub truncated_bytes: u64,
     /// Sealed segments garbage-collected after recovery.
     pub gc_segments: usize,
@@ -334,9 +338,10 @@ struct SegmentReplay {
     replayed: usize,
     /// Torn-tail reason of the last segment, when its tail was torn.
     torn: Option<TornReason>,
-    /// Bytes past the last segment's valid prefix.
+    /// Bytes past the last segment's valid prefix, when its tail was torn.
     truncated_bytes: u64,
-    /// Valid prefix bytes of the final segment (what reopen truncates to).
+    /// The final segment's frame end as the parser found it (where reopen
+    /// appends), never its file length.
     last_valid_bytes: u64,
     /// Records in the final segment.
     last_records: u64,
@@ -418,11 +423,12 @@ fn replay_segments(
                 .unwrap_or(valid_bytes);
             out.torn = Some(reason);
             out.truncated_bytes = file_len.saturating_sub(valid_bytes);
-            out.last_valid_bytes = valid_bytes;
-        } else if last {
-            out.last_valid_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         }
         if last {
+            // The frame end, clean or torn: a clean active segment ends in
+            // its zero tail, and reopening at the file length would append
+            // after the zeros, where the next parse never looks.
+            out.last_valid_bytes = tail.valid_bytes();
             out.last_records = records.len() as u64;
         }
         for record in &records {
@@ -1014,16 +1020,16 @@ impl StretchServe {
     }
 
     /// Drains the service: takes the final decision if one is due, executes
-    /// to completion (infinite horizon), syncs the journal once (committing
-    /// the drain decision) and closes the stream.  Idempotent: a second call
-    /// neither decides nor syncs.
+    /// to completion (infinite horizon), cuts the active segment's zero tail
+    /// and syncs the journal once (committing the drain decision) and closes
+    /// the stream.  Idempotent: a second call neither decides nor syncs.
     pub fn finish(&mut self) -> Result<(), JournalError> {
         if !self.finished {
             if self.scheduler.needs_decision() {
                 self.decide()?;
             }
             self.scheduler.advance(f64::INFINITY);
-            self.journal.sync()?;
+            self.journal.finish()?;
             self.finished = true;
         }
         Ok(())
@@ -1079,5 +1085,17 @@ impl StretchServe {
     /// those and this count belongs to one process.
     pub fn journal_syncs(&self) -> u64 {
         self.journal.syncs()
+    }
+
+    /// Appends since this service created or recovered its journal that ran
+    /// past the active segment's zero tail, so that their sync also
+    /// committed a file-size change (see [`journal`]).  Under the default
+    /// rotation policy no segment outgrows its tail, so this reads 0 unless
+    /// the service recovered a journal left without one (drained, or
+    /// written before the tail existed), whose first append lays one down.
+    /// A pure count with no clock, and not a [`ServeMetrics`] counter, for
+    /// the reason [`journal_syncs`](StretchServe::journal_syncs) gives.
+    pub fn tail_growths(&self) -> u64 {
+        self.journal.tail_growths()
     }
 }

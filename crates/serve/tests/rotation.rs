@@ -292,9 +292,9 @@ fn mid_rotation_crash_states_recover_to_the_live_state() {
     // Crash window 3 — after the snapshot rename, before the next segment
     // opens.  With `max_records: 1` every append rotates at the end of the
     // call that wrote it, so after any submit() the active segment holds
-    // only its magic header; deleting that fresh `.open` then reproduces
-    // the crash state exactly, and the newest snapshot covers *every*
-    // record: replay is empty.
+    // no frame yet (its magic header and zero tail); deleting that fresh
+    // `.open` then reproduces the crash state exactly, and the newest
+    // snapshot covers *every* record: replay is empty.
     let every_record = rotated_config(SolverConfig::default(), 1, 1);
     let case = tmp("midrot-aftersnap");
     let _ = std::fs::remove_dir_all(&case);
@@ -307,10 +307,11 @@ fn mid_rotation_crash_states_recover_to_the_live_state() {
             .unwrap();
         let scan = journal::scan_dir(&case).unwrap();
         let open = scan.open.unwrap();
-        let open_len = std::fs::metadata(journal::segment_path(&case, open, false))
-            .unwrap()
-            .len();
-        if !scan.snapshots.is_empty() && open_len == journal::MAGIC.len() as u64 {
+        let (_, open_tail) = journal::load(&journal::segment_path(&case, open, false)).unwrap();
+        let no_frame_yet = journal::TailStatus::Clean {
+            valid_bytes: journal::MAGIC.len() as u64,
+        };
+        if !scan.snapshots.is_empty() && open_tail == no_frame_yet {
             boundary = Some((serve.state_digest(), open, *scan.snapshots.last().unwrap()));
             break;
         }

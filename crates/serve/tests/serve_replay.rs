@@ -15,7 +15,12 @@
 //!   every backend, and bit-identical to the sealed recording under the
 //!   recording backend.
 //! * **Group commit**: each acknowledged call syncs the journal exactly
-//!   once, a submission and the decision it forces together.
+//!   once, a submission and the decision it forces together, and under the
+//!   default rotation policy no frame outgrows the active segment's zero
+//!   tail, so no such sync commits a file-size change.
+//! * **Zero tail across crashes**: a journal crashed twice with its zero
+//!   tail in place recovers every acknowledged record both times, with no
+//!   torn tail, and lands on the uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -165,7 +170,6 @@ fn legacy_tier_code_zero_journals_recover_on_the_simplex_backend() {
         let sealed = scan.sealed.contains(&index);
         let (records, tail) =
             journal::load(&journal::segment_path(&live_path, index, sealed)).unwrap();
-        assert_eq!(tail, TailStatus::Clean);
         let mut writer =
             JournalWriter::create(&journal::segment_path(&legacy_path, index, sealed)).unwrap();
         for record in records {
@@ -177,6 +181,14 @@ fn legacy_tier_code_zero_journals_recover_on_the_simplex_backend() {
             };
             writer.append(&JournalRecord { event, ..record }).unwrap();
         }
+        // A clean tail, ending where the rewritten frames (same kinds, same
+        // sizes) end.
+        assert_eq!(
+            tail,
+            TailStatus::Clean {
+                valid_bytes: writer.frame_end()
+            }
+        );
     }
 
     let (mut recovered, report) =
@@ -540,4 +552,113 @@ fn each_acknowledged_call_issues_exactly_one_journal_sync() {
         "the stream rotated"
     );
     std::fs::remove_dir_all(&path).unwrap();
+}
+
+#[test]
+fn no_append_outgrows_the_zero_tail_under_the_default_policy() {
+    // Each frame overwrites the active segment's pre-written zero tail, so
+    // the one sync of each acknowledged call commits data only: the file's
+    // length holds still until `finish` cuts the tail.
+    let instance = reference_instance(3, 3, 20, 3);
+    let path = tmp("tail-growths");
+    let mut serve =
+        StretchServe::create(&path, instance.platform.clone(), ServeConfig::default()).unwrap();
+    let segment = journal::segment_path(&path, 0, false);
+    let file_len = || std::fs::metadata(&segment).unwrap().len();
+    let live_len = journal::MAGIC.len() as u64 + journal::ZERO_TAIL_LEN;
+    assert_eq!(file_len(), live_len);
+    for (i, job) in instance.jobs.iter().enumerate() {
+        let outcome = serve
+            .submit(Submission::new(job.release, job.work, job.databank))
+            .unwrap();
+        assert!(outcome.is_accepted(), "job {i}: {outcome:?}");
+        assert_eq!(
+            serve.tail_growths(),
+            0,
+            "job {i}: an append extended the file"
+        );
+        assert_eq!(
+            file_len(),
+            live_len,
+            "job {i}: the segment's length changed"
+        );
+    }
+    serve.finish().unwrap();
+    assert_eq!(serve.tail_growths(), 0, "the drain extended the file");
+    let (records, tail) = journal::load(&segment).unwrap();
+    assert_eq!(
+        records.len() as u64,
+        serve.metrics().accepted + serve.metrics().decisions
+    );
+    assert_eq!(
+        tail,
+        TailStatus::Clean {
+            valid_bytes: file_len()
+        },
+        "finish left the zero tail"
+    );
+    assert_eq!(
+        journal::scan_dir(&path).unwrap().open,
+        Some(0),
+        "the stream rotated"
+    );
+    std::fs::remove_dir_all(&path).unwrap();
+}
+
+#[test]
+fn a_padded_journal_crashed_twice_keeps_every_acknowledged_record() {
+    // Recovery must reopen the active segment at the frame end the parser
+    // found, not at the file length: appending after the zero tail would
+    // hide the next process's records behind a zero header, and the second
+    // recovery would drop them.
+    let instance = reference_instance(3, 3, 20, 3);
+    let full_path = tmp("double-crash-full");
+    let full = serve_instance(&full_path, &instance, ServeConfig::default());
+    let path = tmp("double-crash");
+    let jobs = &instance.jobs;
+    let (first, second) = (jobs.len() / 3, 2 * jobs.len() / 3);
+    let submit = |serve: &mut StretchServe, range: std::ops::Range<usize>| {
+        for job in &jobs[range] {
+            let outcome = serve
+                .submit(Submission::new(job.release, job.work, job.databank))
+                .unwrap();
+            assert!(outcome.is_accepted(), "{outcome:?}");
+        }
+    };
+    // Records acknowledged so far, and the state they leave.
+    let acknowledged = |serve: &StretchServe| {
+        let m = serve.metrics();
+        (m.accepted + m.decisions, serve.state_digest())
+    };
+
+    let recover = |crash: &str, expected: (u64, u64)| {
+        let (serve, report) =
+            StretchServe::recover(&path, instance.platform.clone(), ServeConfig::default())
+                .unwrap();
+        assert_eq!(report.torn, None, "{crash}: padding read as a torn tail");
+        assert_eq!(report.truncated_bytes, 0, "{crash}: {report:?}");
+        assert_eq!(
+            (report.records as u64, serve.state_digest()),
+            expected,
+            "{crash}: acknowledged records lost"
+        );
+        serve
+    };
+
+    let mut serve =
+        StretchServe::create(&path, instance.platform.clone(), ServeConfig::default()).unwrap();
+    submit(&mut serve, 0..first);
+    let expected = acknowledged(&serve);
+    drop(serve); // the first crash: no drain, the zero tail stays
+    let mut serve = recover("first crash", expected);
+    submit(&mut serve, first..second);
+    let expected = acknowledged(&serve);
+    drop(serve); // the second crash
+    let mut serve = recover("second crash", expected);
+    submit(&mut serve, second..jobs.len());
+    serve.finish().unwrap();
+    assert_eq!(serve.state_digest(), full.state_digest());
+    assert_eq!(bits(serve.completions()), bits(full.completions()));
+    std::fs::remove_dir_all(&path).unwrap();
+    std::fs::remove_dir_all(&full_path).unwrap();
 }

@@ -80,7 +80,12 @@ fn prefix_digests(bytes: &[u8], platform: &Platform, scratch: &Path) -> Vec<u64>
     let parse_path = scratch.join("parse");
     std::fs::write(&parse_path, bytes).unwrap();
     let (records, tail) = journal::load(&parse_path).unwrap();
-    assert_eq!(tail, journal::TailStatus::Clean);
+    assert_eq!(
+        tail,
+        journal::TailStatus::Clean {
+            valid_bytes: bytes.len() as u64
+        }
+    );
     std::fs::remove_file(&parse_path).unwrap();
 
     let mut digests = Vec::with_capacity(records.len() + 1);
@@ -157,7 +162,12 @@ fn recovery_from_a_journal_ending_in_a_decision_converges_to_the_uninterrupted_r
     let bytes = sole_segment_bytes(&journal_path);
     std::fs::remove_dir_all(&journal_path).unwrap();
     let (records, tail) = journal::parse(&bytes, &journal_path).unwrap();
-    assert_eq!(tail, journal::TailStatus::Clean);
+    assert_eq!(
+        tail,
+        journal::TailStatus::Clean {
+            valid_bytes: bytes.len() as u64
+        }
+    );
 
     let case_path = tmp("decision-cut-case");
     let mut frame_end = journal::MAGIC.len();
