@@ -113,11 +113,11 @@ fn d4_scope(rel: &str) -> bool {
 
 fn d5_scope(rel: &str) -> bool {
     // The serve ingestion path: submission, journalling, dead-lettering,
-    // event decoding, the bus and the trace codec.  Submissions must
-    // dead-letter, never panic — a panicking ingest turns one malformed
-    // request into an outage for every queued request behind it; likewise
-    // a panicking trace parser turns one torn recording into an
-    // unreplayable run.
+    // event decoding, the bus and the replay of recorded journals.
+    // Submissions must dead-letter, never panic — a panicking ingest turns
+    // one malformed request into an outage for every queued request behind
+    // it; likewise a panicking replay turns one torn recording into an
+    // unreplayable run instead of a typed refusal.
     any_path(
         rel,
         &[

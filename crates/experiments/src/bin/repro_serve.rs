@@ -30,7 +30,7 @@
 //!   footprint is bounded: at most `STRETCH_SERVE_SNAPSHOT_RETAIN`
 //!   snapshots survive, every sealed segment covered by the oldest kept
 //!   snapshot is garbage-collected, and the compacted directory still
-//!   recovers to the drained state.
+//!   recovers to the drained state, as a finished service.
 //!
 //! Every mode runs the default solver configuration (the warm simplex); the
 //! segment and snapshot knobs (`STRETCH_SERVE_SEGMENT_RECORDS`,
@@ -373,18 +373,20 @@ fn compact_mode() {
         scan.sealed
     );
 
-    // The drain itself (`advance(∞)`) is not a journaled event, so recovery
-    // lands just before it; finishing the recovered service must then reach
-    // the drained state exactly.
     let (mut recovered, report) =
         StretchServe::recover(&journal_dir, instance.platform.clone(), config)
             .expect("recover compacted journal");
-    recovered.finish().expect("drain recovered run");
+    assert!(
+        recovered.is_finished(),
+        "the drained journal recovered as an open service"
+    );
     assert_eq!(
         recovered.state_digest(),
         digest,
         "recovery from the compacted directory diverged from the drained state"
     );
+    recovered.finish().expect("finish the recovered run");
+    assert_eq!(recovered.state_digest(), digest);
     let _ = std::fs::remove_dir_all(&journal_dir);
     println!(
         "repro_serve compact: OK ({} sealed + {} snapshots on disk, replayed {} records \

@@ -1,26 +1,30 @@
-//! Records, replays and attacks scheduler runs through the `.strt` trace
-//! harness.
+//! Records, replays and attacks scheduler runs.  A recorded run is the
+//! drained journal directory of a serve run (`stretch_serve::trace`).
 //!
 //! Modes, selected by `STRETCH_TRACE_MODE` (malformed values abort loudly,
 //! like every other `STRETCH_*` knob):
 //!
 //! * unset or `smoke` — record a serve run of the reference stream into a
-//!   temporary trace, then replay it on both backends × warm/cold and
-//!   assert every cell lands on the same state digest and bit-identical
-//!   completions, including the sealed digest of the recording run itself.
-//!   This is the CI trace-replay leg.
+//!   temporary journal directory, then replay it on both backends ×
+//!   warm/cold and assert every cell lands on the same state digest and
+//!   bit-identical completions, and on the digest of the journal's
+//!   `Drained` record.  This is the CI trace-replay leg.
 //! * `adversary` — run the seeded hill-climb adversary over the reference
 //!   stream, scoring candidates by the achieved-online vs.
 //!   offline-clairvoyant max-stretch ratio under the default solver
 //!   configuration; prints the score trajectory and, when `STRETCH_TRACE_OUT` is
-//!   set, records the worst stream found as a sealed trace there.
-//! * `bless` — re-record the checked-in trace fixture
-//!   (`tests/fixtures/trace_0.strt`): the adversary's worst stream under
-//!   the pinned search seed, recorded through a full serve run.  Run after
-//!   any change to the scheduler pipeline, trace codec or adversary, then
-//!   commit the fixture together with the change.
+//!   set, records the worst stream found as a drained journal directory
+//!   there and checks that it replays to its drained digest.
+//! * `bless` — re-record the checked-in trace fixture, the drained journal
+//!   directory `tests/fixtures/trace_0/`: the adversary's worst stream
+//!   under the pinned search seed, recorded through a full serve run.  Run
+//!   after any change to the scheduler pipeline, journal format or
+//!   adversary, then commit the fixture together with the change.
 //!
-//! Every mode runs the default solver configuration (the warm simplex).
+//! Every mode runs the default solver configuration (the warm simplex),
+//! and records under the default rotation policy whatever the
+//! `STRETCH_SERVE_*` knobs say: its 1024-record segments keep segment 0
+//! of every stream recorded here, and replay reads segments only.
 //! The adversary budget is pinned (seed and rounds are part of the fixture
 //! contract), so every mode is reproducible bit for bit.
 
@@ -30,13 +34,13 @@ use stretch_core::adversarial::online_offline_ratio;
 use stretch_core::refstream::reference_instance;
 use stretch_core::{OnlineVariant, SolverConfig};
 use stretch_experiments::trace_fixture_path;
-use stretch_serve::trace::{self, TraceTail};
+use stretch_serve::trace;
 use stretch_serve::{ServeConfig, Submission};
 use stretch_workload::adversary::{self, AdversaryConfig};
 use stretch_workload::Instance;
 
 /// The pinned adversary budget: part of the fixture contract — changing
-/// any field requires re-blessing `trace_0.strt` and the adversary
+/// any field requires re-blessing `trace_0/` and the adversary
 /// goldens.  Must stay identical to
 /// `stretch_experiments::adversary_budget` (pinned by a test there).
 fn adversary_budget() -> AdversaryConfig {
@@ -90,33 +94,23 @@ fn tmp_dir(name: &str) -> PathBuf {
     p
 }
 
-/// Records `instance` through a full serve run into `trace_path`, then
-/// asserts the trace replays to the same digest and completions on every
-/// backend × warm/cold cell.
-fn record_and_check(instance: &Instance, trace_path: &Path) -> trace::RecordedRun {
-    let journal_dir = tmp_dir("journal");
-    let _ = std::fs::remove_dir_all(&journal_dir);
-    let config = ServeConfig::from_env();
+/// Records `instance` through a full serve run into the journal directory
+/// `dir`, then asserts the drained journal replays to the same digest and
+/// completions on every backend × warm/cold cell.
+fn record_and_check(instance: &Instance, dir: &Path) -> trace::RecordedRun {
     let run = trace::record_run(
-        trace_path,
-        &journal_dir,
+        dir,
         instance.platform.clone(),
-        config,
+        ServeConfig::default(),
         &submissions_of(instance),
     )
     .expect("record serve run");
-    let _ = std::fs::remove_dir_all(&journal_dir);
     assert_eq!(
         run.rejected, 0,
         "reference submissions must all be accepted"
     );
 
-    let (recorded, tail) = trace::load(trace_path).expect("load recorded trace");
-    assert_eq!(tail, TraceTail::Clean, "fresh recording has a torn tail");
-    assert!(recorded.is_sealed(), "fresh recording is unsealed");
-
-    let matrix =
-        trace::replay_matrix(&recorded, &instance.platform).expect("replay recorded trace");
+    let matrix = trace::replay_matrix(dir, &instance.platform).expect("replay recorded journal");
     for (cell, outcome) in &matrix {
         println!(
             "  replay {}/{}: digest {:016x}, {} decisions{}",
@@ -151,7 +145,7 @@ fn record_and_check(instance: &Instance, trace_path: &Path) -> trace::RecordedRu
         );
         assert!(
             outcome.matches_recorded,
-            "replay on {}/{} does not reproduce the sealed digest {:016x}",
+            "replay on {}/{} does not reproduce the drained digest {:016x}",
             cell.backend.name(),
             if cell.warm_start { "warm" } else { "cold" },
             run.digest
@@ -162,9 +156,9 @@ fn record_and_check(instance: &Instance, trace_path: &Path) -> trace::RecordedRu
 
 fn smoke_mode() {
     let instance = smoke_stream();
-    let trace_path = tmp_dir("smoke.strt");
-    let run = record_and_check(&instance, &trace_path);
-    let _ = std::fs::remove_file(&trace_path);
+    let dir = tmp_dir("smoke");
+    let run = record_and_check(&instance, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
     println!(
         "repro_trace smoke: OK ({} submissions, digest {:016x}, backend {})",
         run.accepted,
@@ -203,21 +197,22 @@ fn adversary_mode() {
         result.best_score
     );
     if let Some(out) = env_var("STRETCH_TRACE_OUT").map(PathBuf::from) {
-        let trace_path = out;
-        let journal_dir = tmp_dir("adversary-journal");
-        let _ = std::fs::remove_dir_all(&journal_dir);
         let run = trace::record_run(
-            &trace_path,
-            &journal_dir,
+            &out,
             result.best.platform.clone(),
-            ServeConfig::from_env(),
+            ServeConfig::default(),
             &submissions_of(&result.best),
         )
-        .expect("record adversarial trace");
-        let _ = std::fs::remove_dir_all(&journal_dir);
+        .expect("record adversarial run");
+        let replayed =
+            trace::replay(&out, &result.best.platform, solver).expect("replay adversarial run");
+        assert!(
+            replayed.matches_recorded,
+            "the recorded worst stream does not replay to its drained digest"
+        );
         println!(
             "repro_trace adversary: worst stream recorded to {} (digest {:016x})",
-            trace_path.display(),
+            out.display(),
             run.digest
         );
     }
@@ -229,19 +224,13 @@ fn bless_mode() {
     let solver = SolverConfig::network_simplex();
     let (result, start) = attack(solver);
     let fixture = trace_fixture_path(0);
-    let journal_dir = tmp_dir("bless-journal");
-    let _ = std::fs::remove_dir_all(&journal_dir);
-    let mut config = ServeConfig::from_env();
-    config.solver = solver;
     let run = trace::record_run(
         &fixture,
-        &journal_dir,
         result.best.platform.clone(),
-        config,
+        ServeConfig::with_solver(solver),
         &submissions_of(&result.best),
     )
-    .expect("record fixture trace");
-    let _ = std::fs::remove_dir_all(&journal_dir);
+    .expect("record fixture run");
     println!(
         "repro_trace bless: {} rewritten ({} submissions, digest {:016x}, \
          ratio {start:.6} -> {:.6})",

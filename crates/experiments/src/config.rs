@@ -105,7 +105,7 @@ pub fn reduced_grid() -> Vec<ExperimentConfig> {
 /// every scenario table has the §5 baseline alongside).  The adversarial
 /// family runs the seeded hill-climb with a small fixed budget so the
 /// scenario grid stays cheap and reproducible; the trace family replays
-/// checked-in `.strt` fixture 0.
+/// checked-in trace fixture 0, a drained journal directory.
 pub fn scenario_families() -> Vec<Scenario> {
     vec![
         Scenario::Steady,
@@ -126,7 +126,7 @@ pub fn scenario_families() -> Vec<Scenario> {
 /// The pinned adversary search budget shared by `repro_trace`, the
 /// adversary golden fixtures and the `theorems.rs` ratio bound.  Every
 /// field is part of the fixture contract: changing any of them requires
-/// re-blessing `tests/fixtures/trace_0.strt` and the
+/// re-blessing `tests/fixtures/trace_0/` and the
 /// `adversary_smoke_*.golden` files (`STRETCH_BLESS=1`), and re-checking
 /// the pinned ratio margin in `tests/theorems.rs`.
 pub fn adversary_budget() -> AdversaryConfig {

@@ -119,25 +119,25 @@ pub fn draw_instance_scaled(
     generator.generate_instance(platform, &mut rng)
 }
 
-/// Path of checked-in trace fixture `index`
-/// (`tests/fixtures/trace_{index}.strt`, blessed by `repro_trace`).
+/// Path of checked-in trace fixture `index`: the drained journal directory
+/// `tests/fixtures/trace_{index}/`, blessed by `repro_trace`.
 pub fn trace_fixture_path(index: u32) -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("trace_{index}.strt"))
+        .join(format!("trace_{index}"))
 }
 
 /// Loads checked-in trace fixture `index` as an instance on `platform`.
 ///
-/// The trace pins releases and works bit for bit; each submission's
+/// The journal pins releases and works bit for bit; each submission's
 /// databank is taken modulo the platform's databank count and bumped to
 /// the nearest hosted databank when the folded target is replicated
 /// nowhere, so any trace stays runnable on any drawn platform.  Panics
-/// with a re-bless hint when the fixture is missing, torn or unsealed —
+/// with a re-bless hint when the fixture is missing, torn or not drained —
 /// a checked-in trace must always load cleanly.
 fn trace_instance(index: u32, platform: Platform) -> Instance {
     let path = trace_fixture_path(index);
-    let (trace, tail) = stretch_serve::trace::load(&path).unwrap_or_else(|e| {
+    let recording = stretch_serve::Recording::load(&path).unwrap_or_else(|e| {
         panic!(
             "cannot load trace fixture {}: {e}; re-bless with \
              STRETCH_BLESS=1 STRETCH_TRACE_MODE=bless cargo run --release \
@@ -145,32 +145,20 @@ fn trace_instance(index: u32, platform: Platform) -> Instance {
             path.display()
         )
     });
-    assert_eq!(
-        tail,
-        stretch_serve::trace::TraceTail::Clean,
-        "trace fixture {} has a torn tail",
-        path.display()
-    );
-    assert!(
-        trace.is_sealed(),
-        "trace fixture {} is not sealed",
-        path.display()
-    );
     let hosted: Vec<usize> = (0..platform.num_databanks())
         .filter(|&d| !platform.eligible_processors(d).is_empty())
         .collect();
     assert!(!hosted.is_empty(), "platform hosts no databank at all");
-    let jobs = trace
-        .submissions
-        .iter()
-        .map(|s| {
-            let folded = (s.databank % platform.num_databanks() as u64) as usize;
+    let jobs = recording
+        .submissions()
+        .map(|(release, work, databank)| {
+            let folded = (databank % platform.num_databanks() as u64) as usize;
             let databank = if platform.eligible_processors(folded).is_empty() {
                 hosted[folded % hosted.len()]
             } else {
                 folded
             };
-            Job::new(0, s.release, s.work, databank)
+            Job::new(0, release, work, databank)
         })
         .collect();
     Instance::new(platform, jobs)
@@ -305,6 +293,23 @@ mod tests {
             (mean - 20.0).abs() < 8.0,
             "mean job count {mean} should be close to the target 20"
         );
+    }
+
+    #[test]
+    fn the_trace_fixture_replays_to_its_drained_digest_warm_and_cold() {
+        // Recorded with the simplex on the platform of the adversary's base
+        // stream; the `Drained` record pins the replay bit for bit.
+        let platform = stretch_core::refstream::reference_instance(3, 3, 20, 3).platform;
+        for warm_start in [true, false] {
+            let solver = SolverConfig::network_simplex().with_warm_start(warm_start);
+            let outcome =
+                stretch_serve::trace::replay(&trace_fixture_path(0), &platform, solver).unwrap();
+            assert!(
+                outcome.matches_recorded,
+                "warm={warm_start}: the fixture replays to {:#018x}",
+                outcome.digest
+            );
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! then re-check the pinned margin in `tests/theorems.rs` and re-bless the
-//! trace fixture (`STRETCH_TRACE_MODE=bless cargo run --release -p
-//! stretch-experiments --bin repro_trace`).
+//! trace fixture, the drained journal directory `tests/fixtures/trace_0/`
+//! (`STRETCH_TRACE_MODE=bless cargo run --release -p stretch-experiments
+//! --bin repro_trace`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -156,18 +156,19 @@ fn invariant_audit_leg_is_pinned() {
 
 #[test]
 fn trace_replay_leg_is_pinned() {
-    // The recorded-trace leg: `.strt` format suite (exhaustive corruption
-    // sweep, version fencing), record-and-replay smoke across the full
-    // backend × warm matrix, and the cross-backend replay contract tests.
-    // Dropping any step would silently un-test the trace codec or the
-    // replay determinism contract.
+    // The recorded-run leg: the journal's torn-tail sweep (exhaustive
+    // truncation, which also requires replay to refuse every journal
+    // missing its `Drained` record), record-and-replay smoke across the
+    // full backend × warm matrix, and the cross-backend replay contract
+    // tests.  Dropping any step would silently un-test the journal a
+    // recorded run is, or the replay determinism contract.
     let yml = ci_yml();
     assert!(
         yml.contains("\n  trace-replay:"),
         "ci.yml lost the `trace-replay` job"
     );
     for needle in [
-        "cargo test -q -p stretch-serve --test trace_format",
+        "cargo test -q -p stretch-serve --test torn_journal",
         "--bin repro_trace",
         "cargo test -q -p stretch-serve --test serve_replay",
     ] {
@@ -183,7 +184,7 @@ fn adversary_regression_leg_is_pinned() {
     // The adversary leg: per-backend golden fixtures of the worst-found
     // streams, the pinned theorems margin over the trivial ratio bound,
     // and the end-to-end search smoke (which also records the worst
-    // stream as a sealed trace).  Without this job the adversary could
+    // stream as a drained journal directory).  Without this job the adversary could
     // lose its teeth — or the scheduler could get quietly easier to
     // attack — with no CI signal.
     let yml = ci_yml();

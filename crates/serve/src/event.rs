@@ -127,8 +127,8 @@ pub fn validate_submission(s: &Submission, platform: &Platform) -> Result<(), Re
 pub enum SolveTier {
     /// Legacy tier code 0: decisions recorded by the deleted `monge`
     /// backend, whose warm solves ran the warm simplex's own code.  It
-    /// still decodes from journals, snapshots and trace headers, and
-    /// replays on the network simplex; the live ladder never picks it.
+    /// still decodes from journals and snapshots, and replays on the
+    /// network simplex; the live ladder never picks it.
     Monge,
     /// Network simplex backend (the default).
     Simplex,
@@ -218,6 +218,19 @@ pub enum JournalEvent {
         /// The tier that produced the decision.
         tier: SolveTier,
     },
+    /// The terminal record: the drain to an infinite horizon, written by
+    /// [`finish`](crate::StretchServe::finish) after the drain it stands
+    /// for (it carries the drained state's digest) and committed by that
+    /// call's one sync.  Recovery replays it as the drain and checks the
+    /// digest, which also covers the two counts; no record may follow it.
+    Drained {
+        /// FNV-1a state digest of the drained scheduler.
+        digest: u64,
+        /// Submissions the journal accepted before the drain.
+        submissions: u64,
+        /// Decisions the journal holds before the drain.
+        decisions: u64,
+    },
 }
 
 /// A full journal record: wall-clock stamp (debugging only — replay must
@@ -274,10 +287,13 @@ impl std::error::Error for PayloadError {}
 
 const TAG_SUBMITTED: u8 = 1;
 const TAG_DECISION: u8 = 2;
+const TAG_DRAINED: u8 = 3;
 /// `tag + wall + seq + release + work + databank`.
 const SUBMITTED_LEN: usize = 1 + 8 + 8 + 8 + 8 + 8;
 /// `tag + wall + tier`.
 const DECISION_LEN: usize = 1 + 8 + 1;
+/// `tag + wall + digest + submissions + decisions`.
+const DRAINED_LEN: usize = 1 + 8 + 8 + 8 + 8;
 
 /// Encodes a record payload (the checksummed bytes between the frame header
 /// and the next record).  Floats are stored as IEEE-754 bit patterns so the
@@ -304,6 +320,19 @@ pub fn encode_payload(record: &JournalRecord) -> Vec<u8> {
             out.push(TAG_DECISION);
             out.extend_from_slice(&record.wall_micros.to_le_bytes());
             out.push(tier.code());
+            out
+        }
+        JournalEvent::Drained {
+            digest,
+            submissions,
+            decisions,
+        } => {
+            let mut out = Vec::with_capacity(DRAINED_LEN);
+            out.push(TAG_DRAINED);
+            out.extend_from_slice(&record.wall_micros.to_le_bytes());
+            out.extend_from_slice(&digest.to_le_bytes());
+            out.extend_from_slice(&submissions.to_le_bytes());
+            out.extend_from_slice(&decisions.to_le_bytes());
             out
         }
     }
@@ -352,6 +381,23 @@ pub fn decode_payload(bytes: &[u8]) -> Result<JournalRecord, PayloadError> {
                 event: JournalEvent::Decision { tier },
             })
         }
+        TAG_DRAINED => {
+            if bytes.len() != DRAINED_LEN {
+                return Err(PayloadError::BadLength {
+                    tag,
+                    expected: DRAINED_LEN,
+                    actual: bytes.len(),
+                });
+            }
+            Ok(JournalRecord {
+                wall_micros: read_u64(bytes, 1),
+                event: JournalEvent::Drained {
+                    digest: read_u64(bytes, 9),
+                    submissions: read_u64(bytes, 17),
+                    decisions: read_u64(bytes, 25),
+                },
+            })
+        }
         other => Err(PayloadError::UnknownTag(other)),
     }
 }
@@ -379,6 +425,14 @@ mod tests {
                     tier: SolveTier::Edf,
                 },
             },
+            JournalRecord {
+                wall_micros: u64::MAX,
+                event: JournalEvent::Drained {
+                    digest: 0x97b1_b8a4_f8e4_36c0,
+                    submissions: 22,
+                    decisions: 21,
+                },
+            },
         ];
         for r in records {
             let bytes = encode_payload(&r);
@@ -390,10 +444,12 @@ mod tests {
     fn decode_rejects_malformed_payloads_with_typed_errors() {
         assert_eq!(decode_payload(&[]), Err(PayloadError::Empty));
         assert_eq!(decode_payload(&[99]), Err(PayloadError::UnknownTag(99)));
-        assert!(matches!(
-            decode_payload(&[TAG_SUBMITTED, 0, 0]),
-            Err(PayloadError::BadLength { .. })
-        ));
+        for tag in [TAG_SUBMITTED, TAG_DRAINED] {
+            assert!(matches!(
+                decode_payload(&[tag, 0, 0]),
+                Err(PayloadError::BadLength { .. })
+            ));
+        }
         let mut decision = vec![TAG_DECISION];
         decision.extend_from_slice(&0u64.to_le_bytes());
         decision.push(77);

@@ -12,8 +12,12 @@
 //! submission's forced decision commits with it); scheduler state is a pure
 //! function of the record sequence, so crash recovery is replay
 //! ([`StretchServe::recover`]), tolerating torn tails by truncating at the
-//! first bad checksum.  Wall-clock timestamps are stamped into records for
-//! debugging but **never** consulted on replay.
+//! first bad checksum.  [`StretchServe::finish`] journals its drain as the
+//! terminal [`JournalEvent::Drained`] record with the drained state's
+//! digest, so a drained journal recovers as a finished service, and it is
+//! also the one recording format: [`trace`] replays a drained journal
+//! directory under any solver cell.  Wall-clock timestamps are stamped
+//! into records for debugging but **never** consulted on replay.
 //!
 //! Replay is *bounded*: the journal is a directory of rotated segments
 //! ([`journal::SegmentedJournal`]) interleaved with self-verifying scheduler
@@ -64,7 +68,4 @@ pub use service::{
     RecoverError, RecoveryReport, SnapshotRejectReason, StretchServe, SubmitOutcome,
 };
 pub use snapshot::{ServiceCounters, Snapshot, SnapshotError};
-pub use trace::{
-    RecordError, RecordedRun, ReplayError, ReplayOutcome, Trace, TraceError, TraceMeta,
-    TraceRecorder, TraceSeal, TraceTail, TRACE_MAGIC, TRACE_VERSION,
-};
+pub use trace::{RecordedRun, Recording, ReplayError, ReplayOutcome};

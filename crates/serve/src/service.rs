@@ -15,13 +15,18 @@
 //!   the submission (the frontier moving to its release date) happens, and
 //!   is written, first, so the journal order is exactly the transition
 //!   order;
+//! * the drain to an infinite horizon is written as
+//!   [`JournalEvent::Drained`] right *after* it is applied, because the
+//!   record carries the drained state's digest; nothing is acknowledged in
+//!   between, and it is the journal's last record;
 //! * each public call that appends has exactly one durability point (group
 //!   commit): [`StretchServe::submit`] syncs once after its `Submitted`
 //!   frame, which also commits the forced `Decision` frame before it, and
-//!   [`StretchServe::finish`] syncs once after the drain decision.  A
-//!   rotation syncs the active segment before it seals it.  The frames
-//!   overwrite the active segment's pre-written zero tail, so these syncs
-//!   flush data only (see [`journal`]).
+//!   [`StretchServe::finish`] syncs once after its `Drained` frame, which
+//!   also commits the drain decision before it.  A rotation syncs the
+//!   active segment before it seals it.  The frames overwrite the active
+//!   segment's pre-written zero tail, so these syncs flush data only (see
+//!   [`journal`]).
 //!
 //! A crash of the process keeps every written frame.  A power loss inside a
 //! call keeps some prefix of that call's frames, possibly none; either way
@@ -29,7 +34,9 @@
 //! prefix survived.
 //!
 //! Replay applies the same transitions in the same order, so a recovered
-//! process reaches bit-identical scheduler state.  Timing, fallbacks and
+//! process reaches bit-identical scheduler state; a journal that ends in
+//! its `Drained` record recovers as a finished service whose digest is
+//! checked against the record's.  Timing, fallbacks and
 //! circuit breaking are *live-only policy*: their outcome (which tier
 //! decided) is journaled, the wall clock never is consulted on replay.
 //!
@@ -258,6 +265,50 @@ pub struct RecoveryReport {
 enum ReplayedEvent {
     Submission,
     Decision(SolveTier),
+    Drained,
+}
+
+/// Replays one journaled submission `(seq, release, work, databank)`: checks
+/// its sequence number against `seq`, its databank width, its validity and
+/// its release against the frontier, moves the frontier to its release and
+/// stages it.  A decision due when the frontier moves goes to `due`:
+/// recovery refuses it, since the journal holds every decision as a record
+/// of its own, and trace replay takes it on the replayed solver cell.  The
+/// error is just the reason string — the caller knows the record's index.
+pub(crate) fn replay_submission(
+    platform: &Platform,
+    scheduler: &mut ServeScheduler,
+    seq: &mut u64,
+    (s, release, work, databank): (u64, f64, f64, u64),
+    due: impl FnOnce(&mut ServeScheduler) -> Result<(), String>,
+) -> Result<(), String> {
+    if s != *seq {
+        return Err(format!("expected sequence {}, found {s}", *seq));
+    }
+    let databank =
+        usize::try_from(databank).map_err(|_| format!("databank id {databank} overflows usize"))?;
+    let submission = Submission::new(release, work, databank);
+    validate_submission(&submission, platform)
+        .map_err(|e| format!("journaled submission invalid: {e}"))?;
+    if scheduler.started() {
+        let frontier = scheduler.stage_time();
+        if release < frontier - EVENT_TOL
+            || (scheduler.has_active() && release <= frontier + EVENT_TOL)
+        {
+            return Err(format!(
+                "release {release} behind the replayed frontier {frontier}"
+            ));
+        }
+        if release > frontier + EVENT_TOL {
+            if scheduler.needs_decision() {
+                due(scheduler)?;
+            }
+            scheduler.advance(release);
+        }
+    }
+    scheduler.stage(release, work, databank);
+    *seq += 1;
+    Ok(())
 }
 
 /// Applies one journaled event to a replaying scheduler.  The error is just
@@ -275,34 +326,13 @@ fn replay_one(
             work,
             databank,
         } => {
-            if s != *seq {
-                return Err(format!("expected sequence {}, found {s}", *seq));
-            }
-            let databank = usize::try_from(databank)
-                .map_err(|_| format!("databank id {databank} overflows usize"))?;
-            let submission = Submission::new(release, work, databank);
-            validate_submission(&submission, platform)
-                .map_err(|e| format!("journaled submission invalid: {e}"))?;
-            if scheduler.started() {
-                let frontier = scheduler.stage_time();
-                if release < frontier - EVENT_TOL
-                    || (scheduler.has_active() && release <= frontier + EVENT_TOL)
-                {
-                    return Err(format!(
-                        "release {release} behind the replayed frontier {frontier}"
-                    ));
-                }
-                if release > frontier + EVENT_TOL {
-                    if scheduler.needs_decision() {
-                        return Err(
-                            "frontier moves with a decision due but no decision record".into()
-                        );
-                    }
-                    scheduler.advance(release);
-                }
-            }
-            scheduler.stage(release, work, databank);
-            *seq += 1;
+            replay_submission(
+                platform,
+                scheduler,
+                seq,
+                (s, release, work, databank),
+                |_| Err("frontier moves with a decision due but no decision record".into()),
+            )?;
             Ok(ReplayedEvent::Submission)
         }
         JournalEvent::Decision { tier } => {
@@ -322,6 +352,21 @@ fn replay_one(
                 }
             }
             Ok(ReplayedEvent::Decision(tier))
+        }
+        JournalEvent::Drained { digest, .. } => {
+            if scheduler.needs_decision() {
+                return Err("drain record with a decision due but no decision record".into());
+            }
+            scheduler.advance(f64::INFINITY);
+            // The digest covers the job and decision counts the record
+            // also carries.
+            let actual = scheduler.state_digest();
+            if actual != digest {
+                return Err(format!(
+                    "drain record claims digest {digest:#018x}, the drained replay is {actual:#018x}"
+                ));
+            }
+            Ok(ReplayedEvent::Drained)
         }
     }
 }
@@ -345,6 +390,8 @@ struct SegmentReplay {
     last_valid_bytes: u64,
     /// Records in the final segment.
     last_records: u64,
+    /// `true` once a `Drained` record replayed; no record may follow it.
+    drained: bool,
 }
 
 /// Why a segment suffix did not replay — mapped by the caller to
@@ -386,6 +433,7 @@ fn replay_segments(
         truncated_bytes: 0,
         last_valid_bytes: 0,
         last_records: 0,
+        drained: false,
     };
     for (pos, &(index, sealed)) in segments.iter().enumerate() {
         let last = pos + 1 == segments.len();
@@ -433,12 +481,19 @@ fn replay_segments(
         }
         for record in &records {
             let idx = base_records as usize + out.replayed;
+            if out.drained {
+                return Err(ReplayError::Record {
+                    record: idx,
+                    reason: "a record follows the drain record".into(),
+                });
+            }
             match replay_one(platform, scheduler, seq, &record.event) {
                 Ok(ReplayedEvent::Submission) => out.submissions += 1,
                 Ok(ReplayedEvent::Decision(tier)) => {
                     out.decisions += 1;
                     out.decisions_by_tier[tier.code() as usize] += 1;
                 }
+                Ok(ReplayedEvent::Drained) => out.drained = true,
                 Err(reason) => {
                     return Err(ReplayError::Record {
                         record: idx,
@@ -467,6 +522,7 @@ struct Recovered {
     truncated_bytes: u64,
     last_valid_bytes: u64,
     last_records: u64,
+    drained: bool,
 }
 
 /// The crash-safe streaming scheduler service.
@@ -600,6 +656,7 @@ impl StretchServe {
             replayed,
             torn,
             truncated_bytes,
+            drained,
             ..
         } = recovered;
         metrics.replayed_records = replayed as u64;
@@ -626,7 +683,7 @@ impl StretchServe {
             dlq,
             metrics,
             seq,
-            finished: false,
+            finished: drained,
             breaker_busts,
             breaker_open_cooldown,
         };
@@ -731,6 +788,7 @@ impl StretchServe {
             truncated_bytes: stats.truncated_bytes,
             last_valid_bytes: stats.last_valid_bytes,
             last_records: stats.last_records,
+            drained: stats.drained,
         })
     }
 
@@ -795,6 +853,7 @@ impl StretchServe {
             truncated_bytes: stats.truncated_bytes,
             last_valid_bytes: stats.last_valid_bytes,
             last_records: stats.last_records,
+            drained: stats.drained,
         })
     }
 
@@ -1020,22 +1079,34 @@ impl StretchServe {
     }
 
     /// Drains the service: takes the final decision if one is due, executes
-    /// to completion (infinite horizon), cuts the active segment's zero tail
-    /// and syncs the journal once (committing the drain decision) and closes
-    /// the stream.  Idempotent: a second call neither decides nor syncs.
+    /// to completion (infinite horizon), writes the [`JournalEvent::Drained`]
+    /// record with the drained state's digest, cuts the active segment's
+    /// zero tail and syncs the journal once (committing the drain decision
+    /// and the drain record) and closes the stream.  Idempotent: a second
+    /// call neither decides, appends nor syncs, and neither does `finish` on
+    /// a service recovered from a drained journal.
     pub fn finish(&mut self) -> Result<(), JournalError> {
         if !self.finished {
             if self.scheduler.needs_decision() {
                 self.decide()?;
             }
             self.scheduler.advance(f64::INFINITY);
+            self.journal.append(&JournalRecord {
+                wall_micros: journal::wall_clock_micros(),
+                event: JournalEvent::Drained {
+                    digest: self.scheduler.state_digest(),
+                    submissions: self.seq,
+                    decisions: self.scheduler.decisions(),
+                },
+            })?;
             self.journal.finish()?;
             self.finished = true;
         }
         Ok(())
     }
 
-    /// `true` after [`StretchServe::finish`].
+    /// `true` after [`StretchServe::finish`], and after recovering a
+    /// journal that ends in its drain record.
     pub fn is_finished(&self) -> bool {
         self.finished
     }
@@ -1091,8 +1162,9 @@ impl StretchServe {
     /// past the active segment's zero tail, so that their sync also
     /// committed a file-size change (see [`journal`]).  Under the default
     /// rotation policy no segment outgrows its tail, so this reads 0 unless
-    /// the service recovered a journal left without one (drained, or
-    /// written before the tail existed), whose first append lays one down.
+    /// the service recovered a journal left without one (written before the
+    /// tail existed, or drained before `finish` wrote a `Drained` record),
+    /// whose first append lays one down.
     /// A pure count with no clock, and not a [`ServeMetrics`] counter, for
     /// the reason [`journal_syncs`](StretchServe::journal_syncs) gives.
     pub fn tail_growths(&self) -> u64 {

@@ -4,7 +4,9 @@
 //!   segments and publish snapshots, recovery restores the newest snapshot
 //!   and replays only the records past it — asserted through the
 //!   [`RecoveryReport`] record counts — yet reaches state bit-identical to
-//!   the uninterrupted run, on every backend, warm and cold.
+//!   the uninterrupted run, on every backend, warm and cold.  Drained,
+//!   the same stream recovers finished through the snapshot ladder, while
+//!   trace replay refuses it: segment 0 is garbage-collected.
 //! * **Snapshot corruption**: flipping *any* byte of the newest snapshot
 //!   demotes recovery one rung (typed rejection, older snapshot wins) with
 //!   no state divergence; a wrong embedded digest is equally rejected.
@@ -20,6 +22,7 @@ use std::path::{Path, PathBuf};
 use stretch_core::refstream::reference_instance;
 use stretch_core::{BackendKind, SolverConfig};
 use stretch_serve::journal::{self, RotationPolicy};
+use stretch_serve::trace::{self, ReplayError};
 use stretch_serve::{
     snapshot, RecoverError, RecoveryReport, ServeConfig, SnapshotRejectReason, StretchServe,
     Submission,
@@ -108,6 +111,21 @@ fn suffix_only_replay_matches_uninterrupted_run_on_every_backend() {
             let mut full = stream_jobs(&full_path, &instance, config.clone());
             let crash_digest = full.state_digest();
             full.finish().unwrap();
+            // Drained and compacted: recovery replays the `Drained` record
+            // past a snapshot, and replay, which reads segments only, finds
+            // segment 0 garbage-collected.
+            let (drained, _) =
+                StretchServe::recover(&full_path, instance.platform.clone(), config.clone())
+                    .unwrap();
+            assert!(
+                drained.is_finished(),
+                "{name}: drained journal recovered open"
+            );
+            assert_eq!(drained.state_digest(), full.state_digest());
+            assert_eq!(
+                trace::replay(&full_path, &instance.platform, solver),
+                Err(ReplayError::MissingSegment { needed: 0 })
+            );
 
             // Crashed run: same stream, dropped without finish().
             let path = tmp(&name);

@@ -10,9 +10,11 @@
 //!   schedule bit for bit.
 //! * **Legacy tier code**: decision records of the deleted `monge` tier
 //!   still recover, replayed on the simplex backend.
-//! * **Recorded traces**: a `.strt` recording of a live run replays through
+//! * **Drain record**: a drained journal recovers as a finished service at
+//!   the live drained digest, which refuses later submissions.
+//! * **Recorded runs**: the drained journal of a live run replays through
 //!   the full pipeline deterministically — bit-identical warm vs. cold on
-//!   every backend, and bit-identical to the sealed recording under the
+//!   every backend, and bit-identical to the drained digest under the
 //!   recording backend.
 //! * **Group commit**: each acknowledged call syncs the journal exactly
 //!   once, a submission and the decision it forces together, and under the
@@ -29,7 +31,6 @@ use stretch_core::online::run_online_with;
 use stretch_core::refstream::reference_instance;
 use stretch_core::{BackendKind, OnlineVariant, SolverConfig};
 use stretch_platform::fixtures::small_platform;
-use stretch_serve::trace::TraceTail;
 use stretch_serve::{
     journal, trace, JournalEvent, JournalRecord, JournalWriter, RejectReason, ServeConfig,
     SolveTier, StretchServe, Submission, SubmitOutcome, TailStatus,
@@ -345,19 +346,42 @@ fn malformed_and_out_of_order_submissions_are_dead_lettered() {
     std::fs::remove_dir_all(&path).unwrap();
 }
 
-/// Records `instance` through a full serve run under `solver` and returns
-/// the sealed trace plus the recording digest.
-fn record_trace(name: &str, instance: &Instance, solver: SolverConfig) -> (trace::Trace, u64) {
-    let trace_path = tmp(&format!("trace-{name}.strt"));
+#[test]
+fn a_drained_journal_recovers_finished_at_the_drained_digest() {
+    // `finish` journals its drain, so recovery lands on the drained state
+    // itself: finished, at the live digest before any `finish` call, closed
+    // to later submissions, and appending nothing to the journal.
+    let instance = reference_instance(3, 3, 12, 7);
+    let path = tmp("drained");
+    let live = serve_instance(&path, &instance, ServeConfig::default());
+    let segment = journal::segment_path(&path, 0, false);
+    let drained_bytes = std::fs::read(&segment).unwrap();
+    let (mut recovered, report) =
+        StretchServe::recover(&path, instance.platform.clone(), ServeConfig::default()).unwrap();
+    assert!(recovered.is_finished(), "a drained journal recovered open");
+    assert_eq!(recovered.state_digest(), live.state_digest());
+    assert_eq!(bits(recovered.completions()), bits(live.completions()));
+    assert_eq!(report.submissions, instance.jobs.len() as u64);
+    assert_eq!(
+        recovered.submit(Submission::new(1e6, 10.0, 0)).unwrap(),
+        SubmitOutcome::Rejected(RejectReason::Closed)
+    );
+    recovered.finish().unwrap();
+    assert_eq!(recovered.state_digest(), live.state_digest());
+    assert_eq!(std::fs::read(&segment).unwrap(), drained_bytes);
+    std::fs::remove_dir_all(&path).unwrap();
+}
+
+/// Records `instance` through a full serve run under `solver` into a
+/// drained journal directory and returns it plus the recording digest.
+fn record_trace(name: &str, instance: &Instance, solver: SolverConfig) -> (PathBuf, u64) {
     let journal_dir = tmp(&format!("trace-{name}-journal"));
-    let _ = std::fs::remove_dir_all(&journal_dir);
     let submissions: Vec<Submission> = instance
         .jobs
         .iter()
         .map(|j| Submission::new(j.release, j.work, j.databank))
         .collect();
     let run = trace::record_run(
-        &trace_path,
         &journal_dir,
         instance.platform.clone(),
         lenient(solver),
@@ -365,12 +389,7 @@ fn record_trace(name: &str, instance: &Instance, solver: SolverConfig) -> (trace
     )
     .unwrap();
     assert_eq!(run.rejected, 0, "reference stream partially rejected");
-    let (recorded, tail) = trace::load(&trace_path).unwrap();
-    assert_eq!(tail, TraceTail::Clean);
-    assert!(recorded.is_sealed());
-    std::fs::remove_file(&trace_path).unwrap();
-    std::fs::remove_dir_all(&journal_dir).unwrap();
-    (recorded, run.digest)
+    (journal_dir, run.digest)
 }
 
 #[test]
@@ -379,15 +398,16 @@ fn recorded_traces_replay_deterministically_across_the_backend_matrix() {
     // primal-dual backend legitimately picks a different allocation than
     // the simplex, so the cross-backend contract is per backend: warm and
     // cold replays are bit-identical, and the recording backend's cells
-    // reproduce the sealed digest and completions exactly.
+    // reproduce the drained digest exactly.
     let instance = reference_instance(3, 3, 20, 3);
     let recording = SolverConfig {
         backend: BackendKind::NetworkSimplex,
         warm_start: true,
         incremental: true,
     };
-    let (recorded, sealed_digest) = record_trace("generic", &instance, recording);
+    let (recorded, drained_digest) = record_trace("generic", &instance, recording);
     let matrix = trace::replay_matrix(&recorded, &instance.platform).unwrap();
+    std::fs::remove_dir_all(&recorded).unwrap();
     assert_eq!(matrix.len(), BackendKind::ALL.len() * 2);
 
     let cell = |backend: BackendKind, warm_start: bool| {
@@ -410,7 +430,7 @@ fn recorded_traces_replay_deterministically_across_the_backend_matrix() {
     }
     for warm_start in [true, false] {
         let outcome = cell(recording.backend, warm_start);
-        assert_eq!(outcome.digest, sealed_digest);
+        assert_eq!(outcome.digest, drained_digest);
         assert!(
             outcome.matches_recorded,
             "recording backend (warm={warm_start}) does not reproduce its own recording"
@@ -437,7 +457,7 @@ fn unique_optima_streams_replay_identically_in_every_matrix_cell() {
         .map(|&(release, work, databank)| stretch_workload::Job::new(0, release, work, databank))
         .collect();
     let instance = Instance::new(small_platform(), jobs);
-    let (recorded, sealed_digest) = record_trace(
+    let (recorded, drained_digest) = record_trace(
         "unique",
         &instance,
         SolverConfig {
@@ -447,10 +467,11 @@ fn unique_optima_streams_replay_identically_in_every_matrix_cell() {
         },
     );
     let matrix = trace::replay_matrix(&recorded, &instance.platform).unwrap();
+    std::fs::remove_dir_all(&recorded).unwrap();
     for (config, outcome) in &matrix {
         assert_eq!(
             outcome.digest,
-            sealed_digest,
+            drained_digest,
             "cell {}/warm={} diverged from the recording",
             config.backend.name(),
             config.warm_start
@@ -586,9 +607,10 @@ fn no_append_outgrows_the_zero_tail_under_the_default_policy() {
     serve.finish().unwrap();
     assert_eq!(serve.tail_growths(), 0, "the drain extended the file");
     let (records, tail) = journal::load(&segment).unwrap();
+    // Every accepted submission, every decision and the `Drained` record.
     assert_eq!(
         records.len() as u64,
-        serve.metrics().accepted + serve.metrics().decisions
+        serve.metrics().accepted + serve.metrics().decisions + 1
     );
     assert_eq!(
         tail,

@@ -3,12 +3,18 @@
 //! state bit-identical to some valid record prefix, or fails with a typed
 //! error — it never panics and never silently diverges.
 //!
-//! The truncation sweep is exhaustive (every byte offset of the segment
-//! file); the proptest adds random byte corruption on top.  A third test
-//! cuts the journal right after each decision record — the state a crash
-//! leaves between the decision a submission forces and the submission's own
-//! record, which share one sync — and requires the re-submitted
-//! continuation to land on the uninterrupted run.  All three operate on an
+//! The reference journal is drained, so it ends in its `Drained` record,
+//! and the same journal is what trace replay takes as a recorded run.  The
+//! truncation sweep is exhaustive (every byte offset of the segment file)
+//! and holds replay to the same bytes: it refuses every cut that loses the
+//! `Drained` record, with a typed error, and replays the whole file to the
+//! drained digest.  The proptest adds random byte corruption on top, which
+//! replay refuses every time.  A third test cuts the journal right after
+//! each decision record — the state a crash leaves between the decision a
+//! submission forces and the submission's own record, which share one
+//! sync — and requires the re-submitted continuation to land on the
+//! uninterrupted run; a fourth appends a frame after the `Drained` record,
+//! which recovery and replay both refuse.  All of them operate on an
 //! unrotated journal — a single active segment, the layout every journal
 //! starts in; the rotated-chain and snapshot corruption sweeps live in
 //! `rotation.rs`.
@@ -16,10 +22,14 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use stretch_core::SolverConfig;
 use stretch_platform::fixtures::small_platform;
 use stretch_platform::Platform;
 use stretch_serve::journal::{self, JournalWriter};
-use stretch_serve::{JournalEvent, RecoverError, ServeConfig, StretchServe, Submission};
+use stretch_serve::trace::{self, ReplayError};
+use stretch_serve::{
+    JournalEvent, JournalRecord, RecoverError, ServeConfig, StretchServe, Submission,
+};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -49,10 +59,10 @@ fn submit_all(serve: &mut StretchServe, stream: &[(f64, f64, usize)]) {
 }
 
 /// Records a reference journal: [`REFERENCE_STREAM`] drained to completion
-/// — submissions, decisions and the final drain decision all present — and
-/// returns the drained service.  The default rotation policy never triggers
-/// on a stream this short, so the journal directory holds exactly one
-/// active segment.
+/// — submissions, decisions, the final drain decision and the `Drained`
+/// record all present — and returns the drained service.  The default
+/// rotation policy never triggers on a stream this short, so the journal
+/// directory holds exactly one active segment.
 fn record_reference_journal(path: &Path) -> StretchServe {
     let mut serve = StretchServe::create(path, small_platform(), ServeConfig::default()).unwrap();
     submit_all(&mut serve, &REFERENCE_STREAM);
@@ -125,6 +135,21 @@ fn recovery_from_every_truncation_offset_is_prefix_exact() {
     let case_path = tmp("exhaustive-case");
     for cut in 0..=bytes.len() {
         write_sole_segment(&case_path, &bytes[..cut]);
+        // Replay first: it only reads, while recovery cuts a torn tail.
+        match trace::replay(&case_path, &platform, SolverConfig::default()) {
+            Ok(outcome) => {
+                assert_eq!(cut, bytes.len(), "cut {cut}: replayed without the drain");
+                assert!(outcome.matches_recorded, "the drained journal mis-replayed");
+                assert_eq!(outcome.digest, digests[digests.len() - 1]);
+            }
+            Err(ReplayError::Journal(journal::JournalError::BadMagic { .. })) => {
+                assert!(cut < journal::MAGIC.len(), "cut {cut}: spurious bad-magic");
+            }
+            Err(ReplayError::NotDrained | ReplayError::Torn { .. }) => {
+                assert!(cut < bytes.len(), "cut {cut}: the whole journal refused");
+            }
+            Err(e) => panic!("cut {cut}: unexpected replay error {e}"),
+        }
         match StretchServe::recover(&case_path, platform.clone(), ServeConfig::default()) {
             Ok((serve, report)) => {
                 assert!(
@@ -182,6 +207,7 @@ fn recovery_from_a_journal_ending_in_a_decision_converges_to_the_uninterrupted_r
                 continue;
             }
             JournalEvent::Decision { .. } => cuts += 1,
+            JournalEvent::Drained { .. } => continue,
         }
         write_sole_segment(&case_path, &bytes[..frame_end]);
         let (mut serve, report) =
@@ -206,6 +232,49 @@ fn recovery_from_a_journal_ending_in_a_decision_converges_to_the_uninterrupted_r
     std::fs::remove_dir_all(&case_path).unwrap();
 }
 
+#[test]
+fn a_frame_after_the_drain_record_is_refused_by_recovery_and_replay() {
+    // A submission that would be a valid continuation, had the stream not
+    // been drained: only the drain record's place as the last one refuses it.
+    let journal_path = tmp("after-drain");
+    let live = record_reference_journal(&journal_path);
+    let bytes = sole_segment_bytes(&journal_path);
+    std::fs::remove_dir_all(&journal_path).unwrap();
+    let (records, _) = journal::parse(&bytes, &journal_path).unwrap();
+    assert!(matches!(
+        records.last().map(|r| r.event),
+        Some(JournalEvent::Drained { digest, .. }) if digest == live.state_digest()
+    ));
+
+    let case_path = tmp("after-drain-case");
+    write_sole_segment(&case_path, &bytes);
+    let segment = journal::segment_path(&case_path, 0, false);
+    let mut writer = JournalWriter::append_at(&segment, bytes.len() as u64).unwrap();
+    writer
+        .append(&JournalRecord {
+            wall_micros: 0,
+            event: JournalEvent::Submitted {
+                seq: REFERENCE_STREAM.len() as u64,
+                release: 9.0,
+                work: 10.0,
+                databank: 0,
+            },
+        })
+        .unwrap();
+    drop(writer);
+    let appended = records.len();
+    match trace::replay(&case_path, &small_platform(), SolverConfig::default()) {
+        Err(ReplayError::Record { index, .. }) => assert_eq!(index, appended),
+        other => panic!("replay accepted a frame after the drain: {other:?}"),
+    }
+    match StretchServe::recover(&case_path, small_platform(), ServeConfig::default()) {
+        Err(RecoverError::Corrupt { record, .. }) => assert_eq!(record, appended),
+        Err(e) => panic!("unexpected recovery error {e}"),
+        Ok(_) => panic!("recovery accepted a frame after the drain"),
+    }
+    std::fs::remove_dir_all(&case_path).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -225,6 +294,15 @@ proptest! {
         bytes[offset] ^= mask as u8;
         let case_path = tmp("proptest-case");
         write_sole_segment(&case_path, &bytes);
+        // CRC-32 catches every single-byte error, so replay refuses each
+        // one, typed: the magic, or a torn frame at or before the byte.
+        match trace::replay(&case_path, &platform, SolverConfig::default()) {
+            Err(ReplayError::Journal(journal::JournalError::BadMagic { .. })) => {
+                prop_assert!(offset < journal::MAGIC.len());
+            }
+            Err(ReplayError::Torn { .. }) => prop_assert!(offset >= journal::MAGIC.len()),
+            other => panic!("replay of a corrupted journal: {other:?}"),
+        }
         match StretchServe::recover(&case_path, platform, ServeConfig::default()) {
             Ok((serve, report)) => {
                 // A corrupted byte must truncate at (or before) the record

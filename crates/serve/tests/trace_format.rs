@@ -1,21 +1,24 @@
-//! On-disk contract of the `.strt` recorded-trace format: for *any*
-//! truncation or single-byte corruption of a recorded trace, parsing
-//! either recovers a bit-exact event prefix with a typed torn-tail
-//! verdict, or fails with a typed error — it never panics and never
-//! misdecodes.  Foreign files, foreign codec versions and post-seal
-//! garbage are rejected or fenced off explicitly.
+//! On-disk contract of a recorded run, a drained journal directory, as
+//! [`trace::replay`] reads it when the recording spans a rotated chain of
+//! sealed segments plus the active one: for *any* truncation or single-byte
+//! corruption of *any* segment of the chain, parsing the segment recovers a
+//! bit-exact record prefix, and replay refuses the recording with a typed
+//! error naming the damaged segment, while the whole chain replays to the
+//! `Drained` record's digest.  It never panics and never misdecodes.
 //!
-//! The truncation sweep is exhaustive (every byte offset of the trace
-//! file); the proptest adds random single-byte corruption on top — the
-//! trace twin of `torn_journal.rs`.
+//! The truncation sweep is exhaustive (every byte offset of every segment);
+//! the proptest adds random single-byte corruption on top.  The sweeps of a
+//! single unrotated segment, with recovery's side of the same bytes, live in
+//! `torn_journal.rs`.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use stretch_core::SolverConfig;
 use stretch_platform::fixtures::small_platform;
-use stretch_serve::journal;
-use stretch_serve::trace::{self, Trace, TraceError, TraceTail, TraceTornReason};
-use stretch_serve::{ServeConfig, SolveTier, Submission};
+use stretch_serve::journal::{self, JournalError, RotationPolicy};
+use stretch_serve::trace::{self, ReplayError};
+use stretch_serve::{JournalRecord, Recording, ServeConfig, Submission};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -23,259 +26,170 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Records the six-job reference stream (the journal tests' stream) into
-/// a sealed trace at `path` and returns the trace file's bytes.
-fn reference_trace_bytes(name: &str) -> Vec<u8> {
-    let trace_path = tmp(&format!("{name}.strt"));
-    let journal_dir = tmp(&format!("{name}-journal"));
-    let _ = std::fs::remove_dir_all(&journal_dir);
-    let stream = [
-        (0.0, 300.0, 0),
-        (0.0, 60.0, 1),
-        (2.5, 120.0, 0),
-        (4.0, 30.0, 1),
-        (6.0, 90.0, 0),
-        (7.5, 45.0, 1),
-    ];
-    let submissions: Vec<Submission> = stream
+/// The journal tests' reference stream: six jobs `(release, work, databank)`
+/// on the small fixture platform.
+const REFERENCE_STREAM: [(f64, f64, u64); 6] = [
+    (0.0, 300.0, 0),
+    (0.0, 60.0, 1),
+    (2.5, 120.0, 0),
+    (4.0, 30.0, 1),
+    (6.0, 90.0, 0),
+    (7.5, 45.0, 1),
+];
+
+/// One segment file of a recorded chain.
+struct Segment {
+    index: u64,
+    sealed: bool,
+    bytes: Vec<u8>,
+}
+
+/// Records [`REFERENCE_STREAM`] into `dir`, rotating every four records and never snapshotting, so nothing is
+/// garbage-collected: the chain starts at segment 0 and ends in the active
+/// segment holding the `Drained` record.  Returns the chain and the drained
+/// digest; `dir` is removed.
+fn record_rotated_chain(dir: &Path) -> (Vec<Segment>, u64) {
+    let _ = std::fs::remove_dir_all(dir);
+    let config = ServeConfig {
+        rotation: RotationPolicy {
+            max_records: 4,
+            max_bytes: u64::MAX,
+        },
+        snapshot_every: u64::MAX,
+        ..ServeConfig::default()
+    };
+    let submissions: Vec<Submission> = REFERENCE_STREAM
         .iter()
-        .map(|&(release, work, databank)| Submission::new(release, work, databank))
+        .map(|&(release, work, databank)| Submission::new(release, work, databank as usize))
         .collect();
-    let run = trace::record_run(
-        &trace_path,
-        &journal_dir,
-        small_platform(),
-        ServeConfig::default(),
-        &submissions,
-    )
-    .unwrap();
-    assert_eq!(run.rejected, 0);
-    let bytes = std::fs::read(&trace_path).unwrap();
-    std::fs::remove_file(&trace_path).unwrap();
-    std::fs::remove_dir_all(&journal_dir).unwrap();
-    bytes
+    let run = trace::record_run(dir, small_platform(), config, &submissions).unwrap();
+    assert_eq!(run.accepted, 6);
+
+    let scan = journal::scan_dir(dir).unwrap();
+    assert!(scan.snapshots.is_empty());
+    assert!(scan.sealed.len() >= 2, "reference run did not rotate");
+    let chain = scan
+        .chain()
+        .into_iter()
+        .map(|index| {
+            let sealed = scan.sealed.contains(&index);
+            let bytes = std::fs::read(journal::segment_path(dir, index, sealed)).unwrap();
+            Segment {
+                index,
+                sealed,
+                bytes,
+            }
+        })
+        .collect();
+    std::fs::remove_dir_all(dir).unwrap();
+    (chain, run.digest)
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
-/// Asserts `torn` decodes a bit-exact event prefix of `full`: same
-/// leading submissions and completions, and a seal only if the whole
-/// file survived.
-fn assert_event_prefix(torn: &Trace, full: &Trace, context: &str) {
-    assert!(
-        torn.submissions.len() <= full.submissions.len(),
-        "{context}: more submissions than recorded"
-    );
-    for (i, (t, f)) in torn.submissions.iter().zip(&full.submissions).enumerate() {
-        assert_eq!(t.seq, f.seq, "{context}: submission {i} seq");
-        assert_eq!(
-            t.release.to_bits(),
-            f.release.to_bits(),
-            "{context}: submission {i} release bits"
-        );
-        assert_eq!(
-            t.work.to_bits(),
-            f.work.to_bits(),
-            "{context}: submission {i} work bits"
-        );
-        assert_eq!(t.databank, f.databank, "{context}: submission {i} databank");
-    }
-    assert!(
-        torn.completions.len() <= full.completions.len(),
-        "{context}: more completions than recorded"
-    );
-    for (i, (t, f)) in torn.completions.iter().zip(&full.completions).enumerate() {
-        assert_eq!(t.job, f.job, "{context}: completion {i} job");
-        assert_eq!(
-            t.completion.to_bits(),
-            f.completion.to_bits(),
-            "{context}: completion {i} bits"
-        );
-    }
-    if let Some(seal) = torn.seal {
-        assert_eq!(Some(seal), full.seal, "{context}: seal diverged");
+/// Writes `chain` into a fresh directory `dir`, segment `at` replaced by
+/// `replacement`.
+fn write_chain(dir: &Path, chain: &[Segment], at: usize, replacement: &[u8]) {
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).unwrap();
+    for (i, segment) in chain.iter().enumerate() {
+        let bytes = if i == at { replacement } else { &segment.bytes };
+        std::fs::write(
+            journal::segment_path(dir, segment.index, segment.sealed),
+            bytes,
+        )
+        .unwrap();
     }
 }
 
-/// Hand-frames one payload with the journal's `[len][crc][payload]`
-/// layout — for crafting torn and foreign-version fixtures.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(journal::RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&journal::crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Parses every segment of an untouched chain, each ending clean.
+fn chain_records(chain: &[Segment]) -> Vec<Vec<JournalRecord>> {
+    chain
+        .iter()
+        .map(|segment| {
+            let (records, tail) = journal::parse(&segment.bytes, Path::new("chain")).unwrap();
+            assert_eq!(
+                tail,
+                journal::TailStatus::Clean {
+                    valid_bytes: segment.bytes.len() as u64
+                }
+            );
+            records
+        })
+        .collect()
 }
 
-/// A header-frame payload declaring codec version `version`.
-fn header_payload(version: u32) -> Vec<u8> {
-    let mut payload = vec![0u8; 15];
-    payload[0] = 1; // TAG_HEADER
-    payload[1..5].copy_from_slice(&version.to_le_bytes());
-    payload[5] = SolveTier::Monge.code();
-    payload[6] = 1;
-    // Bytes 7..15: wall-clock stamp, irrelevant to parsing.
-    payload
-}
-
-#[test]
-fn round_trip_preserves_every_event_bit_for_bit() {
-    let bytes = reference_trace_bytes("roundtrip");
-    let path = Path::new("roundtrip.strt");
-    let (decoded, tail) = trace::parse(&bytes, path).unwrap();
-    assert_eq!(tail, TraceTail::Clean);
-    assert!(decoded.is_sealed());
-    assert_eq!(decoded.meta.unwrap().version, trace::TRACE_VERSION);
-    assert_eq!(decoded.submissions.len(), 6);
-    assert_eq!(decoded.completions.len(), 6);
-
-    // Replaying the decoded trace under the full matrix reproduces the
-    // sealed digest and completions in every cell: the six-job stream
-    // has unique System-(2) optima at every decision point.
-    let platform = small_platform();
-    let matrix = trace::replay_matrix(&decoded, &platform).unwrap();
-    let seal = decoded.seal.unwrap();
-    for (config, outcome) in &matrix {
-        assert_eq!(
-            outcome.digest,
-            seal.digest,
-            "cell {}/warm={} digest diverged",
-            config.backend.name(),
-            config.warm_start
-        );
-        assert!(outcome.matches_recorded);
-        assert_eq!(
-            bits(&outcome.completions),
-            decoded
-                .completions
-                .iter()
-                .map(|c| c.completion.to_bits())
-                .collect::<Vec<u64>>()
-        );
-    }
+/// `(release, work, databank)` triples as bit patterns.
+fn bits(stream: impl Iterator<Item = (f64, f64, u64)>) -> Vec<(u64, u64, u64)> {
+    stream
+        .map(|(release, work, databank)| (release.to_bits(), work.to_bits(), databank))
+        .collect()
 }
 
 #[test]
 fn parsing_every_truncation_offset_recovers_an_exact_prefix() {
-    let bytes = reference_trace_bytes("truncate");
-    let path = Path::new("truncate.strt");
-    let (full, tail) = trace::parse(&bytes, path).unwrap();
-    assert_eq!(tail, TraceTail::Clean);
+    let (chain, digest) = record_rotated_chain(&tmp("truncate-record"));
+    let full = chain_records(&chain);
+    let platform = small_platform();
+    let solver = SolverConfig::default();
+    let last = chain.len() - 1;
 
-    for cut in 0..=bytes.len() {
-        match trace::parse(&bytes[..cut], path) {
-            Ok((torn, tail)) => {
-                assert!(
-                    cut >= trace::TRACE_MAGIC.len(),
-                    "cut {cut}: accepted torn magic"
-                );
-                assert_event_prefix(&torn, &full, &format!("cut {cut}"));
-                match tail {
-                    TraceTail::Clean => {
-                        // Only frame boundaries parse clean.
-                        assert!(torn.seal.is_none() || cut == bytes.len());
-                    }
-                    TraceTail::Torn { valid_bytes, .. } => {
-                        assert!(
-                            valid_bytes as usize <= cut,
-                            "cut {cut}: valid prefix past the cut"
-                        );
-                    }
-                }
-                if torn.is_sealed() {
-                    assert_eq!(cut, bytes.len(), "cut {cut}: truncated trace claims sealed");
-                } else {
-                    // An unsealed prefix must refuse to replay rather
-                    // than replay a half-recorded run.
-                    assert_eq!(
-                        trace::replay_matrix(&torn, &small_platform()).unwrap_err(),
-                        trace::ReplayError::Unsealed
+    let case = tmp("truncate-case");
+    write_chain(&case, &chain, last, &chain[last].bytes);
+    assert_eq!(
+        bits(Recording::load(&case).unwrap().submissions()),
+        bits(REFERENCE_STREAM.into_iter())
+    );
+    let whole = trace::replay(&case, &platform, solver).unwrap();
+    assert!(whole.matches_recorded);
+    assert_eq!(whole.digest, digest);
+
+    for (at, segment) in chain.iter().enumerate() {
+        // Each segment ends exactly at its last frame, so every cut short
+        // of the whole file loses at least that frame.
+        for cut in 0..segment.bytes.len() {
+            let context = format!("segment {} cut {cut}", segment.index);
+            let bytes = &segment.bytes[..cut];
+            // `Some(torn)` once the magic survives: whether the cut lands
+            // inside a frame rather than on a frame boundary.
+            let torn = match journal::parse(bytes, Path::new("cut")) {
+                Ok((records, tail)) => {
+                    assert!(cut >= journal::MAGIC.len(), "{context}: torn magic");
+                    assert!(
+                        records.len() < full[at].len(),
+                        "{context}: kept every frame"
                     );
+                    assert_eq!(records[..], full[at][..records.len()], "{context}");
+                    assert!(
+                        tail.valid_bytes() as usize <= cut,
+                        "{context}: prefix past cut"
+                    );
+                    Some(tail.torn_at().is_some())
                 }
+                Err(JournalError::BadMagic { .. }) => {
+                    assert!(cut < journal::MAGIC.len(), "{context}: spurious bad-magic");
+                    None
+                }
+                Err(e) => panic!("{context}: unexpected parse error {e}"),
+            };
+
+            write_chain(&case, &chain, at, bytes);
+            match (trace::replay(&case, &platform, solver), torn) {
+                (Err(ReplayError::Journal(JournalError::BadMagic { .. })), None) => {}
+                (Err(ReplayError::Torn { segment: torn, .. }), Some(true)) => {
+                    assert_eq!(torn, segment.index, "{context}: torn elsewhere");
+                }
+                // Only the active segment holds the drain record.
+                (Err(ReplayError::NotDrained), Some(false)) => assert_eq!(at, last, "{context}"),
+                // A sealed segment cut at a frame boundary loses the
+                // submission it ends in (rotation follows a submission's
+                // record): the next segment's first one is out of sequence.
+                (Err(ReplayError::Record { .. }), Some(false)) => {
+                    assert!(at < last, "{context}");
+                }
+                (other, _) => panic!("{context}: unexpected replay {other:?}"),
             }
-            Err(TraceError::BadMagic { .. }) => {
-                assert!(
-                    cut < trace::TRACE_MAGIC.len(),
-                    "cut {cut}: spurious bad-magic on a well-formed prefix"
-                );
-            }
-            Err(e) => panic!("cut {cut}: unexpected parse error {e}"),
         }
     }
-}
-
-#[test]
-fn foreign_codec_versions_are_rejected_not_misdecoded() {
-    for found in [0u32, 2, 7, u32::MAX] {
-        let mut bytes = trace::TRACE_MAGIC.to_vec();
-        bytes.extend_from_slice(&frame(&header_payload(found)));
-        match trace::parse(&bytes, Path::new("foreign.strt")) {
-            Err(TraceError::UnsupportedVersion { found: got, .. }) => {
-                assert_eq!(got, found);
-            }
-            other => panic!("version {found} accepted: {other:?}"),
-        }
-    }
-    // The supported version with the same hand-framing parses fine.
-    let mut bytes = trace::TRACE_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&header_payload(trace::TRACE_VERSION)));
-    let (decoded, tail) = trace::parse(&bytes, Path::new("native.strt")).unwrap();
-    assert_eq!(tail, TraceTail::Clean);
-    assert_eq!(decoded.meta.unwrap().version, trace::TRACE_VERSION);
-}
-
-#[test]
-fn a_trace_must_open_with_a_header_frame() {
-    // A well-formed submission frame first: typed MissingHeader error.
-    let mut payload = vec![0u8; 41];
-    payload[0] = 2; // TAG_SUBMISSION
-    let mut bytes = trace::TRACE_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&payload));
-    assert!(matches!(
-        trace::parse(&bytes, Path::new("headerless.strt")),
-        Err(TraceError::MissingHeader { .. })
-    ));
-
-    // A second header frame mid-stream: the file tears at the splice.
-    let mut bytes = trace::TRACE_MAGIC.to_vec();
-    bytes.extend_from_slice(&frame(&header_payload(trace::TRACE_VERSION)));
-    let splice = bytes.len();
-    bytes.extend_from_slice(&frame(&header_payload(trace::TRACE_VERSION)));
-    let (decoded, tail) = trace::parse(&bytes, Path::new("spliced.strt")).unwrap();
-    assert_eq!(
-        tail,
-        TraceTail::Torn {
-            valid_bytes: splice as u64,
-            reason: TraceTornReason::MalformedFrame,
-        }
-    );
-    assert!(!decoded.is_sealed());
-}
-
-#[test]
-fn garbage_after_the_seal_is_fenced_off() {
-    let mut bytes = reference_trace_bytes("postseal");
-    let sealed_len = bytes.len();
-    let path = Path::new("postseal.strt");
-    // An interrupted rewrite appended frames after the seal: the sealed
-    // prefix is the trace; the tail is reported torn at the seal.
-    bytes.extend_from_slice(&frame(&[3u8; 17])); // well-formed completion frame
-    bytes.extend_from_slice(b"trailing junk");
-    let (decoded, tail) = trace::parse(&bytes, path).unwrap();
-    assert_eq!(
-        tail,
-        TraceTail::Torn {
-            valid_bytes: sealed_len as u64,
-            reason: TraceTornReason::MalformedFrame,
-        }
-    );
-    assert!(decoded.is_sealed(), "sealed prefix lost to trailing junk");
-    assert_eq!(decoded.submissions.len(), 6);
-    // The fenced trace still replays.
-    let matrix = trace::replay_matrix(&decoded, &small_platform()).unwrap();
-    assert!(matrix.iter().all(|(_, outcome)| outcome.matches_recorded));
+    std::fs::remove_dir_all(&case).unwrap();
 }
 
 proptest! {
@@ -283,36 +197,47 @@ proptest! {
 
     #[test]
     fn parsing_corrupted_bytes_never_panics_or_misdecodes(
+        pick in 0u64..1_000,
         offset in 0u64..1_000_000,
         mask in 1u64..256,
     ) {
-        let mut bytes = reference_trace_bytes("proptest");
-        let path = Path::new("proptest.strt");
-        let (full, _) = trace::parse(&bytes, path).unwrap();
-
+        let (chain, _) = record_rotated_chain(&tmp("proptest-record"));
+        let full = chain_records(&chain);
+        let at = (pick as usize) % chain.len();
+        let segment = &chain[at];
+        let mut bytes = segment.bytes.clone();
         let offset = (offset as usize) % bytes.len();
         bytes[offset] ^= mask as u8;
-        match trace::parse(&bytes, path) {
-            Ok((torn, _)) => {
-                // A corrupted byte tears the frame containing it (the
-                // CRC catches every single-byte flip); whatever prefix
-                // survives is bit-exact, and a trace missing any frame
-                // cannot claim to be sealed and complete.
-                prop_assert!(offset >= trace::TRACE_MAGIC.len());
-                assert_event_prefix(&torn, &full, &format!("offset {offset}"));
-                prop_assert!(!torn.is_sealed());
-                prop_assert_eq!(
-                    trace::replay_matrix(&torn, &small_platform()).unwrap_err(),
-                    trace::ReplayError::Unsealed
-                );
+
+        // CRC-32 catches every single-byte error: the frame holding the
+        // byte is torn, and only the frames before it survive, bit-exact.
+        match journal::parse(&bytes, Path::new("corrupt")) {
+            Ok((records, tail)) => {
+                prop_assert!(offset >= journal::MAGIC.len());
+                prop_assert!(records.len() < full[at].len());
+                prop_assert_eq!(&records[..], &full[at][..records.len()]);
+                prop_assert!(tail.torn_at().is_some_and(|torn| torn as usize <= offset));
             }
-            Err(TraceError::BadMagic { .. }) => {
-                prop_assert!(offset < trace::TRACE_MAGIC.len());
+            Err(JournalError::BadMagic { .. }) => {
+                prop_assert!(offset < journal::MAGIC.len());
             }
-            // A flip inside the header's version field cannot survive the
-            // CRC, so UnsupportedVersion is unreachable here; any other
-            // typed error would be a codec bug.
             Err(e) => panic!("offset {offset}: unexpected parse error {e}"),
         }
+
+        // Replay refuses every corrupted chain, typed, at the segment
+        // holding the byte.
+        let case = tmp("proptest-case");
+        write_chain(&case, &chain, at, &bytes);
+        match trace::replay(&case, &small_platform(), SolverConfig::default()) {
+            Err(ReplayError::Journal(JournalError::BadMagic { .. })) => {
+                prop_assert!(offset < journal::MAGIC.len());
+            }
+            Err(ReplayError::Torn { segment: torn, .. }) => {
+                prop_assert!(offset >= journal::MAGIC.len());
+                prop_assert_eq!(torn, segment.index);
+            }
+            other => panic!("segment {} offset {offset}: replayed {other:?}", segment.index),
+        }
+        std::fs::remove_dir_all(&case).unwrap();
     }
 }

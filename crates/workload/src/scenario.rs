@@ -68,9 +68,10 @@ pub enum Scenario {
         /// Hill-climb rounds per instance.
         rounds: u32,
     },
-    /// A recorded `.strt` trace stands in for generation entirely: the
+    /// A recorded serve run stands in for generation entirely: the
     /// campaign layer (`stretch-experiments`) loads checked-in trace
-    /// fixture `index` and replays it instead of drawing jobs.  At the
+    /// fixture `index`, a drained journal directory, and replays its
+    /// submissions instead of drawing jobs.  At the
     /// workload level this family generates a steady stream (the
     /// fallthrough), so the variant stays usable without the serve layer.
     Trace {
